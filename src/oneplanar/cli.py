@@ -7,19 +7,19 @@ and a small GML subset (graph/node/edge blocks with id, source, target).
 from __future__ import annotations
 
 import argparse
+import math
 import os
 import re
 import sys
 import time
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 
 from .embedding import (
     OnePlanarEmbedding,
     count_crossings,
     merge_blocks,
     serialize_embedding,
-    validate,
 )
 from .graph import Graph, biconnected_components, build_graph
 from .planarity import test_planarity
@@ -62,10 +62,8 @@ class InstanceRecord:
     error: str | None = None
 
 
-CSV_HEADER = (
-    "name,n,m,density,blocks,verdict,crossings,time_ms,backtracked,"
-    "nodes,cuts_dec,cuts_kec,cuts_nonplanar,sol_satur,sol_compl"
-)
+_CSV_COLUMNS = tuple(f.name for f in fields(InstanceRecord) if f.name != "error")
+CSV_HEADER = ",".join(_CSV_COLUMNS)
 
 
 # ---------------------------------------------------------------------------
@@ -104,9 +102,6 @@ def _parse_gml(text: str, path: str) -> Graph:
         for mobj in _GML_TOKEN.finditer(line):
             tokens.append((lineno, mobj.group(0)))
     pos = 0
-
-    def peek() -> tuple[int, str] | None:
-        return tokens[pos] if pos < len(tokens) else None
 
     def take() -> tuple[int, str]:
         nonlocal pos
@@ -232,7 +227,8 @@ def run_pipeline(
     """Decide the whole graph block by block and merge the certificates.
 
     A drawing exists iff every block has one, so the first negative block
-    halts the run.  Block verdicts left open by the deadline make the
+    halts the run.  The certificate returned is validated against g by
+    ``merge_blocks``.  Block verdicts left open by the deadline make the
     overall answer Unknown unless some later block is outright negative.
     """
     t0 = time.monotonic()
@@ -256,8 +252,6 @@ def run_pipeline(
     crossings = None
     if verdict is Verdict.ONE_PLANAR:
         emb = merge_blocks(g, dec, embeddings)
-        if not validate(g, emb):
-            raise RuntimeError("internal error: merged certificate failed validation")
         crossings = count_crossings(emb)
 
     record = InstanceRecord(
@@ -285,26 +279,20 @@ def run_pipeline(
 # ---------------------------------------------------------------------------
 
 
+# how a column is written when str() is not the format; None is written as ""
+_CSV_FORMAT = {
+    "density": "{:.3f}".format,
+    "time_ms": "{:.1f}".format,
+    "backtracked": lambda b: str(int(b)),
+}
+
+
 def _record_row(r: InstanceRecord) -> str:
-    return ",".join(
-        [
-            r.name,
-            str(r.n),
-            str(r.m),
-            f"{r.density:.3f}",
-            str(r.blocks),
-            r.verdict,
-            "" if r.crossings is None else str(r.crossings),
-            f"{r.time_ms:.1f}",
-            str(int(r.backtracked)),
-            str(r.nodes),
-            str(r.cuts_dec),
-            str(r.cuts_kec),
-            str(r.cuts_nonplanar),
-            str(r.sol_satur),
-            str(r.sol_compl),
-        ]
-    )
+    cells = []
+    for name in _CSV_COLUMNS:
+        value = getattr(r, name)
+        cells.append("" if value is None else _CSV_FORMAT.get(name, str)(value))
+    return ",".join(cells)
 
 
 def _bench_one(task) -> InstanceRecord | None:
@@ -320,15 +308,20 @@ def _bench_one(task) -> InstanceRecord | None:
         return InstanceRecord(name=name, verdict="Error", error=str(exc))
 
 
-_BUCKETS = ((10, 20), (21, 30), (31, 40), (41, 50))
+def _bucket(n: int) -> tuple[int, int]:
+    """Vertex-count range of n's summary line: 10-20, then decades."""
+    if n < 10:
+        return 0, 9
+    if n <= 20:
+        return 10, 20
+    lo = (n - 1) // 10 * 10 + 1
+    return lo, lo + 9
 
 
 def _summary_lines(records: list[InstanceRecord]) -> list[str]:
     lines = ["# summary"]
-    for lo, hi in _BUCKETS:
+    for lo, hi in sorted({_bucket(r.n) for r in records}):
         rows = [r for r in records if lo <= r.n <= hi]
-        if not rows:
-            continue
         counts = {v: 0 for v in ("OnePlanar", "NotOnePlanar", "Unknown", "Error")}
         for r in rows:
             counts[r.verdict] = counts.get(r.verdict, 0) + 1
@@ -403,15 +396,29 @@ def _parse_duration(text: str) -> float:
     if not mobj:
         raise argparse.ArgumentTypeError(f"bad duration {text!r} (use 300, 45s, 5m or 3h)")
     value = float(mobj.group(1))
+    if value == 0:
+        raise argparse.ArgumentTypeError("timeout must be positive")
     return value * {"": 1.0, "s": 1.0, "m": 60.0, "h": 3600.0}[mobj.group(2)]
+
+
+def _in_range(kind, lo: float, hi: float = math.inf):
+    """argparse type: a `kind` (int or float) value within [lo, hi]."""
+    def parse(text: str):
+        value = kind(text)
+        if not lo <= value <= hi:
+            raise argparse.ArgumentTypeError(f"expected a value in [{lo}, {hi}], got {text}")
+        return value
+
+    parse.__name__ = kind.__name__  # argparse names it in "invalid int value"
+    return parse
 
 
 def _add_config_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--timeout", type=_parse_duration, default=None,
                    help="search budget per run (e.g. 45s, 5m, 3h)")
-    p.add_argument("--skew-size", type=int, default=None,
+    p.add_argument("--skew-size", type=_in_range(int, 0), default=None,
                    help="maximum skew set size for the restricted pass")
-    p.add_argument("--completion-prob", type=float, default=None,
+    p.add_argument("--completion-prob", type=_in_range(float, 0.0, 1.0), default=None,
                    help="probability of attempting a zero completion per node")
     p.add_argument("--seed", type=int, default=None, help="seed for completion draws")
     p.add_argument("--no-kite", action="store_true", help="disable kite edge pruning")
@@ -455,7 +462,7 @@ def main(argv: list[str] | None = None) -> int:
     p_bench.add_argument("paths", nargs="+")
     _add_config_flags(p_bench)
     p_bench.add_argument("--out", metavar="PATH", help="write CSV here instead of stdout")
-    p_bench.add_argument("--workers", type=int, default=None,
+    p_bench.add_argument("--workers", type=_in_range(int, 1), default=None,
                          help="process count (default: ONEPLANAR_THREADS or 1)")
     p_bench.add_argument("--skip-planar", action="store_true",
                          help="drop instances that are plain planar from the report")

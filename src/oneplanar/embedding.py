@@ -83,13 +83,35 @@ def count_crossings(emb: OnePlanarEmbedding) -> int:
     return len(emb.crossings)
 
 
+def star_edge_list(g: Graph, pairs, keep=None) -> tuple[int, list[tuple[int, int]]]:
+    """Vertex count and edge list of the star graph; the one star layout.
+
+    Uncrossed edges come first in id order (only those in `keep`, if
+    given), then the half-edges to u1, v1, u2, v2 of dummy g.n + t for the
+    t-th pair (e1, e2) = ((u1, v1), (u2, v2)).  Pairs are not checked.
+    """
+    in_pair = {e for pr in pairs for e in pr}
+    edges = [
+        (u, v)
+        for e, (u, v) in enumerate(g.edges)
+        if e not in in_pair and (keep is None or e in keep)
+    ]
+    d = g.n
+    for a, b in pairs:
+        u1, v1 = g.edges[a]
+        u2, v2 = g.edges[b]
+        edges.extend([(u1, d), (v1, d), (u2, d), (v2, d)])
+        d += 1
+    return d, edges
+
+
 def planarize(g: Graph, crossings) -> Planarization:
     """Build the star graph for the given crossing pairs.
 
     Pairs must be independent (AdjacentPairError otherwise) and no edge
-    may appear twice (EdgeCrossedTwiceError).  Dummy ids follow list
-    position, star edges list the uncrossed originals first and then the
-    four half-edges of each dummy, which keeps everything deterministic.
+    may appear twice (EdgeCrossedTwiceError).  Each pair is stored as
+    (smaller id, larger id) and the star graph follows
+    :func:`star_edge_list`, which keeps everything deterministic.
     """
     seen: set[int] = set()
     norm: list[tuple[int, int]] = []
@@ -106,24 +128,16 @@ def planarize(g: Graph, crossings) -> Planarization:
             raise AdjacentPairError(a, b)
         norm.append((a, b))
 
-    star_edges: list[tuple[int, int]] = []
-    edge_map: list[int] = []
-    for e, (u, v) in enumerate(g.edges):
-        if e not in seen:
-            star_edges.append((u, v))
-            edge_map.append(e)
+    n_star, star_edges = star_edge_list(g, norm)
+    edge_map = [e for e in range(g.m) if e not in seen]
     dummy_map = []
-    for t, (a, b) in enumerate(norm):
-        d = g.n + t
-        u1, v1 = g.edges[a]
-        u2, v2 = g.edges[b]
-        star_edges.extend([(u1, d), (v1, d), (u2, d), (v2, d)])
+    for a, b in norm:
         edge_map.extend([a, a, b, b])
-        dummy_map.append(((a, b), (u1, v1, u2, v2)))
+        dummy_map.append(((a, b), g.edges[a] + g.edges[b]))
 
     return Planarization(
         base_graph=g,
-        star_graph=build_graph(g.n + len(norm), star_edges),
+        star_graph=build_graph(n_star, star_edges),
         dummy_map=tuple(dummy_map),
         edge_map=tuple(edge_map),
     )
@@ -272,22 +286,29 @@ def validate(g: Graph, emb: OnePlanarEmbedding) -> bool:
 
 
 def merge_blocks(g: Graph, decomposition, embeddings: list[OnePlanarEmbedding]) -> OnePlanarEmbedding:
-    """Combine per-block certificates into one certificate for g.
+    """Combine per-block certificates into one validated certificate for g.
 
     Blocks share only cut vertices, so the merged rotation at a shared
     vertex splices each later block's rotation in as one contiguous
     segment right after the smallest-id dart of the first block there.
-    Raises InvalidBlockEmbeddingError if any input fails validation.
+    Only the result is validated, against g; InvalidBlockEmbeddingError
+    is raised if it fails or the inputs do not fit g.
     """
     blocks = decomposition.blocks
     if len(embeddings) != len(blocks):
         raise InvalidBlockEmbeddingError(
             f"got {len(embeddings)} embeddings for {len(blocks)} blocks"
         )
-    for blk, emb in zip(blocks, embeddings):
-        if not validate(blk.graph, emb):
-            raise InvalidBlockEmbeddingError("block certificate failed validation")
+    try:
+        merged = _merge(g, blocks, embeddings)
+    except (IndexError, KeyError, ValueError) as exc:
+        raise InvalidBlockEmbeddingError(f"block certificates do not fit g: {exc}") from None
+    if not validate(g, merged):
+        raise InvalidBlockEmbeddingError("merged certificate failed validation")
+    return merged
 
+
+def _merge(g: Graph, blocks, embeddings: list[OnePlanarEmbedding]) -> OnePlanarEmbedding:
     all_pairs: list[tuple[int, int]] = []
     offsets: list[int] = []
     for blk, emb in zip(blocks, embeddings):
@@ -305,7 +326,8 @@ def merge_blocks(g: Graph, decomposition, embeddings: list[OnePlanarEmbedding]) 
             out = merged.star_graph.edge_between(
                 blk.vertex_map[x], g.n + offset + (y - bp.base_n)
             )
-        assert out is not None
+        if out is None:
+            raise KeyError(f"star edge {s} of a block has no counterpart in g")
         return out
 
     per_vertex: list[list[list[int]]] = [[] for _ in range(g.n)]

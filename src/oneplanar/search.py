@@ -23,7 +23,7 @@ import time
 from dataclasses import dataclass, field
 from enum import Enum
 
-from .embedding import OnePlanarEmbedding, planarize, realize, validate
+from .embedding import OnePlanarEmbedding, planarize, realize, star_edge_list
 from .graph import Graph
 from .pairs import (
     PairUniverse,
@@ -143,27 +143,6 @@ def find_kite_edges(g: Graph, crossing_pairs) -> set[int]:
     return out
 
 
-def _star_edge_list(g: Graph, pairs, keep=None):
-    """Edge list of the planarization, optionally induced on `keep` edges.
-
-    Crossed edges are always retained (they are saturated by definition).
-    Dummy vertex t sits at id g.n + t, following pair order.
-    """
-    in_pair = {e for pr in pairs for e in pr}
-    edges = [
-        (u, v)
-        for e, (u, v) in enumerate(g.edges)
-        if e not in in_pair and (keep is None or e in keep)
-    ]
-    d = g.n
-    for a, b in pairs:
-        u1, v1 = g.edges[a]
-        u2, v2 = g.edges[b]
-        edges.extend([(u1, d), (v1, d), (u2, d), (v2, d)])
-        d += 1
-    return d, edges
-
-
 def verify_node(
     sol: PartialSolution,
     g: Graph,
@@ -191,50 +170,35 @@ def verify_node(
         kites = set()
 
     sat = saturated_edges(sol, kites)
-    if len(sat) == g.m:
-        # the saturated subgraph is the whole graph: this planarity call
-        # decides between a saturation solution and a dead end
-        n_star, star = _star_edge_list(g, pairs)
+    if len(sat) < g.m:
+        n_star, star = star_edge_list(g, pairs, keep=sat)
         if stats is not None:
             stats.planarity_calls += 1
-        rot = rotation_edges(n_star, star)
-        if rot is None:
+        if not is_planar_edges(n_star, star):
             return NodeVerdict(NodeKind.CUT, cut_reason=CutReason.NONPLANAR_INDUCED)
+        if not (cfg.completion_probability > 0 and rng.random() < cfg.completion_probability):
+            return NodeVerdict(NodeKind.CNT)
+        # complete with all zeros: same crossings, full edge set
+        kind = SolutionKind.COMPLETION
+    else:
+        # the saturated subgraph is the whole graph: the planarity call
+        # below decides between a saturation solution and a dead end
+        kind = SolutionKind.SATURATION
+
+    n_star, star = star_edge_list(g, pairs)
+    if stats is not None:
+        stats.planarity_calls += 1
+    rot = rotation_edges(n_star, star)
+    if rot is not None:
         return NodeVerdict(
             NodeKind.SOL,
-            solution_kind=SolutionKind.SATURATION,
+            solution_kind=kind,
             crossings=tuple(pairs),
             star_rotation=tuple(tuple(r) for r in rot),
         )
-
-    n_star, star = _star_edge_list(g, pairs, keep=sat)
-    if stats is not None:
-        stats.planarity_calls += 1
-    if not is_planar_edges(n_star, star):
+    if kind is SolutionKind.SATURATION:
         return NodeVerdict(NodeKind.CUT, cut_reason=CutReason.NONPLANAR_INDUCED)
-
-    if cfg.completion_probability > 0 and rng.random() < cfg.completion_probability:
-        # complete with all zeros: same crossings, full edge set
-        n_star, star = _star_edge_list(g, pairs)
-        if stats is not None:
-            stats.planarity_calls += 1
-        rot = rotation_edges(n_star, star)
-        if rot is not None:
-            return NodeVerdict(
-                NodeKind.SOL,
-                solution_kind=SolutionKind.COMPLETION,
-                crossings=tuple(pairs),
-                star_rotation=tuple(tuple(r) for r in rot),
-            )
     return NodeVerdict(NodeKind.CNT)
-
-
-def _certificate(g: Graph, verdict: NodeVerdict) -> OnePlanarEmbedding:
-    p = planarize(g, list(verdict.crossings))
-    emb = realize(p, RotationSystem(verdict.star_rotation))
-    if not validate(g, emb):
-        raise RuntimeError("internal error: solution certificate failed validation")
-    return emb
 
 
 def backtrack(
@@ -246,9 +210,9 @@ def backtrack(
 ) -> tuple[Verdict, OnePlanarEmbedding | None]:
     """Depth-first search over the universe; 0 branches explored first.
 
-    Returns OnePlanar with a validated certificate on the first solution
-    node.  Full exhaustion proves NotOnePlanar; exhausting a restricted
-    universe or hitting the deadline yields Unknown.
+    Returns OnePlanar with a certificate (not validated; see merge_blocks)
+    on the first solution node.  Full exhaustion proves NotOnePlanar;
+    exhausting a restricted universe or hitting the deadline yields Unknown.
     """
     stats.used_backtracking = True
     rng = random.Random(cfg.rng_seed)
@@ -271,34 +235,35 @@ def backtrack(
                 into_stats.sol_compl += 1
         return v
 
-    v = classify(stats)
-    if v.kind is NodeKind.SOL:
-        return Verdict.ONE_PLANAR, _certificate(g, v)
-    if v.kind is NodeKind.CNT and universe.k:
-        # stack of (depth, bit): bit 1 pushed first so bit 0 pops first
-        stack: list[tuple[int, int]] = [(0, 1), (0, 0)]
-        while stack:
-            if deadline is not None and time.monotonic() >= deadline:
-                return Verdict.UNKNOWN, None
-            depth, bit = stack.pop()
-            while sol.cursor > depth:
-                sol.pop()
-            sol.push(bit)
-            v = classify(stats)
-            if v.kind is NodeKind.SOL:
-                return Verdict.ONE_PLANAR, _certificate(g, v)
-            if v.kind is NodeKind.CNT and sol.cursor < universe.k:
-                stack.append((sol.cursor, 1))
-                stack.append((sol.cursor, 0))
+    # stack of (depth, bit) still to visit: bit 1 pushed first so bit 0 pops first
+    stack: list[tuple[int, int]] = []
+    while True:
+        v = classify(stats)
+        if v.kind is NodeKind.SOL:
+            # planarize uses star_edge_list too, so the rotation's edge ids carry over
+            p = planarize(g, v.crossings)
+            return Verdict.ONE_PLANAR, realize(p, RotationSystem(v.star_rotation))
+        if v.kind is NodeKind.CNT and sol.cursor < universe.k:
+            stack.append((sol.cursor, 1))
+            stack.append((sol.cursor, 0))
+        if not stack:
+            break
+        if deadline is not None and time.monotonic() >= deadline:
+            return Verdict.UNKNOWN, None
+        depth, bit = stack.pop()
+        while sol.cursor > depth:
+            sol.pop()
+        sol.push(bit)
 
     if universe.restricted:
         return Verdict.UNKNOWN, None
     return Verdict.NOT_ONE_PLANAR, None
 
 
-def find_skew_set(g: Graph, size: int) -> list[int] | None:
+def find_skew_set(g: Graph, size: int, deadline: float | None = None) -> list[int] | None:
     """Lexicographically first set of at most `size` edges whose removal
-    leaves a planar graph, or None if no such set exists."""
+    leaves a planar graph, or None if no such set exists.  Raises
+    TimeoutError once `deadline` (a time.monotonic() value) passes."""
     if is_planar_edges(g.n, g.edges):
         return []
 
@@ -310,6 +275,8 @@ def find_skew_set(g: Graph, size: int) -> list[int] | None:
         if budget == 0:
             return None
         for e in range(start, g.m):
+            if deadline is not None and time.monotonic() >= deadline:
+                raise TimeoutError("deadline passed during the skew set search")
             chosen.append(e)
             if is_planar_edges(g.n, rest(chosen)):
                 return list(chosen)
@@ -354,7 +321,10 @@ def test_block(
         return done(Verdict.NOT_ONE_PLANAR, None)
 
     if cfg.enable_skew_pass and cfg.skew_set_size > 0:
-        skew = find_skew_set(g, cfg.skew_set_size)
+        try:
+            skew = find_skew_set(g, cfg.skew_set_size, deadline)
+        except TimeoutError:
+            return done(Verdict.UNKNOWN, None)
         if skew:
             stats.used_skew_pass = True
             restricted = build_restricted_universe(g, skew)
@@ -386,7 +356,7 @@ def oracle_is_one_planar(g: Graph, max_k: int = 20) -> bool:
     def descend(i: int) -> bool:
         if i == u.k:
             chosen = [pairs[j] for j in range(u.k) if taken[j]]
-            n_star, star = _star_edge_list(g, chosen)
+            n_star, star = star_edge_list(g, chosen)
             return is_planar_edges(n_star, star)
         taken[i] = False
         if descend(i + 1):

@@ -9,8 +9,10 @@ import pytest
 from conftest import complete_graph, glue_at_vertex, grid_graph, petersen_graph
 from oneplanar.cli import (
     CSV_HEADER,
+    InstanceRecord,
     ParseError,
     _parse_duration,
+    _record_row,
     bench,
     main,
     parse_graph_file,
@@ -247,6 +249,34 @@ class TestBench:
         two = bench([str(tmp_path)], SearchConfig(), workers=2)
         assert strip_times(one.csv) == strip_times(two.csv)
 
+    def test_header_and_row_format(self):
+        # the column contract as the README spells it out
+        assert CSV_HEADER == (
+            "name,n,m,density,blocks,verdict,crossings,time_ms,backtracked,"
+            "nodes,cuts_dec,cuts_kec,cuts_nonplanar,sol_satur,sol_compl"
+        )
+        record = InstanceRecord(
+            name="k6.txt", n=6, m=15, density=2.5, blocks=1, verdict="OnePlanar",
+            crossings=3, time_ms=68.31, backtracked=True, nodes=898, cuts_dec=127,
+            cuts_kec=246, cuts_nonplanar=58, sol_satur=1, sol_compl=0,
+        )
+        assert _record_row(record) == "k6.txt,6,15,2.500,1,OnePlanar,3,68.3,1,898,127,246,58,1,0"
+        error = InstanceRecord(name="bad.txt", error="unreadable")
+        assert _record_row(error) == "bad.txt,0,0,0.000,0,Error,,0.0,0,0,0,0,0,0,0"
+
+    def test_summary_counts_every_record(self, tmp_path):
+        write_corpus(tmp_path)
+        (tmp_path / "bad.txt").write_text("0 zero\n")
+        g = grid_graph(8, 8)
+        (tmp_path / "grid8.txt").write_text("".join(f"{u} {v}\n" for u, v in g.edges))
+        result = bench([str(tmp_path)], SearchConfig())
+        files = re.findall(r"^# n=\S+ files=(\d+) ", result.csv, re.MULTILINE)
+        assert sum(map(int, files)) == len(result.records) == 7
+        # k4, k5, k7 and the Error row (n=0) share the bucket below 10
+        assert "# n=0-9 files=4 " in result.csv
+        assert "# n=10-20 files=2 " in result.csv
+        assert "# n=61-70 files=1 " in result.csv
+
     def test_explicit_file_list(self, tmp_path):
         files = write_corpus(tmp_path)
         result = bench([files["k5.txt"]], SearchConfig())
@@ -261,7 +291,7 @@ class TestDurations:
     def test_accepted(self, text, seconds):
         assert _parse_duration(text) == seconds
 
-    @pytest.mark.parametrize("text", ["", "s", "5x", "h3"])
+    @pytest.mark.parametrize("text", ["", "s", "5x", "h3", "0", "0.0m"])
     def test_rejected(self, text):
         import argparse
 
@@ -332,6 +362,27 @@ class TestMain:
         assert main(["check", str(f), "--no-skew", "--no-kite",
                      "--completion-prob", "0", "--timeout", "45s", "--seed", "9"]) == 0
         assert "OnePlanar" in capsys.readouterr().out
+
+    @pytest.mark.parametrize(
+        "flags",
+        [
+            ["check", "--skew-size", "-1"],
+            ["check", "--completion-prob", "1.5"],
+            ["check", "--completion-prob", "-0.1"],
+            ["check", "--completion-prob", "nan"],
+            ["check", "--timeout", "0"],
+            ["bench", "--workers", "0"],
+        ],
+        ids=["skew-negative", "prob-above-one", "prob-negative", "prob-nan",
+             "timeout-zero", "workers-zero"],
+    )
+    def test_bad_flag_exits_two(self, flags, tmp_path, capsys):
+        f = tmp_path / "k4.txt"
+        f.write_text("".join(f"{u} {v}\n" for u, v in complete_graph(4).edges))
+        with pytest.raises(SystemExit) as exc:
+            main([flags[0], str(f)] + flags[1:])
+        assert exc.value.code == 2
+        assert flags[1] in capsys.readouterr().err
 
     def test_threads_env(self, tmp_path, monkeypatch, capsys):
         write_corpus(tmp_path)

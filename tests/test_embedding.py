@@ -198,6 +198,35 @@ class TestMergeBlocks:
         with pytest.raises(InvalidBlockEmbeddingError):
             merge_blocks(g, dec, [emb, bad])
 
+    @pytest.mark.parametrize(
+        "mangle",
+        [
+            lambda order: order[:-1],  # one row short: the translation misses
+            lambda order: (order[0][::-1],) + order[1:],  # builds, fails validation
+        ],
+        ids=["row-short", "row-reversed"],
+    )
+    def test_mangled_rotation_rejected(self, mangle):
+        g = glue_at_vertex(complete_graph(5), complete_graph(5))
+        dec = biconnected_components(g)
+        _, emb = k5_certificate()
+        bad = dataclasses.replace(emb, rotation=RotationSystem(mangle(emb.rotation.order)))
+        with pytest.raises(InvalidBlockEmbeddingError):
+            merge_blocks(g, dec, [emb, bad])
+
+    @pytest.mark.parametrize("picks", [(1, 0), (0, 0), (1, 1)])
+    def test_other_blocks_certificate_rejected(self, picks):
+        # K5 and K4 blocks glued at a vertex; each gets a certificate that
+        # belongs to a block of the other shape.
+        g = glue_at_vertex(complete_graph(5), complete_graph(4))
+        dec = biconnected_components(g)
+        _, k5 = k5_certificate()
+        k4 = realize(planarize(complete_graph(4), []), check_planarity(complete_graph(4)).rotation)
+        good = [k5, k4]
+        assert validate(g, merge_blocks(g, dec, good))
+        with pytest.raises(InvalidBlockEmbeddingError):
+            merge_blocks(g, dec, [good[i] for i in picks])
+
 
 class TestTextFormat:
     def test_round_trip_with_crossing(self):

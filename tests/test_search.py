@@ -7,6 +7,7 @@ import time
 
 import pytest
 
+import oneplanar.search as search_module
 from conftest import (
     complete_bipartite,
     complete_graph,
@@ -387,6 +388,10 @@ class TestSkewSets:
         # Every single-edge deletion of K5 is planar, so [0] must win.
         assert find_skew_set(complete_graph(5), 2) == [0]
 
+    def test_expired_deadline_raises(self):
+        with pytest.raises(TimeoutError):
+            find_skew_set(complete_graph(6), 3, deadline=time.monotonic() - 1.0)
+
 
 class TestOracle:
     def test_classics(self):
@@ -459,6 +464,22 @@ class TestBlockDriver:
             g, SearchConfig(enable_skew_pass=False), deadline=time.monotonic() - 1.0
         )
         assert res.verdict is Verdict.UNKNOWN and res.embedding is None
+
+    def test_expired_deadline_stops_skew_search(self, monkeypatch):
+        # K6 needs three edges removed, so a size-3 skew search tests edge
+        # set after edge set; an expired clock must stop it before the first.
+        calls = []
+
+        def counting(n, edges):
+            calls.append(n)
+            return is_planar_edges(n, edges)
+
+        monkeypatch.setattr(search_module, "is_planar_edges", counting)
+        res = solve_block(
+            complete_graph(6), SearchConfig(skew_set_size=3), deadline=time.monotonic() - 1.0
+        )
+        assert res.verdict is Verdict.UNKNOWN and res.embedding is None
+        assert len(calls) <= 1
 
     def test_option_combos_agree_on_verdicts(self, rng: random.Random):
         for _ in range(12):
