@@ -30,8 +30,6 @@ from .pairs import (
     PartialSolution,
     build_restricted_universe,
     build_universe,
-    crossing_counts,
-    saturated_edges,
 )
 from .planarity import (
     RotationSystem,
@@ -83,6 +81,13 @@ class SearchConfig:
 
 @dataclass
 class SearchStats:
+    """Counters of one search, or of several merged.
+
+    ``planarity_calls`` counts the LR planarity runs actually made.  A
+    query that the current search path has already answered (see
+    :class:`SearchState`) is skipped and not counted.
+    """
+
     nodes_visited: int = 0
     cuts_dec: int = 0
     cuts_kec: int = 0
@@ -118,6 +123,13 @@ class NodeVerdict:
     star_rotation: tuple[tuple[int, ...], ...] | None = None
 
 
+# Verdicts without a payload are shared; only SOL verdicts are built per node.
+_CNT = NodeVerdict(NodeKind.CNT)
+_CUT_DEC = NodeVerdict(NodeKind.CUT, cut_reason=CutReason.DOUBLE_EDGE_CROSSING)
+_CUT_KEC = NodeVerdict(NodeKind.CUT, cut_reason=CutReason.KITE_EDGE_CROSSING)
+_CUT_NONPLANAR = NodeVerdict(NodeKind.CUT, cut_reason=CutReason.NONPLANAR_INDUCED)
+
+
 @dataclass
 class BlockResult:
     verdict: Verdict
@@ -143,6 +155,183 @@ def find_kite_edges(g: Graph, crossing_pairs) -> set[int]:
     return out
 
 
+class SearchState:
+    """One search path: its decided prefix and everything a node's
+    classification reads from it, kept current by `push` and `pop`.
+
+    Per edge e it holds the crossing count ``counts[e]``, the number of
+    decided crossings having e as a kite edge ``kites[e]`` (all 0 without
+    kite pruning) and the number of universe partners of e not yet crossed.
+    ``crossings`` lists the crossing pairs in universe order and
+    ``saturated`` is the set :func:`~oneplanar.pairs.saturated_edges`
+    computes, with the kite edges when kite pruning is on.  ``doubled``
+    counts edges crossed more than once and ``crossed_kites`` crossed edges
+    that are kite edges, so the DEC and KEC checks cost O(1).  Saturation is
+    tracked as the number of rules (a)-(d) that hold for each edge; `pop`
+    undoes its push step for step, reading the popped bit from the prefix.
+
+    Two facts about the path are kept per depth and only set by `classify`:
+
+    * ``_planar_sat[d]``: the size of the saturated set whose star graph
+      the node at depth d proved planar, or -1.  A bit-0 push changes no
+      crossing and saturation only grows along a path, so a child with a
+      saturated set of the same size asks the query its parent answered.
+    * ``_nonplanar_full[d]``: the full star graph of the node's crossing set
+      is nonplanar.  A bit-0 push inherits it, a bit-1 push clears it.
+
+    All of it is O(k + m) for a universe of k pairs over m edges.
+    """
+
+    def __init__(self, g: Graph, universe: PairUniverse, kite_pruning: bool) -> None:
+        self.g = g
+        self.sol = PartialSolution.empty(universe)
+        m, k = g.m, universe.k
+        self.counts = [0] * m
+        self.kites = [0] * m
+        self.crossings: list[tuple[int, int]] = []
+        self.saturated: set[int] = set()
+        self.doubled = 0
+        self.crossed_kites = 0
+        self._sat_rules = [0] * m
+        self._open = [len(occ) for occ in universe.edge_pairs]
+        pairs = universe.pairs
+        self._partners = [
+            tuple(pairs[p][0] + pairs[p][1] - e for p in occ)
+            for e, occ in enumerate(universe.edge_pairs)
+        ]
+        # edges whose last pair sits at each position: saturated by rule (b)
+        # once the cursor passes it
+        self._closing: list[tuple[int, ...]] = [()] * k
+        for e, occ in enumerate(universe.edge_pairs):
+            if occ:
+                self._closing[occ[-1]] += (e,)
+            else:  # in no pair: rules (b) and (c) hold from the start
+                self._raise(e)
+                self._raise(e)
+        self._pair_kites = (
+            [tuple(sorted(find_kite_edges(g, [pr]))) for pr in pairs]
+            if kite_pruning
+            else None
+        )
+        self._planar_sat = [-1] * (k + 1)
+        self._nonplanar_full = [False] * (k + 1)
+
+    def _raise(self, e: int) -> None:
+        self._sat_rules[e] += 1
+        if self._sat_rules[e] == 1:
+            self.saturated.add(e)
+
+    def _lower(self, e: int) -> None:
+        self._sat_rules[e] -= 1
+        if self._sat_rules[e] == 0:
+            self.saturated.discard(e)
+
+    def push(self, bit: int) -> None:
+        """Decide the pair at the cursor: 1 crosses it, 0 does not."""
+        sol = self.sol
+        i = sol.cursor
+        sol.push(bit)
+        self._planar_sat[i + 1] = -1
+        self._nonplanar_full[i + 1] = self._nonplanar_full[i] and not bit
+        if bit:
+            pair = sol.universe.pairs[i]
+            self.crossings.append(pair)
+            counts, kites, open_ = self.counts, self.kites, self._open
+            for e in pair:
+                counts[e] += 1
+                if counts[e] == 1:
+                    self._raise(e)  # rule (a)
+                    if kites[e]:
+                        self.crossed_kites += 1
+                    for f in self._partners[e]:
+                        open_[f] -= 1
+                        if open_[f] == 0:
+                            self._raise(f)  # rule (c)
+                elif counts[e] == 2:
+                    self.doubled += 1
+            if self._pair_kites is not None:
+                for e in self._pair_kites[i]:
+                    kites[e] += 1
+                    if kites[e] == 1:
+                        self._raise(e)  # rule (d)
+                        if counts[e]:
+                            self.crossed_kites += 1
+        for e in self._closing[i]:
+            self._raise(e)  # rule (b)
+
+    def pop(self) -> None:
+        """Take back the last decision."""
+        sol = self.sol
+        i = sol.cursor - 1
+        bit = sol.bits[i]
+        sol.pop()
+        for e in self._closing[i]:
+            self._lower(e)
+        if bit:
+            counts, kites, open_ = self.counts, self.kites, self._open
+            if self._pair_kites is not None:
+                for e in self._pair_kites[i]:
+                    kites[e] -= 1
+                    if kites[e] == 0:
+                        self._lower(e)
+                        if counts[e]:
+                            self.crossed_kites -= 1
+            for e in reversed(self.crossings.pop()):
+                counts[e] -= 1
+                if counts[e] == 0:
+                    self._lower(e)
+                    if kites[e]:
+                        self.crossed_kites -= 1
+                    for f in self._partners[e]:
+                        if open_[f] == 0:
+                            self._lower(f)
+                        open_[f] += 1
+                elif counts[e] == 1:
+                    self.doubled -= 1
+
+    def classify(
+        self, cfg: SearchConfig, rng: random.Random, stats: SearchStats
+    ) -> NodeVerdict:
+        """Classify the node at the end of the path; see :func:`verify_node`."""
+        if self.doubled:
+            return _CUT_DEC
+        if self.crossed_kites:
+            return _CUT_KEC
+        g, d = self.g, self.sol.cursor
+        n_sat = len(self.saturated)
+        if n_sat < g.m:
+            # after a bit-0 push with no new saturated edge the parent, a
+            # CNT node, has already found this very query planar
+            if not (d and not self.sol.bits[d - 1] and self._planar_sat[d - 1] == n_sat):
+                n_star, star = star_edge_list(g, self.crossings, keep=self.saturated)
+                stats.planarity_calls += 1
+                if not is_planar_edges(n_star, star):
+                    return _CUT_NONPLANAR
+            self._planar_sat[d] = n_sat
+            if not (cfg.completion_probability > 0 and rng.random() < cfg.completion_probability):
+                return _CNT
+            # complete with all zeros: same crossings, full edge set
+            kind = SolutionKind.COMPLETION
+        else:
+            # the saturated subgraph is the whole graph: the planarity call
+            # below decides between a saturation solution and a dead end
+            kind = SolutionKind.SATURATION
+
+        if not self._nonplanar_full[d]:
+            n_star, star = star_edge_list(g, self.crossings)
+            stats.planarity_calls += 1
+            rot = rotation_edges(n_star, star)
+            if rot is not None:
+                return NodeVerdict(
+                    NodeKind.SOL,
+                    solution_kind=kind,
+                    crossings=tuple(self.crossings),
+                    star_rotation=tuple(tuple(r) for r in rot),
+                )
+            self._nonplanar_full[d] = True
+        return _CUT_NONPLANAR if kind is SolutionKind.SATURATION else _CNT
+
+
 def verify_node(
     sol: PartialSolution,
     g: Graph,
@@ -156,49 +345,15 @@ def verify_node(
     the saturated subgraph's planarization, saturation of the whole
     graph, and finally the optional zero-completion attempt.  The random
     draw happens only if that last step is actually reached.
+
+    The prefix is replayed into a fresh :class:`SearchState`, so this is
+    the classification `backtrack` runs at every node, minus the planarity
+    answers a search path carries from node to node.
     """
-    counts = crossing_counts(sol)
-    if any(c > 1 for c in counts):
-        return NodeVerdict(NodeKind.CUT, cut_reason=CutReason.DOUBLE_EDGE_CROSSING)
-
-    pairs = sol.decided_pairs()
-    if cfg.enable_kite_pruning:
-        kites = find_kite_edges(g, pairs)
-        if any(counts[e] for e in kites):
-            return NodeVerdict(NodeKind.CUT, cut_reason=CutReason.KITE_EDGE_CROSSING)
-    else:
-        kites = set()
-
-    sat = saturated_edges(sol, kites)
-    if len(sat) < g.m:
-        n_star, star = star_edge_list(g, pairs, keep=sat)
-        if stats is not None:
-            stats.planarity_calls += 1
-        if not is_planar_edges(n_star, star):
-            return NodeVerdict(NodeKind.CUT, cut_reason=CutReason.NONPLANAR_INDUCED)
-        if not (cfg.completion_probability > 0 and rng.random() < cfg.completion_probability):
-            return NodeVerdict(NodeKind.CNT)
-        # complete with all zeros: same crossings, full edge set
-        kind = SolutionKind.COMPLETION
-    else:
-        # the saturated subgraph is the whole graph: the planarity call
-        # below decides between a saturation solution and a dead end
-        kind = SolutionKind.SATURATION
-
-    n_star, star = star_edge_list(g, pairs)
-    if stats is not None:
-        stats.planarity_calls += 1
-    rot = rotation_edges(n_star, star)
-    if rot is not None:
-        return NodeVerdict(
-            NodeKind.SOL,
-            solution_kind=kind,
-            crossings=tuple(pairs),
-            star_rotation=tuple(tuple(r) for r in rot),
-        )
-    if kind is SolutionKind.SATURATION:
-        return NodeVerdict(NodeKind.CUT, cut_reason=CutReason.NONPLANAR_INDUCED)
-    return NodeVerdict(NodeKind.CNT)
+    state = SearchState(g, sol.universe, cfg.enable_kite_pruning)
+    for bit in sol.bits[: sol.cursor]:
+        state.push(bit)
+    return state.classify(cfg, rng, SearchStats() if stats is None else stats)
 
 
 def backtrack(
@@ -213,47 +368,44 @@ def backtrack(
     Returns OnePlanar with a certificate (not validated; see merge_blocks)
     on the first solution node.  Full exhaustion proves NotOnePlanar;
     exhausting a restricted universe or hitting the deadline yields Unknown.
+    The deadline is checked before every node, the root included.
     """
     stats.used_backtracking = True
     rng = random.Random(cfg.rng_seed)
-    sol = PartialSolution.empty(universe)
-
-    def classify(into_stats: SearchStats) -> NodeVerdict:
-        v = verify_node(sol, g, cfg, rng, stats=into_stats)
-        into_stats.nodes_visited += 1
-        if v.kind is NodeKind.CUT:
-            if v.cut_reason is CutReason.DOUBLE_EDGE_CROSSING:
-                into_stats.cuts_dec += 1
-            elif v.cut_reason is CutReason.KITE_EDGE_CROSSING:
-                into_stats.cuts_kec += 1
-            else:
-                into_stats.cuts_nonplanar += 1
-        elif v.kind is NodeKind.SOL:
-            if v.solution_kind is SolutionKind.SATURATION:
-                into_stats.sol_satur += 1
-            else:
-                into_stats.sol_compl += 1
-        return v
+    state = SearchState(g, universe, cfg.enable_kite_pruning)
+    sol, k = state.sol, universe.k
 
     # stack of (depth, bit) still to visit: bit 1 pushed first so bit 0 pops first
     stack: list[tuple[int, int]] = []
     while True:
-        v = classify(stats)
-        if v.kind is NodeKind.SOL:
+        if deadline is not None and time.monotonic() >= deadline:
+            return Verdict.UNKNOWN, None
+        v = state.classify(cfg, rng, stats)
+        stats.nodes_visited += 1
+        if v is _CNT:
+            if sol.cursor < k:
+                stack.append((sol.cursor, 1))
+                stack.append((sol.cursor, 0))
+        elif v is _CUT_DEC:
+            stats.cuts_dec += 1
+        elif v is _CUT_KEC:
+            stats.cuts_kec += 1
+        elif v is _CUT_NONPLANAR:
+            stats.cuts_nonplanar += 1
+        else:
+            if v.solution_kind is SolutionKind.SATURATION:
+                stats.sol_satur += 1
+            else:
+                stats.sol_compl += 1
             # planarize uses star_edge_list too, so the rotation's edge ids carry over
             p = planarize(g, v.crossings)
             return Verdict.ONE_PLANAR, realize(p, RotationSystem(v.star_rotation))
-        if v.kind is NodeKind.CNT and sol.cursor < universe.k:
-            stack.append((sol.cursor, 1))
-            stack.append((sol.cursor, 0))
         if not stack:
             break
-        if deadline is not None and time.monotonic() >= deadline:
-            return Verdict.UNKNOWN, None
         depth, bit = stack.pop()
         while sol.cursor > depth:
-            sol.pop()
-        sol.push(bit)
+            state.pop()
+        state.push(bit)
 
     if universe.restricted:
         return Verdict.UNKNOWN, None

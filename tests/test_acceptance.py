@@ -290,6 +290,7 @@ def test_deterministic_output(capsys, tmp_path):
             "runs and worker counts; serialized certificates repeat exactly")
 
 
+@pytest.mark.slow
 def test_scale_twenty_vertex_instances(capsys):
     rng = random.Random(20250814)
     graphs: list[Graph] = []

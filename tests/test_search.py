@@ -23,12 +23,15 @@ from oneplanar.pairs import (
     PartialSolution,
     build_restricted_universe,
     build_universe,
+    crossing_counts,
+    saturated_edges,
 )
 from oneplanar.planarity import is_planar_edges
 from oneplanar.search import (
     CutReason,
     NodeKind,
     SearchConfig,
+    SearchState,
     SearchStats,
     SolutionKind,
     UniverseTooLargeError,
@@ -357,6 +360,140 @@ class TestBacktrack:
         assert by_seed == {0: (2, 1), 1: (1, 1)}
 
 
+class _Enough(Exception):
+    """Stops a search once the state was checked at enough nodes."""
+
+
+def _state_differential_cases():
+    cases = [("K6", complete_graph(6)), ("K4,4", complete_bipartite(4, 4)),
+             ("Petersen", petersen_graph())]
+    r = random.Random(8)
+    for n in range(8, 13):
+        g = random_connected_graph(n, 2 * n + 2, r)
+        while is_planar_edges(g.n, g.edges):
+            g = random_connected_graph(n, 2 * n + 2, r)
+        cases.append((f"random{n}", g))
+    return [pytest.param(g, id=name) for name, g in cases]
+
+
+class TestSearchState:
+    """The state push/pop keep current matches the from-scratch reference
+    functions at every node, and every node's verdict matches the one
+    classified from a replayed prefix, which carries no path facts."""
+
+    MAX_NODES = 800
+
+    @pytest.mark.parametrize("g", _state_differential_cases())
+    @pytest.mark.parametrize("restricted", [False, True], ids=["full", "restricted"])
+    @pytest.mark.parametrize("kite", [True, False], ids=["kite", "nokite"])
+    def test_matches_reference_at_every_node(self, monkeypatch, g, restricted, kite):
+        original = SearchState.classify
+        seen = []
+
+        def checking(state, cfg, rng, stats):
+            sol = state.sol
+            pairs = sol.decided_pairs()
+            kites = find_kite_edges(g, pairs) if kite else set()
+            assert state.counts == crossing_counts(sol)
+            assert state.crossings == pairs
+            assert {e for e, c in enumerate(state.kites) if c} == kites
+            assert state.saturated == saturated_edges(sol, kites)
+            assert state.doubled == sum(c > 1 for c in state.counts)
+            assert state.crossed_kites == sum(1 for e in kites if state.counts[e])
+
+            fresh = SearchState(g, sol.universe, kite)
+            for bit in sol.bits[: sol.cursor]:
+                fresh.push(bit)
+            replay_rng = random.Random()
+            replay_rng.setstate(rng.getstate())
+            want = original(fresh, cfg, replay_rng, SearchStats())
+            got = original(state, cfg, rng, stats)
+            assert got == want
+            assert rng.getstate() == replay_rng.getstate()
+            seen.append(got.kind)
+            if len(seen) >= self.MAX_NODES:
+                raise _Enough
+            return got
+
+        monkeypatch.setattr(SearchState, "classify", checking)
+        if restricted:
+            u = build_restricted_universe(g, find_skew_set(g, 1) or [0, 1])
+        else:
+            u = build_universe(g)
+        cfg = SearchConfig(enable_kite_pruning=kite, completion_probability=0.5, rng_seed=3)
+        try:
+            backtrack(g, u, cfg, SearchStats())
+        except _Enough:
+            pass
+        assert NodeKind.CNT in seen
+
+    def test_pop_undoes_push(self, rng: random.Random):
+        g = complete_bipartite(4, 4)
+        u = build_universe(g)
+        state = SearchState(g, u, kite_pruning=True)
+        empty = (list(state.counts), list(state.kites), set(state.saturated), state.doubled)
+        for _ in range(20):
+            depth = rng.randrange(1, u.k + 1)
+            for _ in range(depth):
+                state.push(rng.randrange(2))
+            for _ in range(depth):
+                state.pop()
+            assert (state.counts, state.kites, state.saturated, state.doubled) == empty
+            assert state.crossings == [] and state.crossed_kites == 0
+
+    def test_path_facts_skip_repeated_queries(self):
+        # Most K6 nodes repeat a query their path has already answered (the
+        # search ran one LR test per node before), and none is run again.
+        g = complete_graph(6)
+        stats = SearchStats()
+        verdict, _ = backtrack(g, build_universe(g), SearchConfig(), stats)
+        assert verdict is Verdict.ONE_PLANAR
+        assert stats.planarity_calls < stats.nodes_visited / 2
+
+
+# Node and cut counts of test_block at the commit before the search state
+# was made incremental: (nodes, cuts_dec, cuts_kec, cuts_nonplanar,
+# sol_satur, sol_compl).  Equal counts under every completion probability
+# show that no random draw moved.
+PINNED_TREES = {
+    ("K6", "default"): (898, 127, 246, 58, 1, 0),
+    ("K6", "p=0"): (898, 127, 246, 58, 1, 0),
+    ("K6", "p=1"): (898, 127, 246, 58, 1, 0),
+    ("K6", "no kite"): (2144, 413, 0, 641, 0, 1),
+    ("K4,4", "default"): (15624, 3648, 3174, 964, 1, 0),
+    ("K4,4", "p=0"): (15624, 3648, 3174, 964, 1, 0),
+    ("K4,4", "p=1"): (15624, 3648, 3174, 964, 1, 0),
+    ("K4,4", "no kite"): (63440, 17972, 0, 13722, 0, 1),
+    ("random12", "default"): (2245, 430, 275, 351, 0, 1),
+    ("random12", "p=0"): (2262, 430, 275, 351, 1, 0),
+    ("random12", "p=1"): (2244, 430, 275, 351, 0, 1),
+    ("random12", "no kite"): (3630, 787, 0, 962, 0, 1),
+}
+_TREE_GRAPHS = {
+    "K6": lambda: complete_graph(6),
+    "K4,4": lambda: complete_bipartite(4, 4),
+    # nonplanar with a skew edge: the restricted pass runs, fails, and the
+    # full pass finds the drawing
+    "random12": lambda: random_connected_graph(12, 22, random.Random(30)),
+}
+_TREE_CONFIGS = {
+    "default": {},
+    "p=0": {"completion_probability": 0.0},
+    "p=1": {"completion_probability": 1.0},
+    "no kite": {"enable_kite_pruning": False},
+}
+
+
+@pytest.mark.parametrize("graph,config", sorted(PINNED_TREES))
+def test_search_tree_is_pinned(graph, config):
+    res = solve_block(_TREE_GRAPHS[graph](), SearchConfig(**_TREE_CONFIGS[config]))
+    s = res.stats
+    assert res.verdict is Verdict.ONE_PLANAR
+    assert s.used_skew_pass is (graph == "random12")
+    got = (s.nodes_visited, s.cuts_dec, s.cuts_kec, s.cuts_nonplanar, s.sol_satur, s.sol_compl)
+    assert got == PINNED_TREES[graph, config]
+
+
 class TestSkewSets:
     def test_planar_graph_needs_none(self):
         assert find_skew_set(grid_graph(3, 3), 1) == []
@@ -464,6 +601,9 @@ class TestBlockDriver:
             g, SearchConfig(enable_skew_pass=False), deadline=time.monotonic() - 1.0
         )
         assert res.verdict is Verdict.UNKNOWN and res.embedding is None
+        # the clock is read before the root: only the whole-graph test ran
+        assert res.stats.nodes_visited == 0
+        assert res.stats.planarity_calls == 1
 
     def test_expired_deadline_stops_skew_search(self, monkeypatch):
         # K6 needs three edges removed, so a size-3 skew search tests edge
