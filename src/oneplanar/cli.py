@@ -13,6 +13,7 @@ import re
 import sys
 import time
 from concurrent.futures import ProcessPoolExecutor
+from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, fields, replace
 
 from .embedding import (
@@ -308,6 +309,49 @@ def _bench_one(task) -> InstanceRecord | None:
         return InstanceRecord(name=name, verdict="Error", error=str(exc))
 
 
+def _bench_isolated(task) -> InstanceRecord | None:
+    """Run one task in a worker of its own; a dead worker gives an Error row."""
+    with ProcessPoolExecutor(max_workers=1) as pool:
+        try:
+            return pool.submit(_bench_one, task).result()
+        except BrokenProcessPool as exc:
+            return InstanceRecord(name=os.path.basename(task[0]), verdict="Error",
+                                  error=f"worker died: {exc}")
+
+
+def _bench_pool(tasks: list, workers: int) -> list[InstanceRecord | None]:
+    """Run tasks on `workers` processes, collecting results future by future.
+
+    A worker that dies (signal, out of memory, os._exit) breaks the pool and
+    every task still in it.  Those tasks are run again one by one, each in
+    a worker of its own, so only the task that kills its worker becomes an
+    Error row.
+    """
+    with ProcessPoolExecutor(max_workers=workers) as pool:
+        futures = [pool.submit(_bench_one, t) for t in tasks]
+    results = []
+    for task, fut in zip(tasks, futures):
+        try:
+            results.append(fut.result())
+        except BrokenProcessPool:
+            results.append(_bench_isolated(task))
+    return results
+
+
+def _env_workers() -> int:
+    """Worker count from ONEPLANAR_THREADS; 1 when it is unset or empty."""
+    text = os.environ.get("ONEPLANAR_THREADS", "")
+    if not text:
+        return 1
+    try:
+        workers = int(text)
+    except ValueError:
+        workers = 0
+    if workers < 1:
+        raise ValueError(f"ONEPLANAR_THREADS must be a positive integer, got {text!r}")
+    return workers
+
+
 def _bucket(n: int) -> tuple[int, int]:
     """Vertex-count range of n's summary line: 10-20, then decades."""
     if n < 10:
@@ -352,7 +396,9 @@ def bench(
 
     Rows come out sorted by file name regardless of worker count, so the
     report is reproducible run to run (timing columns aside).  A file
-    that fails to parse or crashes becomes a verdict=Error row.
+    that fails to parse or crashes, or whose worker process dies, becomes
+    a verdict=Error row.  `workers` defaults to ONEPLANAR_THREADS (or 1);
+    a value there that is not a positive integer raises ValueError.
     """
     files: list[str] = []
     for p in paths:
@@ -367,15 +413,13 @@ def bench(
     files.sort(key=os.path.basename)
 
     if workers is None:
-        env = os.environ.get("ONEPLANAR_THREADS", "")
-        workers = int(env) if env.isdigit() and int(env) > 0 else 1
+        workers = _env_workers()
 
     tasks = [(path, fmt, cfg, skip_planar) for path in files]
     if workers <= 1:
         results = [_bench_one(t) for t in tasks]
     else:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(_bench_one, tasks))
+        results = _bench_pool(tasks, workers)
 
     records = sorted(
         (r for r in results if r is not None), key=lambda r: r.name
@@ -469,6 +513,11 @@ def main(argv: list[str] | None = None) -> int:
 
     args = parser.parse_args(argv)
     cfg = _config_from_args(args)
+    if args.command == "bench" and args.workers is None:
+        try:
+            args.workers = _env_workers()
+        except ValueError as exc:
+            p_bench.error(str(exc))
 
     if args.command == "check":
         try:

@@ -1,10 +1,24 @@
 """Left-right planarity testing with combinatorial embedding extraction.
 
 The tester follows Brandes' left-right partition formulation.  Edges are
-handled as integer darts: edge e with endpoints (u, v), u < v, owns dart
-2*e (u -> v) and dart 2*e + 1 (v -> u); d ^ 1 reverses a dart.  This keeps
-all per-edge state in flat lists, which matters because the backtracking
-search calls the tester thousands of times on small graphs.
+handled as integer darts: edge e with endpoints (u, v) owns dart 2*e
+(u -> v) and dart 2*e + 1 (v -> u); d ^ 1 reverses a dart.
+
+All state lives in flat lists indexed by dart or vertex, and the three
+phases are plain loops over them, because the backtracking search calls
+the tester thousands of times on small graphs:
+
+* per dart: ``head`` (the vertex it points to), ``lowpt``, ``lowpt2``,
+  ``nesting``, ``ref``, ``side``, ``lowpt_edge`` and ``stack_bottom``;
+* per vertex: ``height`` (DFS depth), ``parent_dart`` (-1 at a DFS
+  root), ``out_darts`` (in orientation order) and the resume index of the
+  iterative DFS, which walks back up along ``parent_dart``;
+* a conflict pair is a 4-slot list ``[left_low, left_high, right_low,
+  right_high]`` of return darts, -1 marking an empty slot.
+
+Every DFS scans a vertex's darts in edge-id order (orientation) or in the
+stable ``nesting`` order (testing, embedding), so the verdict and the
+rotation are a function of the edge list alone.
 
 Two entry points exist on purpose: :func:`is_planar_edges` runs only the
 orientation and testing phases, while :func:`rotation_edges` additionally
@@ -44,331 +58,266 @@ class PlanarityVerdict:
 
 
 # ---------------------------------------------------------------------------
-# Left-right state
+# Left-right tester over flat dart arrays
 # ---------------------------------------------------------------------------
 
-_NONE = -1
 
+def _orient(n: int, edges, head: list[int]):
+    """Phase 1: DFS orientation, lowpoints and nesting depths.
 
-class _Interval:
-    """Return edges imposing one orientation constraint; -1 means empty."""
-
-    __slots__ = ("low", "high")
-
-    def __init__(self, low: int = _NONE, high: int = _NONE) -> None:
-        self.low = low
-        self.high = high
-
-    def empty(self) -> bool:
-        return self.low == _NONE and self.high == _NONE
-
-
-class _ConflictPair:
-    """Two intervals whose return edges must take opposite sides."""
-
-    __slots__ = ("left", "right")
-
-    def __init__(self, left: _Interval | None = None, right: _Interval | None = None) -> None:
-        self.left = left if left is not None else _Interval()
-        self.right = right if right is not None else _Interval()
-
-    def swap(self) -> None:
-        self.left, self.right = self.right, self.left
-
-
-class _LRState:
-    def __init__(self, n: int, edges: tuple[tuple[int, int], ...] | list[tuple[int, int]]) -> None:
-        self.n = n
-        self.edges = edges
-        m = len(edges)
-        self.m = m
-        # Incident out-darts per vertex, in increasing edge-id order.
-        adj: list[list[int]] = [[] for _ in range(n)]
-        for e, (u, v) in enumerate(edges):
-            adj[u].append(2 * e)
-            adj[v].append(2 * e + 1)
-        self.adj = adj
-
-        self.height = [_NONE] * n
-        self.parent_dart = [_NONE] * n
-        self.roots: list[int] = []
-
-        self.oriented = [False] * m
-        self.out_darts: list[list[int]] = [[] for _ in range(n)]
-        self.lowpt = [0] * (2 * m)
-        self.lowpt2 = [0] * (2 * m)
-        self.nesting = [0] * (2 * m)
-
-        self.ref = [_NONE] * (2 * m)
-        self.side = [1] * (2 * m)
-        self.S: list[_ConflictPair] = []
-        self.stack_bottom: list[_ConflictPair | None] = [None] * (2 * m)
-        self.lowpt_edge = [_NONE] * (2 * m)
-
-        self.ordered: list[list[int]] = [[] for _ in range(n)]
-
-    def head(self, d: int) -> int:
-        return self.edges[d >> 1][1 - (d & 1)]
-
-    def tail(self, d: int) -> int:
-        return self.edges[d >> 1][d & 1]
-
-    # -- phase 1: orientation, lowpoints, nesting depth --------------------
-
-    def run_orientation(self) -> None:
-        for v in range(self.n):
-            if self.height[v] == _NONE:
-                self.height[v] = 0
-                self.roots.append(v)
-                self._dfs_orient(v)
-
-    def _dfs_orient(self, root: int) -> None:
-        lowpt, lowpt2, height = self.lowpt, self.lowpt2, self.height
-        ind = [0] * self.n
-        skip_init = [False] * (2 * self.m)
-        stack = [root]
-        while stack:
-            v = stack.pop()
-            e = self.parent_dart[v]
-            adj = self.adj[v]
-            i = ind[v]
-            pushed = False
-            while i < len(adj):
-                d = adj[i]
-                if not skip_init[d]:
-                    if self.oriented[d >> 1]:
-                        i += 1
-                        continue
-                    self.oriented[d >> 1] = True
-                    self.out_darts[v].append(d)
-                    w = self.head(d)
-                    lowpt[d] = height[v]
-                    lowpt2[d] = height[v]
-                    if height[w] == _NONE:  # tree dart
-                        self.parent_dart[w] = d
-                        height[w] = height[v] + 1
-                        skip_init[d] = True
-                        ind[v] = i
-                        stack.append(v)
-                        stack.append(w)
-                        pushed = True
-                        break
-                    else:  # back dart
-                        lowpt[d] = height[w]
-                nd = 2 * lowpt[d]
-                if lowpt2[d] < height[v]:  # chordal
-                    nd += 1
-                self.nesting[d] = nd
-                if e != _NONE:
-                    if lowpt[d] < lowpt[e]:
-                        lowpt2[e] = min(lowpt[e], lowpt2[d])
-                        lowpt[e] = lowpt[d]
-                    elif lowpt[d] > lowpt[e]:
-                        lowpt2[e] = min(lowpt2[e], lowpt[d])
-                    else:
-                        lowpt2[e] = min(lowpt2[e], lowpt2[d])
-                i += 1
-            if not pushed:
-                ind[v] = i
-
-    # -- phase 2: left-right partition test ---------------------------------
-
-    def run_testing(self) -> bool:
-        for v in range(self.n):
-            self.ordered[v] = sorted(self.out_darts[v], key=self.nesting.__getitem__)
-        for root in self.roots:
-            if not self._dfs_test(root):
-                return False
-        return True
-
-    def _dfs_test(self, root: int) -> bool:
-        ind = [0] * self.n
-        skip_init = [False] * (2 * self.m)
-        stack = [root]
-        while stack:
-            v = stack.pop()
-            e = self.parent_dart[v]
-            oa = self.ordered[v]
-            i = ind[v]
-            skip_final = False
-            while i < len(oa):
-                d = oa[i]
-                if not skip_init[d]:
-                    self.stack_bottom[d] = self.S[-1] if self.S else None
-                    w = self.head(d)
-                    if d == self.parent_dart[w]:  # tree dart: recurse first
-                        skip_init[d] = True
-                        ind[v] = i
-                        stack.append(v)
-                        stack.append(w)
-                        skip_final = True
-                        break
-                    else:  # back dart starts its own one-edge interval
-                        self.lowpt_edge[d] = d
-                        self.S.append(_ConflictPair(right=_Interval(d, d)))
-                if self.lowpt[d] < self.height[v]:  # d has a return edge
-                    if d == oa[0]:
-                        self.lowpt_edge[e] = self.lowpt_edge[d]
-                    elif not self._add_constraints(d, e):
-                        return False
-                i += 1
-            if not skip_final:
-                ind[v] = i
-                if e != _NONE:
-                    self._trim_back_edges(e)
-        return True
-
-    def _conflicting(self, interval: _Interval, b: int) -> bool:
-        return not interval.empty() and self.lowpt[interval.high] > self.lowpt[b]
-
-    def _add_constraints(self, ei: int, e: int) -> bool:
-        S = self.S
-        P = _ConflictPair()
-        # merge return edges of ei into P.right
+    Returns (parent_dart, roots, out_darts, lowpt, nesting).
+    """
+    m = len(edges)
+    adj: list[list[int]] = [[] for _ in range(n)]  # darts out of v by edge id
+    d = 0
+    for u, v in edges:
+        adj[u].append(d)
+        adj[v].append(d + 1)
+        d += 2
+    height = [-1] * n
+    parent_dart = [-1] * n
+    roots: list[int] = []
+    oriented = [False] * m
+    out_darts: list[list[int]] = [[] for _ in range(n)]
+    lowpt = [0] * (2 * m)
+    lowpt2 = [0] * (2 * m)
+    nesting = [0] * (2 * m)
+    ind = [0] * n  # where a vertex resumes its scan after a tree dart
+    for root in range(n):
+        if height[root] != -1:
+            continue
+        height[root] = 0
+        roots.append(root)
+        v, e, i, hv, av, out = root, -1, 0, 0, adj[root], out_darts[root]
         while True:
-            Q = S.pop()
-            if not Q.left.empty():
-                Q.swap()
-            if not Q.left.empty():
-                return False
-            if self.lowpt[Q.right.low] > self.lowpt[e]:
-                if P.right.empty():  # topmost interval
-                    P.right.high = Q.right.high
-                else:
-                    self.ref[P.right.low] = Q.right.high
-                P.right.low = Q.right.low
-            else:  # align
-                self.ref[Q.right.low] = self.lowpt_edge[e]
-            if (S[-1] if S else None) is self.stack_bottom[ei]:
-                break
-        # merge conflicting return edges of earlier siblings into P.left
-        while self._conflicting(S[-1].left, ei) or self._conflicting(S[-1].right, ei):
-            Q = S.pop()
-            if self._conflicting(Q.right, ei):
-                Q.swap()
-            if self._conflicting(Q.right, ei):
-                return False
-            if P.right.low != _NONE:
-                self.ref[P.right.low] = Q.right.high
-            if Q.right.low != _NONE:
-                P.right.low = Q.right.low
-            if P.left.empty():  # topmost interval
-                P.left.high = Q.left.high
-            else:
-                self.ref[P.left.low] = Q.left.high
-            P.left.low = Q.left.low
-        if not (P.left.empty() and P.right.empty()):
-            S.append(P)
-        return True
-
-    def _lowest(self, P: _ConflictPair) -> int:
-        if P.left.empty():
-            return self.lowpt[P.right.low]
-        if P.right.empty():
-            return self.lowpt[P.left.low]
-        return min(self.lowpt[P.left.low], self.lowpt[P.right.low])
-
-    def _trim_back_edges(self, e: int) -> None:
-        """Drop return edges ending at the tail of tree dart e."""
-        u = self.tail(e)
-        S = self.S
-        while S and self._lowest(S[-1]) == self.height[u]:
-            P = S.pop()
-            if P.left.low != _NONE:
-                self.side[P.left.low] = -1
-        if S:
-            P = S.pop()
-            while P.left.high != _NONE and self.head(P.left.high) == u:
-                P.left.high = self.ref[P.left.high]
-            if P.left.high == _NONE and P.left.low != _NONE:  # just emptied
-                self.ref[P.left.low] = P.right.low
-                self.side[P.left.low] = -1
-                P.left.low = _NONE
-            while P.right.high != _NONE and self.head(P.right.high) == u:
-                P.right.high = self.ref[P.right.high]
-            if P.right.high == _NONE and P.right.low != _NONE:
-                self.ref[P.right.low] = P.left.low
-                self.side[P.right.low] = -1
-                P.right.low = _NONE
-            S.append(P)
-        if self.lowpt[e] < self.height[u]:  # e has its own return edge
-            hl = S[-1].left.high
-            hr = S[-1].right.high
-            if hl != _NONE and (hr == _NONE or self.lowpt[hl] > self.lowpt[hr]):
-                self.ref[e] = hl
-            else:
-                self.ref[e] = hr
-
-    # -- phase 3: embedding -------------------------------------------------
-
-    def _resolve_sign(self, d: int) -> int:
-        """Absolute side of dart d via its reference chain."""
-        chain = []
-        x = d
-        while self.ref[x] != _NONE:
-            chain.append(x)
-            x = self.ref[x]
-        while chain:
-            x = chain.pop()
-            self.side[x] *= self.side[self.ref[x]]
-            self.ref[x] = _NONE
-        return self.side[d]
-
-    def run_embedding(self) -> list[list[int]]:
-        for v in range(self.n):
-            for d in self.out_darts[v]:
-                self.nesting[d] *= self._resolve_sign(d)
-        rotation: list[list[int]] = []
-        for v in range(self.n):
-            self.ordered[v] = sorted(self.out_darts[v], key=self.nesting.__getitem__)
-            rotation.append(list(self.ordered[v]))
-        left_ref = [_NONE] * self.n
-        right_ref = [_NONE] * self.n
-        ind = [0] * self.n
-        for root in self.roots:
-            stack = [root]
-            while stack:
-                v = stack.pop()
-                oa = self.ordered[v]
-                i = ind[v]
-                pushed = False
-                while i < len(oa):
-                    d = oa[i]
-                    i += 1
-                    w = self.head(d)
-                    if d == self.parent_dart[w]:  # tree dart
-                        rotation[w].insert(0, d ^ 1)
-                        left_ref[v] = d
-                        right_ref[v] = d
-                        ind[v] = i
-                        stack.append(v)
-                        stack.append(w)
-                        pushed = True
-                        break
-                    # back dart: weave the reversed dart into the target
-                    rw = rotation[w]
-                    if self.side[d] == 1:
-                        rw.insert(rw.index(right_ref[w]) + 1, d ^ 1)
-                    else:
-                        rw.insert(rw.index(left_ref[w]), d ^ 1)
-                        left_ref[w] = d ^ 1
-                if not pushed:
+            if i < len(av):
+                d = av[i]
+                i += 1
+                if oriented[d >> 1]:
+                    continue
+                oriented[d >> 1] = True
+                out.append(d)
+                w = head[d]
+                lowpt2[d] = hv
+                if height[w] == -1:  # tree dart: finish w first
+                    lowpt[d] = hv
+                    parent_dart[w] = d
+                    height[w] = hv + 1
                     ind[v] = i
-        return rotation
+                    v, e, i, hv, av, out = w, d, 0, hv + 1, adj[w], out_darts[w]
+                    continue
+                low = lowpt[d] = height[w]  # back dart
+                low2 = hv
+            else:  # v is done: back to its parent along the tree dart e
+                if e == -1:
+                    break
+                d = e
+                v = head[e ^ 1]
+                e, i, hv, av, out = parent_dart[v], ind[v], hv - 1, adj[v], out_darts[v]
+                low, low2 = lowpt[d], lowpt2[d]
+            nesting[d] = 2 * low + 1 if low2 < hv else 2 * low
+            if e != -1:
+                le = lowpt[e]
+                if low < le:
+                    lowpt2[e] = le if le < low2 else low2
+                    lowpt[e] = low
+                elif low > le:
+                    if low < lowpt2[e]:
+                        lowpt2[e] = low
+                elif low2 < lowpt2[e]:
+                    lowpt2[e] = low2
+    return parent_dart, roots, out_darts, lowpt, nesting
+
+
+def _lr_test(n, head, parent_dart, roots, out_darts, lowpt, nesting):
+    """Phase 2: left-right partition over the stack S of conflict pairs;
+    returns (ref, side), or None if the graph is nonplanar."""
+    m2 = len(head)
+    ordered = [sorted(out, key=nesting.__getitem__) for out in out_darts]
+    ref = [-1] * m2
+    side = [1] * m2
+    lowpt_edge = [-1] * m2
+    stack_bottom: list[list[int] | None] = [None] * m2
+    S: list[list[int]] = []
+    ind = [0] * n
+    for root in roots:
+        v, e, i, hv, oa = root, -1, 0, 0, ordered[root]
+        while True:
+            if i < len(oa):
+                d = oa[i]
+                i += 1
+                stack_bottom[d] = S[-1] if S else None
+                w = head[d]
+                if d == parent_dart[w]:  # tree dart: finish w first
+                    ind[v] = i
+                    v, e, i, hv, oa = w, d, 0, hv + 1, ordered[w]
+                    continue
+                lowpt_edge[d] = d  # back dart: its own one-edge interval
+                S.append([-1, -1, d, d])
+            else:  # v is done: back to its parent u along the tree dart e
+                if e == -1:
+                    break
+                # trim back edges ending at u
+                u = head[e ^ 1]
+                hv -= 1
+                while S:
+                    ql, qlh, qr, qrh = S[-1]
+                    if ql == -1 and qlh == -1:
+                        low = lowpt[qr]
+                    elif qr == -1 and qrh == -1:
+                        low = lowpt[ql]
+                    else:
+                        low = min(lowpt[ql], lowpt[qr])
+                    if low != hv:
+                        break
+                    S.pop()
+                    if ql != -1:
+                        side[ql] = -1
+                if S:
+                    P = S[-1]
+                    ql, qlh, qr, qrh = P
+                    while qlh != -1 and head[qlh] == u:
+                        qlh = ref[qlh]
+                    if qlh == -1 and ql != -1:  # just emptied
+                        ref[ql] = qr
+                        side[ql] = -1
+                        ql = -1
+                    while qrh != -1 and head[qrh] == u:
+                        qrh = ref[qrh]
+                    if qrh == -1 and qr != -1:
+                        ref[qr] = ql
+                        side[qr] = -1
+                        qr = -1
+                    P[0] = ql
+                    P[1] = qlh
+                    P[2] = qr
+                    P[3] = qrh
+                if lowpt[e] < hv:  # e has its own return edge
+                    hl = S[-1][1]
+                    hr = S[-1][3]
+                    if hl != -1 and (hr == -1 or lowpt[hl] > lowpt[hr]):
+                        ref[e] = hl
+                    else:
+                        ref[e] = hr
+                d, v = e, u
+                e, i, oa = parent_dart[u], ind[u], ordered[u]
+            if lowpt[d] >= hv:  # d has no return edge
+                continue
+            if d == oa[0]:
+                lowpt_edge[e] = lowpt_edge[d]
+                continue
+            # add constraints of d: its return edges go into the right
+            # interval of a new pair P
+            pll = plh = prl = prh = -1
+            low_e = lowpt[e]
+            bottom = stack_bottom[d]
+            while True:
+                ql, qlh, qr, qrh = S.pop()
+                if ql != -1 or qlh != -1:
+                    ql, qlh, qr, qrh = qr, qrh, ql, qlh
+                    if ql != -1 or qlh != -1:
+                        return None
+                if lowpt[qr] > low_e:
+                    if prl == -1 and prh == -1:  # topmost interval
+                        prh = qrh
+                    else:
+                        ref[prl] = qrh
+                    prl = qr
+                else:  # align
+                    ref[qr] = lowpt_edge[e]
+                if (S[-1] if S else None) is bottom:
+                    break
+            # conflicting return edges of earlier siblings go left
+            low_d = lowpt[d]
+            while True:
+                ql, qlh, qr, qrh = S[-1]
+                if not (
+                    ((ql != -1 or qlh != -1) and lowpt[qlh] > low_d)
+                    or ((qr != -1 or qrh != -1) and lowpt[qrh] > low_d)
+                ):
+                    break
+                S.pop()
+                if (qr != -1 or qrh != -1) and lowpt[qrh] > low_d:
+                    ql, qlh, qr, qrh = qr, qrh, ql, qlh
+                    if (qr != -1 or qrh != -1) and lowpt[qrh] > low_d:
+                        return None
+                if prl != -1:
+                    ref[prl] = qrh
+                if qr != -1:
+                    prl = qr
+                if pll == -1 and plh == -1:  # topmost interval
+                    plh = qlh
+                else:
+                    ref[pll] = qlh
+                pll = ql
+            if pll != -1 or plh != -1 or prl != -1 or prh != -1:
+                S.append([pll, plh, prl, prh])
+    return ref, side
+
+
+def _embed(n, head, parent_dart, roots, out_darts, nesting, ref, side):
+    """Phase 3: signed nesting depths, then clockwise dart rotations."""
+    for out in out_darts:
+        for d in out:
+            if ref[d] != -1:  # resolve d's side along its reference chain
+                chain = []
+                x = d
+                while ref[x] != -1:
+                    chain.append(x)
+                    x = ref[x]
+                while chain:
+                    x = chain.pop()
+                    side[x] *= side[ref[x]]
+                    ref[x] = -1
+            nesting[d] *= side[d]
+    ordered = [sorted(out, key=nesting.__getitem__) for out in out_darts]
+    rotation = [list(oa) for oa in ordered]
+    left_ref = [-1] * n
+    right_ref = [-1] * n
+    ind = [0] * n
+    for root in roots:
+        v, i, oa = root, 0, ordered[root]
+        while True:
+            if i < len(oa):
+                d = oa[i]
+                i += 1
+                w = head[d]
+                if d == parent_dart[w]:  # tree dart
+                    rotation[w].insert(0, d ^ 1)
+                    left_ref[v] = right_ref[v] = d
+                    ind[v] = i
+                    v, i, oa = w, 0, ordered[w]
+                    continue
+                # back dart: weave the reversed dart into the target
+                rw = rotation[w]
+                if side[d] == 1:
+                    rw.insert(rw.index(right_ref[w]) + 1, d ^ 1)
+                else:
+                    rw.insert(rw.index(left_ref[w]), d ^ 1)
+                    left_ref[w] = d ^ 1
+            else:  # v is done: back to its parent
+                e = parent_dart[v]
+                if e == -1:
+                    break
+                v = head[e ^ 1]
+                i, oa = ind[v], ordered[v]
+    return rotation
 
 
 def _run(n: int, edges, want_embedding: bool) -> list[list[int]] | None:
     """Shared driver; returns dart rotations or None if nonplanar."""
-    m = len(edges)
-    if n > 2 and m > 3 * n - 6:
+    if n > 2 and len(edges) > 3 * n - 6:
         return None
-    state = _LRState(n, edges)
-    state.run_orientation()
-    if not state.run_testing():
+    head = [0] * (2 * len(edges))  # head[d]: the vertex dart d points to
+    head[0::2] = [uv[1] for uv in edges]
+    head[1::2] = [uv[0] for uv in edges]
+    parent_dart, roots, out_darts, lowpt, nesting = _orient(n, edges, head)
+    tested = _lr_test(n, head, parent_dart, roots, out_darts, lowpt, nesting)
+    if tested is None:
         return None
     if not want_embedding:
         return []
-    return state.run_embedding()
+    return _embed(n, head, parent_dart, roots, out_darts, nesting, *tested)
 
 
 def is_planar_edges(n: int, edges) -> bool:

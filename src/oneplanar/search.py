@@ -412,11 +412,15 @@ def backtrack(
     return Verdict.NOT_ONE_PLANAR, None
 
 
-def find_skew_set(g: Graph, size: int, deadline: float | None = None) -> list[int] | None:
+def find_skew_set(
+    g: Graph, size: int, deadline: float | None = None, *, nonplanar: bool = False
+) -> list[int] | None:
     """Lexicographically first set of at most `size` edges whose removal
     leaves a planar graph, or None if no such set exists.  Raises
-    TimeoutError once `deadline` (a time.monotonic() value) passes."""
-    if is_planar_edges(g.n, g.edges):
+    TimeoutError once `deadline` (a time.monotonic() value) passes.
+    `nonplanar=True` says the caller has already found g nonplanar, which
+    skips the whole-graph test."""
+    if not nonplanar and is_planar_edges(g.n, g.edges):
         return []
 
     def rest(exclude: list[int]):
@@ -474,7 +478,7 @@ def test_block(
 
     if cfg.enable_skew_pass and cfg.skew_set_size > 0:
         try:
-            skew = find_skew_set(g, cfg.skew_set_size, deadline)
+            skew = find_skew_set(g, cfg.skew_set_size, deadline, nonplanar=True)
         except TimeoutError:
             return done(Verdict.UNKNOWN, None)
         if skew:

@@ -2,9 +2,13 @@
 
 from __future__ import annotations
 
+import multiprocessing
+import os
 import re
 
 import pytest
+
+import oneplanar.cli as cli_module
 
 from conftest import complete_graph, glue_at_vertex, grid_graph, petersen_graph
 from oneplanar.cli import (
@@ -249,6 +253,35 @@ class TestBench:
         two = bench([str(tmp_path)], SearchConfig(), workers=2)
         assert strip_times(one.csv) == strip_times(two.csv)
 
+    @pytest.mark.skipif(
+        multiprocessing.get_start_method() != "fork",
+        reason="the patched parser reaches the workers only through fork",
+    )
+    def test_dead_worker_becomes_error_row(self, tmp_path, monkeypatch):
+        # A worker that dies outright (as on a signal or out of memory)
+        # must cost its own row only, not the batch.
+        write_corpus(tmp_path)
+        (tmp_path / "crash.txt").write_text("0 1\n")
+        parse = cli_module.parse_graph_file
+
+        def dying(path, fmt="auto"):
+            if os.path.basename(path) == "crash.txt":
+                os._exit(3)
+            return parse(path, fmt)
+
+        monkeypatch.setattr(cli_module, "parse_graph_file", dying)
+        result = bench([str(tmp_path)], SearchConfig(), workers=2)
+        by_name = {r.name: r for r in result.records}
+        assert by_name["crash.txt"].verdict == "Error"
+        assert "worker died" in by_name["crash.txt"].error
+        monkeypatch.setattr(cli_module, "parse_graph_file", parse)
+        whole = bench([str(tmp_path)], SearchConfig(), workers=1)
+        survivors = [r for r in result.records if r.name != "crash.txt"]
+        assert [(r.name, r.verdict, r.nodes) for r in survivors] == [
+            (r.name, r.verdict, r.nodes) for r in whole.records if r.name != "crash.txt"
+        ]
+        assert len(survivors) == 5
+
     def test_header_and_row_format(self):
         # the column contract as the README spells it out
         assert CSV_HEADER == (
@@ -383,6 +416,24 @@ class TestMain:
             main([flags[0], str(f)] + flags[1:])
         assert exc.value.code == 2
         assert flags[1] in capsys.readouterr().err
+
+    @pytest.mark.parametrize("value", ["0", "-1", "two", "1.5"])
+    def test_bad_threads_env_exits_two(self, value, tmp_path, monkeypatch, capsys):
+        write_corpus(tmp_path)
+        monkeypatch.setenv("ONEPLANAR_THREADS", value)
+        with pytest.raises(SystemExit) as exc:
+            main(["bench", str(tmp_path)])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert "ONEPLANAR_THREADS" in err and repr(value) in err
+        with pytest.raises(ValueError, match="ONEPLANAR_THREADS"):
+            bench([str(tmp_path)], SearchConfig())
+
+    def test_workers_flag_overrides_bad_threads_env(self, tmp_path, monkeypatch, capsys):
+        write_corpus(tmp_path)
+        monkeypatch.setenv("ONEPLANAR_THREADS", "two")
+        assert main(["bench", str(tmp_path), "--workers", "1"]) == 0
+        assert capsys.readouterr().out.startswith(CSV_HEADER)
 
     def test_threads_env(self, tmp_path, monkeypatch, capsys):
         write_corpus(tmp_path)

@@ -8,6 +8,7 @@ left-right test under scrutiny and feasible for small degree sequences.
 
 from __future__ import annotations
 
+import hashlib
 import itertools
 import random
 
@@ -25,7 +26,9 @@ from conftest import (
     random_connected_graph,
     wheel_graph,
 )
+from oneplanar.embedding import star_edge_list
 from oneplanar.graph import Graph, build_graph
+from oneplanar.pairs import build_universe
 from oneplanar.planarity import (
     InconsistentRotationError,
     RotationSystem,
@@ -188,3 +191,131 @@ class TestEulerCheck:
         g = build_graph(3, [(0, 1)])
         with pytest.raises(InconsistentRotationError):
             euler_check(g, RotationSystem.from_lists(lists))
+
+
+# ---------------------------------------------------------------------------
+# Search-shaped queries: golden output, networkx, metamorphic invariance
+# ---------------------------------------------------------------------------
+
+
+def random_planar_edges(n: int, rng: random.Random) -> list[tuple[int, int]]:
+    """A random stacked triangulation on n >= 3 vertices with about a fifth
+    of its edges dropped, relabelled, shuffled, endpoints in random order."""
+    edges = [(0, 1), (1, 2), (0, 2)]
+    faces = [(0, 1, 2), (0, 2, 1)]
+    for v in range(3, n):
+        a, b, c = faces.pop(rng.randrange(len(faces)))
+        faces += [(a, b, v), (b, c, v), (c, a, v)]
+        edges += [(a, v), (b, v), (c, v)]
+    edges = [uv for uv in edges if rng.random() < 0.8]
+    label = list(range(n))
+    rng.shuffle(label)
+    rng.shuffle(edges)
+    return [(label[u], label[v]) if rng.random() < 0.5 else (label[v], label[u]) for u, v in edges]
+
+
+def random_crossings(g: Graph, want: int, rng: random.Random) -> list[tuple[int, int]]:
+    """Up to `want` independent edge pairs of g, no edge in two pairs,
+    sorted as the search lists them."""
+    pairs = list(build_universe(g).pairs)
+    rng.shuffle(pairs)
+    used: set[int] = set()
+    chosen = []
+    for a, b in pairs:
+        if len(chosen) < want and a not in used and b not in used:
+            used.update((a, b))
+            chosen.append((a, b))
+    return sorted(chosen)
+
+
+def golden_queries() -> list[tuple[int, list[tuple[int, int]]]]:
+    """Seeded LR queries: grids, random planar and random sparse graphs,
+    and star graphs of random crossing sets of K6, K4,4 and K7 - e, with
+    and without a kept edge subset as the search asks them."""
+    rng = random.Random(20261018)
+    out = []
+    for r, c in [(1, 5), (2, 2), (3, 5), (6, 6), (4, 9), (12, 12)]:
+        g = grid_graph(r, c)
+        out.append((g.n, list(g.edges)))
+    for _ in range(80):
+        n = rng.randrange(3, 41)
+        out.append((n, random_planar_edges(n, rng)))
+    for _ in range(40):
+        n = rng.randrange(5, 21)
+        m = rng.randrange(n - 1, min(3 * n - 6, n * (n - 1) // 2) + 1)
+        g = random_connected_graph(n, m, rng)
+        out.append((g.n, list(g.edges)))
+    k7e = build_graph(7, [uv for uv in itertools.combinations(range(7), 2) if uv != (0, 1)])
+    for base in (complete_graph(6), complete_bipartite(4, 4), k7e):
+        for _ in range(60):
+            crossings = random_crossings(base, rng.randrange(6), rng)
+            keep = {e for e in range(base.m) if rng.random() < 0.6} if rng.random() < 0.7 else None
+            out.append(star_edge_list(base, crossings, keep=keep))
+    return out
+
+
+class TestGoldenOutput:
+    # Recorded with the object-based left-right tester that the flat kernel
+    # replaced: 306 queries, 142 of them planar.  A different digest means
+    # a verdict or a rotation changed, and with it certificates and trees.
+    DIGEST = "454c556ed9b0555ba3667ead2024f7b7e7c078da00b40e771648b39519218f5b"
+
+    def test_verdicts_and_rotations_unchanged(self):
+        h = hashlib.sha256()
+        planar = 0
+        queries = golden_queries()
+        for n, edges in queries:
+            verdict = is_planar_edges(n, edges)
+            rot = rotation_edges(n, edges)
+            assert (rot is not None) is verdict
+            planar += verdict
+            h.update(repr((n, verdict, rot)).encode())
+        assert (len(queries), planar) == (306, 142)
+        assert h.hexdigest() == self.DIGEST
+
+
+def nx_planar(n: int, edges) -> bool:
+    h = nx.Graph(edges)
+    h.add_nodes_from(range(n))
+    return nx.check_planarity(h, False)[0]
+
+
+class TestStarGraphQueries:
+    def test_against_networkx(self, rng: random.Random):
+        seen = {True: 0, False: 0}
+        for _ in range(240):
+            n = rng.randrange(5, 31)
+            g = random_connected_graph(n, rng.randrange(n - 1, 2 * n + 1), rng)
+            crossings = random_crossings(g, rng.randrange(7), rng)
+            keep = {e for e in range(g.m) if rng.random() < 0.6} if rng.random() < 0.5 else None
+            n_star, star = star_edge_list(g, crossings, keep=keep)
+            want = nx_planar(n_star, star)
+            assert is_planar_edges(n_star, star) is want, (g.edges, crossings, keep)
+            rot = rotation_edges(n_star, star)
+            assert (rot is not None) is want
+            if rot is not None:
+                assert euler_check(build_graph(n_star, star), RotationSystem.from_lists(rot))
+            seen[want] += 1
+        assert min(seen.values()) >= 40, seen
+
+    def test_every_rotation_passes_euler_check(self):
+        for n, edges in golden_queries():
+            rot = rotation_edges(n, edges)
+            if rot is not None:
+                assert euler_check(build_graph(n, edges), RotationSystem.from_lists(rot))
+
+    def test_invariant_under_relabelling_and_reordering(self, rng: random.Random):
+        queries = golden_queries()
+        seen = {True: 0, False: 0}
+        for n, edges in rng.sample(queries, 120):
+            want = is_planar_edges(n, edges)
+            for _ in range(3):
+                label = list(range(n))
+                rng.shuffle(label)
+                moved = [(label[u], label[v]) if rng.random() < 0.5 else (label[v], label[u])
+                         for u, v in edges]
+                rng.shuffle(moved)
+                assert is_planar_edges(n, moved) is want
+                assert (rotation_edges(n, moved) is not None) is want
+            seen[want] += 1
+        assert min(seen.values()) >= 30, seen

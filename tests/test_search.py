@@ -529,6 +529,24 @@ class TestSkewSets:
         with pytest.raises(TimeoutError):
             find_skew_set(complete_graph(6), 3, deadline=time.monotonic() - 1.0)
 
+    def test_known_nonplanar_skips_whole_graph_test(self, monkeypatch):
+        calls = []
+
+        def counting(n, edges):
+            calls.append(len(edges))
+            return is_planar_edges(n, edges)
+
+        monkeypatch.setattr(search_module, "is_planar_edges", counting)
+        g = complete_graph(5)
+        assert find_skew_set(g, 1, nonplanar=True) == find_skew_set(g, 1) == [0]
+        # the second call starts with the whole graph, the first does not
+        assert calls == [9, 10, 9]
+        # test_block has found the block nonplanar and must not ask again
+        for g in (complete_graph(5), complete_bipartite(3, 3)):
+            calls.clear()
+            assert solve_block(g, SearchConfig()).stats.used_skew_pass
+            assert calls and g.m not in calls
+
 
 class TestOracle:
     def test_classics(self):
