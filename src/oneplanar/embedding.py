@@ -86,15 +86,16 @@ def count_crossings(emb: OnePlanarEmbedding) -> int:
 def star_edge_list(g: Graph, pairs, keep=None) -> tuple[int, list[tuple[int, int]]]:
     """Vertex count and edge list of the star graph; the one star layout.
 
-    Uncrossed edges come first in id order (only those in `keep`, if
-    given), then the half-edges to u1, v1, u2, v2 of dummy g.n + t for the
-    t-th pair (e1, e2) = ((u1, v1), (u2, v2)).  Pairs are not checked.
+    Uncrossed edges come first in id order (only those whose bit is set in
+    the edge mask `keep`, if given), then the half-edges to u1, v1, u2, v2
+    of dummy g.n + t for the t-th pair (e1, e2) = ((u1, v1), (u2, v2)).
+    Pairs are not checked.
     """
     in_pair = {e for pr in pairs for e in pr}
     edges = [
         (u, v)
         for e, (u, v) in enumerate(g.edges)
-        if e not in in_pair and (keep is None or e in keep)
+        if e not in in_pair and (keep is None or keep >> e & 1)
     ]
     d = g.n
     for a, b in pairs:

@@ -20,8 +20,10 @@ from __future__ import annotations
 
 import random
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
+from itertools import accumulate
+from operator import or_
 
 from .embedding import OnePlanarEmbedding, planarize, realize, star_edge_list
 from .graph import Graph
@@ -71,12 +73,13 @@ class UniverseTooLargeError(ValueError):
 
 @dataclass
 class SearchConfig:
+    """Search settings; ``skew_set_size`` 0 turns the restricted pass off."""
+
     skew_set_size: int = 1
     completion_probability: float = 0.8
     rng_seed: int = 0
     time_budget: float = 3 * 3600.0
     enable_kite_pruning: bool = True
-    enable_skew_pass: bool = True
 
 
 @dataclass
@@ -95,7 +98,6 @@ class SearchStats:
     sol_satur: int = 0
     sol_compl: int = 0
     planarity_calls: int = 0
-    elapsed: float = 0.0
     used_backtracking: bool = False
     used_skew_pass: bool = False
 
@@ -107,7 +109,6 @@ class SearchStats:
         self.sol_satur += other.sol_satur
         self.sol_compl += other.sol_compl
         self.planarity_calls += other.planarity_calls
-        self.elapsed += other.elapsed
         self.used_backtracking |= other.used_backtracking
         self.used_skew_pass |= other.used_skew_pass
 
@@ -157,157 +158,122 @@ def find_kite_edges(g: Graph, crossing_pairs) -> set[int]:
 
 class SearchState:
     """One search path: its decided prefix and everything a node's
-    classification reads from it, kept current by `push` and `pop`.
+    classification reads from it, as one edge mask per depth.
 
-    Per edge e it holds the crossing count ``counts[e]``, the number of
-    decided crossings having e as a kite edge ``kites[e]`` (all 0 without
-    kite pruning) and the number of universe partners of e not yet crossed.
-    ``crossings`` lists the crossing pairs in universe order and
-    ``saturated`` is the set :func:`~oneplanar.pairs.saturated_edges`
-    computes, with the kite edges when kite pruning is on.  ``doubled``
-    counts edges crossed more than once and ``crossed_kites`` crossed edges
-    that are kite edges, so the DEC and KEC checks cost O(1).  Saturation is
-    tracked as the number of rules (a)-(d) that hold for each edge; `pop`
-    undoes its push step for step, reading the popped bit from the prefix.
+    Bit e of a mask stands for edge e.  For the node at depth d (d pairs
+    decided) the state holds:
+
+    * ``crossed[d]``: edges in some crossing pair; ``doubled[d]``: some
+      edge is in two of them;
+    * ``kites[d]``: kite edges of the crossings (0 without kite pruning);
+    * ``cornered[d]``: edges every universe partner of which is crossed,
+      saturation rule (c);
+    * ``closed[d]``: edges with no pair at position d or later, rule (b);
+      it depends on the universe only.
+
+    The saturated set :func:`~oneplanar.pairs.saturated_edges` computes is
+    the OR of the four masks.  `push` writes depth d + 1 from depth d and
+    `pop` moves the cursor back, so nothing is undone.  ``crossings`` lists
+    the crossing pairs in universe order.
 
     Two facts about the path are kept per depth and only set by `classify`:
 
-    * ``_planar_sat[d]``: the size of the saturated set whose star graph
-      the node at depth d proved planar, or -1.  A bit-0 push changes no
-      crossing and saturation only grows along a path, so a child with a
-      saturated set of the same size asks the query its parent answered.
+    * ``_planar_sat[d]``: the saturated mask whose star graph the node at
+      depth d proved planar, or -1.  A bit-0 push changes no crossing, so
+      a child with the same saturated mask asks the query its parent
+      answered.
     * ``_nonplanar_full[d]``: the full star graph of the node's crossing set
       is nonplanar.  A bit-0 push inherits it, a bit-1 push clears it.
-
-    All of it is O(k + m) for a universe of k pairs over m edges.
     """
 
     def __init__(self, g: Graph, universe: PairUniverse, kite_pruning: bool) -> None:
         self.g = g
         self.sol = PartialSolution.empty(universe)
-        m, k = g.m, universe.k
-        self.counts = [0] * m
-        self.kites = [0] * m
         self.crossings: list[tuple[int, int]] = []
-        self.saturated: set[int] = set()
-        self.doubled = 0
-        self.crossed_kites = 0
-        self._sat_rules = [0] * m
-        self._open = [len(occ) for occ in universe.edge_pairs]
-        pairs = universe.pairs
-        self._partners = [
-            tuple(pairs[p][0] + pairs[p][1] - e for p in occ)
-            for e, occ in enumerate(universe.edge_pairs)
+        k, pairs = universe.k, universe.pairs
+        partners: list[list[int]] = [[] for _ in range(g.m)]
+        partner_mask = [0] * g.m
+        for a, b in pairs:
+            partners[a].append(b)
+            partners[b].append(a)
+            partner_mask[a] |= 1 << b
+            partner_mask[b] |= 1 << a
+        self._partners, self._partner_mask = partners, partner_mask
+        self._pair_kites = [
+            sum(1 << e for e in find_kite_edges(g, [pr])) if kite_pruning else 0
+            for pr in pairs
         ]
-        # edges whose last pair sits at each position: saturated by rule (b)
-        # once the cursor passes it
-        self._closing: list[tuple[int, ...]] = [()] * k
+        # closed[d]: edges in no pair, plus those whose last pair is before d
+        last = [0] * (k + 1)
         for e, occ in enumerate(universe.edge_pairs):
-            if occ:
-                self._closing[occ[-1]] += (e,)
-            else:  # in no pair: rules (b) and (c) hold from the start
-                self._raise(e)
-                self._raise(e)
-        self._pair_kites = (
-            [tuple(sorted(find_kite_edges(g, [pr]))) for pr in pairs]
-            if kite_pruning
-            else None
-        )
+            last[occ[-1] + 1 if occ else 0] |= 1 << e
+        self.closed = list(accumulate(last, or_))
+        self._all_edges = (1 << g.m) - 1
+        self.crossed = [0] * (k + 1)
+        self.kites = [0] * (k + 1)
+        self.cornered = [0] * (k + 1)
+        self.doubled = [False] * (k + 1)
         self._planar_sat = [-1] * (k + 1)
         self._nonplanar_full = [False] * (k + 1)
-
-    def _raise(self, e: int) -> None:
-        self._sat_rules[e] += 1
-        if self._sat_rules[e] == 1:
-            self.saturated.add(e)
-
-    def _lower(self, e: int) -> None:
-        self._sat_rules[e] -= 1
-        if self._sat_rules[e] == 0:
-            self.saturated.discard(e)
 
     def push(self, bit: int) -> None:
         """Decide the pair at the cursor: 1 crosses it, 0 does not."""
         sol = self.sol
-        i = sol.cursor
+        d = sol.cursor
         sol.push(bit)
-        self._planar_sat[i + 1] = -1
-        self._nonplanar_full[i + 1] = self._nonplanar_full[i] and not bit
-        if bit:
-            pair = sol.universe.pairs[i]
-            self.crossings.append(pair)
-            counts, kites, open_ = self.counts, self.kites, self._open
-            for e in pair:
-                counts[e] += 1
-                if counts[e] == 1:
-                    self._raise(e)  # rule (a)
-                    if kites[e]:
-                        self.crossed_kites += 1
-                    for f in self._partners[e]:
-                        open_[f] -= 1
-                        if open_[f] == 0:
-                            self._raise(f)  # rule (c)
-                elif counts[e] == 2:
-                    self.doubled += 1
-            if self._pair_kites is not None:
-                for e in self._pair_kites[i]:
-                    kites[e] += 1
-                    if kites[e] == 1:
-                        self._raise(e)  # rule (d)
-                        if counts[e]:
-                            self.crossed_kites += 1
-        for e in self._closing[i]:
-            self._raise(e)  # rule (b)
+        self._planar_sat[d + 1] = -1
+        self._nonplanar_full[d + 1] = self._nonplanar_full[d] and not bit
+        if not bit:
+            self.crossed[d + 1] = self.crossed[d]
+            self.kites[d + 1] = self.kites[d]
+            self.cornered[d + 1] = self.cornered[d]
+            self.doubled[d + 1] = self.doubled[d]
+            return
+        a, b = pair = sol.universe.pairs[d]
+        self.crossings.append(pair)
+        ab = 1 << a | 1 << b
+        crossed = self.crossed[d] | ab
+        self.crossed[d + 1] = crossed
+        self.doubled[d + 1] = self.doubled[d] or bool(self.crossed[d] & ab)
+        self.kites[d + 1] = self.kites[d] | self._pair_kites[d]
+        cornered = self.cornered[d]
+        partner_mask = self._partner_mask
+        for f in self._partners[a] + self._partners[b]:
+            if not partner_mask[f] & ~crossed:
+                cornered |= 1 << f
+        self.cornered[d + 1] = cornered
 
     def pop(self) -> None:
         """Take back the last decision."""
         sol = self.sol
-        i = sol.cursor - 1
-        bit = sol.bits[i]
+        if sol.bits[sol.cursor - 1]:
+            self.crossings.pop()
         sol.pop()
-        for e in self._closing[i]:
-            self._lower(e)
-        if bit:
-            counts, kites, open_ = self.counts, self.kites, self._open
-            if self._pair_kites is not None:
-                for e in self._pair_kites[i]:
-                    kites[e] -= 1
-                    if kites[e] == 0:
-                        self._lower(e)
-                        if counts[e]:
-                            self.crossed_kites -= 1
-            for e in reversed(self.crossings.pop()):
-                counts[e] -= 1
-                if counts[e] == 0:
-                    self._lower(e)
-                    if kites[e]:
-                        self.crossed_kites -= 1
-                    for f in self._partners[e]:
-                        if open_[f] == 0:
-                            self._lower(f)
-                        open_[f] += 1
-                elif counts[e] == 1:
-                    self.doubled -= 1
+
+    def saturated(self) -> int:
+        """Mask of the saturated edges at the cursor."""
+        d = self.sol.cursor
+        return self.crossed[d] | self.kites[d] | self.cornered[d] | self.closed[d]
 
     def classify(
         self, cfg: SearchConfig, rng: random.Random, stats: SearchStats
     ) -> NodeVerdict:
         """Classify the node at the end of the path; see :func:`verify_node`."""
-        if self.doubled:
-            return _CUT_DEC
-        if self.crossed_kites:
-            return _CUT_KEC
         g, d = self.g, self.sol.cursor
-        n_sat = len(self.saturated)
-        if n_sat < g.m:
+        if self.doubled[d]:
+            return _CUT_DEC
+        if self.crossed[d] & self.kites[d]:
+            return _CUT_KEC
+        sat = self.saturated()
+        if sat != self._all_edges:
             # after a bit-0 push with no new saturated edge the parent, a
             # CNT node, has already found this very query planar
-            if not (d and not self.sol.bits[d - 1] and self._planar_sat[d - 1] == n_sat):
-                n_star, star = star_edge_list(g, self.crossings, keep=self.saturated)
+            if not (d and not self.sol.bits[d - 1] and self._planar_sat[d - 1] == sat):
+                n_star, star = star_edge_list(g, self.crossings, keep=sat)
                 stats.planarity_calls += 1
                 if not is_planar_edges(n_star, star):
                     return _CUT_NONPLANAR
-            self._planar_sat[d] = n_sat
+            self._planar_sat[d] = sat
             if not (cfg.completion_probability > 0 and rng.random() < cfg.completion_probability):
                 return _CNT
             # complete with all zeros: same crossings, full edge set
@@ -458,42 +424,37 @@ def test_block(
     a restricted pass over pairs meeting a skew set runs first and the
     unrestricted search settles whatever is left open.
     """
-    t0 = time.monotonic()
     stats = SearchStats()
-    own_deadline = t0 + cfg.time_budget
+    own_deadline = time.monotonic() + cfg.time_budget
     deadline = own_deadline if deadline is None else min(deadline, own_deadline)
-
-    def done(verdict: Verdict, emb: OnePlanarEmbedding | None) -> BlockResult:
-        stats.elapsed = time.monotonic() - t0
-        return BlockResult(verdict, emb, stats)
 
     stats.planarity_calls += 1
     pv = test_planarity(g)
     if pv.planar:
         emb = realize(planarize(g, []), pv.rotation)
-        return done(Verdict.ONE_PLANAR, emb)
+        return BlockResult(Verdict.ONE_PLANAR, emb, stats)
 
     if g.n >= 7 and g.m > 4 * g.n - 8:
-        return done(Verdict.NOT_ONE_PLANAR, None)
+        return BlockResult(Verdict.NOT_ONE_PLANAR, None, stats)
 
-    if cfg.enable_skew_pass and cfg.skew_set_size > 0:
+    if cfg.skew_set_size > 0:
         try:
             skew = find_skew_set(g, cfg.skew_set_size, deadline, nonplanar=True)
         except TimeoutError:
-            return done(Verdict.UNKNOWN, None)
+            return BlockResult(Verdict.UNKNOWN, None, stats)
         if skew:
             stats.used_skew_pass = True
             restricted = build_restricted_universe(g, skew)
             verdict, emb = backtrack(g, restricted, cfg, stats, deadline)
             if verdict is Verdict.ONE_PLANAR:
-                return done(verdict, emb)
+                return BlockResult(verdict, emb, stats)
             if time.monotonic() >= deadline:
-                return done(Verdict.UNKNOWN, None)
+                return BlockResult(Verdict.UNKNOWN, None, stats)
 
     verdict, emb = backtrack(g, build_universe(g), cfg, stats, deadline)
     if verdict is Verdict.NOT_ONE_PLANAR and g.n < 7:
         raise RuntimeError("internal error: graphs on fewer than 7 vertices always have a drawing")
-    return done(verdict, emb)
+    return BlockResult(verdict, emb, stats)
 
 
 def oracle_is_one_planar(g: Graph, max_k: int = 20) -> bool:

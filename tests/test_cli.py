@@ -4,13 +4,24 @@ from __future__ import annotations
 
 import multiprocessing
 import os
+import random
 import re
+import subprocess
+import sys
 
 import pytest
 
 import oneplanar.cli as cli_module
+import oneplanar.planarity as planarity_module
 
-from conftest import complete_graph, glue_at_vertex, grid_graph, petersen_graph
+from conftest import (
+    complete_bipartite,
+    complete_graph,
+    cycle_graph,
+    glue_at_vertex,
+    grid_graph,
+    petersen_graph,
+)
 from oneplanar.cli import (
     CSV_HEADER,
     InstanceRecord,
@@ -25,6 +36,16 @@ from oneplanar.cli import (
 from oneplanar.embedding import count_crossings, parse_embedding, validate
 from oneplanar.graph import GraphError, build_graph
 from oneplanar.search import SearchConfig
+
+
+# graph and its verdict
+_METAMORPHIC_BASES = {
+    "K5": (complete_graph(5), "OnePlanar"),
+    "K6": (complete_graph(6), "OnePlanar"),
+    "K3,3": (complete_bipartite(3, 3), "OnePlanar"),
+    "Petersen": (petersen_graph(), "OnePlanar"),
+    "K7": (complete_graph(7), "NotOnePlanar"),
+}
 
 
 def k7_then_k6():
@@ -162,6 +183,27 @@ class TestPipeline:
         record, emb = run_pipeline(g, SearchConfig(time_budget=0.0))
         assert record.verdict == "Unknown" and emb is None
 
+    @pytest.mark.parametrize("name", sorted(_METAMORPHIC_BASES))
+    def test_verdict_invariant_under_relabelling_reordering_and_pendant(self, name):
+        g, want = _METAMORPHIC_BASES[name]
+        rng = random.Random(name)
+        perm = list(range(g.n))
+        rng.shuffle(perm)
+        shuffled = list(g.edges)
+        rng.shuffle(shuffled)
+        variants = {
+            "relabelled": build_graph(g.n, [(perm[u], perm[v]) for u, v in g.edges]),
+            "reordered": build_graph(g.n, shuffled),
+            "pendant grid": glue_at_vertex(g, grid_graph(3, 3)),
+            "pendant first": glue_at_vertex(cycle_graph(5), g),
+        }
+        cfg = SearchConfig(time_budget=60.0)
+        assert run_pipeline(g, cfg)[0].verdict == want
+        for label, h in variants.items():
+            record, emb = run_pipeline(h, cfg)
+            assert record.verdict == want, label
+            assert (emb is not None) is (want == "OnePlanar"), label
+
     def test_record_density(self):
         record, _ = run_pipeline(complete_graph(5), SearchConfig())
         assert record.n == 5 and record.m == 10 and record.density == 2.0
@@ -246,6 +288,36 @@ class TestBench:
         result = bench([str(tmp_path)], SearchConfig(), skip_planar=True)
         names = [r.name for r in result.records]
         assert names == ["k5.txt", "k7.txt", "petersen.txt"]
+
+    def test_skip_planar_runs_no_extra_planarity_test(self, tmp_path, monkeypatch):
+        f = tmp_path / "k6.txt"
+        f.write_text("".join(f"{u} {v}\n" for u, v in complete_graph(6).edges))
+        runs = []
+        lr = planarity_module._run
+
+        def counting(*args, **kwargs):
+            runs.append(args[0])
+            return lr(*args, **kwargs)
+
+        monkeypatch.setattr(planarity_module, "_run", counting)
+        kept = bench([str(f)], SearchConfig(), skip_planar=True)
+        skipping = len(runs)
+        runs.clear()
+        plain = bench([str(f)], SearchConfig())
+        assert [(r.name, r.verdict) for r in kept.records] == [("k6.txt", "OnePlanar")]
+        assert strip_times(kept.csv) == strip_times(plain.csv)
+        assert skipping == len(runs) > 0
+
+    def test_skip_planar_drops_planar_multi_block_and_edgeless(self, tmp_path):
+        planar = glue_at_vertex(grid_graph(3, 3), complete_graph(4))
+        (tmp_path / "planar.txt").write_text("".join(f"{u} {v}\n" for u, v in planar.edges))
+        (tmp_path / "empty.txt").write_text("# no edges\n")
+        (tmp_path / "isolated.gml").write_text("graph [ node [ id 0 ] node [ id 1 ] ]")
+        (tmp_path / "k5.txt").write_text("".join(f"{u} {v}\n" for u, v in complete_graph(5).edges))
+        kept = bench([str(tmp_path)], SearchConfig(), skip_planar=True)
+        assert [r.name for r in kept.records] == ["k5.txt"]
+        every = bench([str(tmp_path)], SearchConfig())
+        assert {r.name: r.blocks for r in every.records}["planar.txt"] > 1
 
     def test_worker_counts_agree(self, tmp_path):
         write_corpus(tmp_path)
@@ -395,6 +467,33 @@ class TestMain:
         assert main(["check", str(f), "--no-skew", "--no-kite",
                      "--completion-prob", "0", "--timeout", "45s", "--seed", "9"]) == 0
         assert "OnePlanar" in capsys.readouterr().out
+
+    def test_no_skew_wins_over_skew_size(self, tmp_path, monkeypatch):
+        f = tmp_path / "k5.txt"
+        f.write_text("".join(f"{u} {v}\n" for u, v in complete_graph(5).edges))
+        seen = []
+
+        def recording(g, cfg, name="instance"):
+            seen.append(cfg.skew_set_size)
+            return run_pipeline(g, cfg, name)
+
+        monkeypatch.setattr(cli_module, "run_pipeline", recording)
+        assert main(["check", str(f), "--skew-size", "2"]) == 0
+        assert main(["check", str(f), "--skew-size", "2", "--no-skew"]) == 0
+        assert main(["check", str(f), "--no-skew", "--skew-size", "2"]) == 0
+        assert seen == [2, 0, 0]
+
+    def test_python_dash_m_runs_main(self, tmp_path):
+        f = tmp_path / "k5.txt"
+        f.write_text("".join(f"{u} {v}\n" for u, v in complete_graph(5).edges))
+        src = os.path.dirname(os.path.dirname(cli_module.__file__))
+        done = subprocess.run(
+            [sys.executable, "-W", "default", "-m", "oneplanar", "check", str(f)],
+            capture_output=True, text=True, env={**os.environ, "PYTHONPATH": src}, timeout=120,
+        )
+        assert done.returncode == 0, done.stderr
+        assert done.stdout.startswith("k5.txt: OnePlanar with 1 crossing(s)")
+        assert "RuntimeWarning" not in done.stderr
 
     @pytest.mark.parametrize(
         "flags",

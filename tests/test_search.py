@@ -376,10 +376,30 @@ def _state_differential_cases():
     return [pytest.param(g, id=name) for name, g in cases]
 
 
+def edge_mask(edges) -> int:
+    return sum(1 << e for e in edges)
+
+
+def assert_state_matches_reference(state: SearchState, g, kite: bool) -> None:
+    """Every mask at the cursor equals what the reference functions compute
+    from the decided prefix alone."""
+    sol = state.sol
+    d = sol.cursor
+    pairs = sol.decided_pairs()
+    counts = crossing_counts(sol)
+    kites = find_kite_edges(g, pairs) if kite else set()
+    assert state.crossings == pairs
+    assert state.crossed[d] == edge_mask(e for e, c in enumerate(counts) if c)
+    assert state.doubled[d] == any(c > 1 for c in counts)
+    assert state.kites[d] == edge_mask(kites)
+    assert state.saturated() == edge_mask(saturated_edges(sol, kites))
+    assert state.crossed[d] & state.kites[d] == edge_mask(e for e in kites if counts[e])
+
+
 class TestSearchState:
-    """The state push/pop keep current matches the from-scratch reference
-    functions at every node, and every node's verdict matches the one
-    classified from a replayed prefix, which carries no path facts."""
+    """The masks push writes match the from-scratch reference functions at
+    every node, and every node's verdict matches the one classified from a
+    replayed prefix, which carries no path facts."""
 
     MAX_NODES = 800
 
@@ -392,14 +412,7 @@ class TestSearchState:
 
         def checking(state, cfg, rng, stats):
             sol = state.sol
-            pairs = sol.decided_pairs()
-            kites = find_kite_edges(g, pairs) if kite else set()
-            assert state.counts == crossing_counts(sol)
-            assert state.crossings == pairs
-            assert {e for e, c in enumerate(state.kites) if c} == kites
-            assert state.saturated == saturated_edges(sol, kites)
-            assert state.doubled == sum(c > 1 for c in state.counts)
-            assert state.crossed_kites == sum(1 for e in kites if state.counts[e])
+            assert_state_matches_reference(state, g, kite)
 
             fresh = SearchState(g, sol.universe, kite)
             for bit in sol.bits[: sol.cursor]:
@@ -428,18 +441,35 @@ class TestSearchState:
         assert NodeKind.CNT in seen
 
     def test_pop_undoes_push(self, rng: random.Random):
-        g = complete_bipartite(4, 4)
-        u = build_universe(g)
-        state = SearchState(g, u, kite_pruning=True)
-        empty = (list(state.counts), list(state.kites), set(state.saturated), state.doubled)
-        for _ in range(20):
-            depth = rng.randrange(1, u.k + 1)
-            for _ in range(depth):
-                state.push(rng.randrange(2))
-            for _ in range(depth):
-                state.pop()
-            assert (state.counts, state.kites, state.saturated, state.doubled) == empty
-            assert state.crossings == [] and state.crossed_kites == 0
+        # A random walk of pushes and pops, checked after every step.  It
+        # extends prefixes with a doubled edge or a crossed kite edge too,
+        # which backtrack never does.
+        k6 = complete_graph(6)
+        k44 = complete_bipartite(4, 4)
+        cases = [
+            (k44, build_universe(k44)),
+            (k6, build_restricted_universe(k6, find_skew_set(k6, 3))),
+        ]
+        for g, u in cases:
+            for kite in (True, False):
+                state = SearchState(g, u, kite_pruning=kite)
+                assert_state_matches_reference(state, g, kite)
+                extended = {"doubled": 0, "crossed kite": 0}
+                for _ in range(600):
+                    d = state.sol.cursor
+                    if d < u.k and (d == 0 or rng.random() < 0.6):
+                        extended["doubled"] += state.doubled[d]
+                        extended["crossed kite"] += bool(state.crossed[d] & state.kites[d])
+                        state.push(int(rng.random() < 0.3))
+                    else:
+                        state.pop()
+                    assert_state_matches_reference(state, g, kite)
+                while state.sol.cursor:
+                    state.pop()
+                    assert_state_matches_reference(state, g, kite)
+                assert state.crossings == [] and state.saturated() == state.closed[0]
+                assert extended["doubled"] > 0
+                assert extended["crossed kite"] > 0 or not kite
 
     def test_path_facts_skip_repeated_queries(self):
         # Most K6 nodes repeat a query their path has already answered (the
@@ -616,7 +646,7 @@ class TestBlockDriver:
         # backtracking itself and surface as Unknown, not as a negative.
         g = complete_graph(6)
         res = solve_block(
-            g, SearchConfig(enable_skew_pass=False), deadline=time.monotonic() - 1.0
+            g, SearchConfig(skew_set_size=0), deadline=time.monotonic() - 1.0
         )
         assert res.verdict is Verdict.UNKNOWN and res.embedding is None
         # the clock is read before the root: only the whole-graph test ran
