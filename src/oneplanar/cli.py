@@ -17,6 +17,7 @@ from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, fields, replace
 
 from .embedding import (
+    BlockCertificate,
     OnePlanarEmbedding,
     count_crossings,
     merge_blocks,
@@ -235,7 +236,7 @@ def run_pipeline(
     deadline = t0 + cfg.time_budget
     dec = biconnected_components(g)
     stats = SearchStats()
-    embeddings: list[OnePlanarEmbedding] = []
+    certificates: list[BlockCertificate] = []
     verdict = Verdict.ONE_PLANAR
     for blk in dec.blocks:
         res = test_block(blk.graph, cfg, deadline=deadline)
@@ -246,12 +247,12 @@ def run_pipeline(
         if res.verdict is Verdict.UNKNOWN:
             verdict = Verdict.UNKNOWN
         elif verdict is Verdict.ONE_PLANAR:
-            embeddings.append(res.embedding)
+            certificates.append(res.certificate)
 
     emb = None
     crossings = None
     if verdict is Verdict.ONE_PLANAR:
-        emb = merge_blocks(g, dec, embeddings)
+        emb = merge_blocks(g, dec, certificates)
         crossings = count_crossings(emb)
 
     record = InstanceRecord(

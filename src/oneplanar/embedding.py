@@ -32,12 +32,8 @@ class AdjacentPairError(ValueError):
         self.pair = (e, f)
 
 
-class NotPlanarRotationError(ValueError):
-    """The supplied rotation system does not embed the star graph."""
-
-
 class InvalidBlockEmbeddingError(ValueError):
-    """A per-block certificate failed validation during merging."""
+    """Block certificates do not fit the graph, or merge into an invalid one."""
 
 
 class EmbeddingParseError(ValueError):
@@ -77,6 +73,20 @@ class OnePlanarEmbedding:
     planarization: Planarization
     rotation: RotationSystem
     crossings: tuple[tuple[int, int], ...]
+
+
+@dataclass(frozen=True)
+class BlockCertificate:
+    """What a positive block search hands back; not checked on its own.
+
+    ``rotation`` is a planar rotation of the star graph that
+    :func:`star_edge_list` lays out for the block and ``crossings``.
+    :func:`merge_blocks` turns the certificates of all blocks into one
+    :class:`OnePlanarEmbedding` and validates that.
+    """
+
+    crossings: tuple[tuple[int, int], ...]
+    rotation: RotationSystem
 
 
 def count_crossings(emb: OnePlanarEmbedding) -> int:
@@ -130,80 +140,18 @@ def planarize(g: Graph, crossings) -> Planarization:
         norm.append((a, b))
 
     n_star, star_edges = star_edge_list(g, norm)
-    edge_map = [e for e in range(g.m) if e not in seen]
-    dummy_map = []
-    for a, b in norm:
-        edge_map.extend([a, a, b, b])
-        dummy_map.append(((a, b), g.edges[a] + g.edges[b]))
-
     return Planarization(
         base_graph=g,
         star_graph=build_graph(n_star, star_edges),
-        dummy_map=tuple(dummy_map),
-        edge_map=tuple(edge_map),
+        dummy_map=tuple(((a, b), g.edges[a] + g.edges[b]) for a, b in norm),
+        edge_map=tuple(_star_edge_map(g.m, norm)),
     )
 
 
-def _alternates(p: Planarization, rot_d: tuple[int, ...]) -> bool:
-    # cyclic pattern e1,e2,e1,e2 versus e1,e1,e2,e2 at a degree-4 dummy
-    return p.edge_map[rot_d[0]] == p.edge_map[rot_d[2]]
-
-
-def realize(p: Planarization, rs: RotationSystem) -> OnePlanarEmbedding:
-    """Turn a planar rotation of the star graph into a certificate.
-
-    Dummies whose rotation alternates stay as crossings.  At any other
-    dummy the two edges only touch, so the dummy is removed and each edge
-    is rerouted through the spot it occupied: its two half-darts are
-    replaced in place by the whole edge.  The result therefore never has
-    more crossings than the planarization suggested.
-    """
-    if not euler_check(p.star_graph, rs):
-        raise NotPlanarRotationError("rotation is not a sphere embedding of the star graph")
-
-    survivors = [
-        t
-        for t in range(len(p.dummy_map))
-        if _alternates(p, rs.order[p.base_n + t])
-    ]
-    if len(survivors) == len(p.dummy_map):
-        return OnePlanarEmbedding(
-            planarization=p,
-            rotation=rs,
-            crossings=tuple(pair for pair, _ in p.dummy_map),
-        )
-
-    g = p.base_graph
-    keep = [p.dummy_map[t][0] for t in survivors]
-    p2 = planarize(g, keep)
-    new_dummy = {t: g.n + i for i, t in enumerate(survivors)}
-    surviving_edges = {e for pair in keep for e in pair}
-
-    def translate(s: int) -> int:
-        x, y = p.star_graph.edges[s]
-        if y < p.base_n:
-            out = p2.star_graph.edge_between(x, y)
-        else:
-            t = y - p.base_n
-            if t in new_dummy:
-                out = p2.star_graph.edge_between(x, new_dummy[t])
-            else:
-                # dummy eliminated: the half is replaced by the whole edge
-                out = p2.star_graph.edge_between(*g.edges[p.edge_map[s]])
-        assert out is not None
-        return out
-
-    order: list[list[int]] = []
-    for v in range(g.n):
-        order.append([translate(s) for s in rs.order[v]])
-    for t in survivors:
-        order.append([translate(s) for s in rs.order[p.base_n + t]])
-
-    return OnePlanarEmbedding(
-        planarization=p2,
-        rotation=RotationSystem.from_lists(order),
-        crossings=tuple(keep),
-    )
+def _star_edge_map(m: int, pairs) -> list[int]:
+    """The edge of g that each edge of the star_edge_list star is part of."""
+    in_pair = {e for pr in pairs for e in pr}
+    return [e for e in range(m) if e not in in_pair] + [e for a, b in pairs for e in (a, a, b, b)]
 
 
 def validate(g: Graph, emb: OnePlanarEmbedding) -> bool:
@@ -286,22 +234,30 @@ def validate(g: Graph, emb: OnePlanarEmbedding) -> bool:
 # ---------------------------------------------------------------------------
 
 
-def merge_blocks(g: Graph, decomposition, embeddings: list[OnePlanarEmbedding]) -> OnePlanarEmbedding:
-    """Combine per-block certificates into one validated certificate for g.
+def merge_blocks(
+    g: Graph, decomposition, certificates: list[BlockCertificate]
+) -> OnePlanarEmbedding:
+    """Build g's certificate from the block certificates and validate it.
 
-    Blocks share only cut vertices, so the merged rotation at a shared
-    vertex splices each later block's rotation in as one contiguous
-    segment right after the smallest-id dart of the first block there.
-    Only the result is validated, against g; InvalidBlockEmbeddingError
-    is raised if it fails or the inputs do not fit g.
+    A block's dummy stays a crossing where its rotation alternates between
+    the two edges.  At any other dummy the edges only touch: the dummy is
+    dissolved and each of its half-edges is replaced in place by the whole
+    edge, so g never gets more crossings than its blocks listed.  Every
+    block star edge is translated once, straight to its id in the
+    planarization of g by the surviving pairs.  Blocks share only cut
+    vertices, so the rotation at a shared vertex splices each later
+    block's rotation in as one contiguous segment right after the
+    smallest-id dart of the first block there.  Only the result is
+    validated, against g; InvalidBlockEmbeddingError is raised if it fails
+    or the inputs do not fit g.
     """
     blocks = decomposition.blocks
-    if len(embeddings) != len(blocks):
+    if len(certificates) != len(blocks):
         raise InvalidBlockEmbeddingError(
-            f"got {len(embeddings)} embeddings for {len(blocks)} blocks"
+            f"got {len(certificates)} certificates for {len(blocks)} blocks"
         )
     try:
-        merged = _merge(g, blocks, embeddings)
+        merged = _merge(g, blocks, certificates)
     except (IndexError, KeyError, ValueError) as exc:
         raise InvalidBlockEmbeddingError(f"block certificates do not fit g: {exc}") from None
     if not validate(g, merged):
@@ -309,40 +265,54 @@ def merge_blocks(g: Graph, decomposition, embeddings: list[OnePlanarEmbedding]) 
     return merged
 
 
-def _merge(g: Graph, blocks, embeddings: list[OnePlanarEmbedding]) -> OnePlanarEmbedding:
-    all_pairs: list[tuple[int, int]] = []
-    offsets: list[int] = []
-    for blk, emb in zip(blocks, embeddings):
-        offsets.append(len(all_pairs))
-        for a, b in emb.crossings:
-            all_pairs.append((blk.edge_map[a], blk.edge_map[b]))
-    merged = planarize(g, all_pairs)
-
-    def translate(blk, emb, offset: int, s: int) -> int:
-        bp = emb.planarization
-        x, y = bp.star_graph.edges[s]
-        if y < bp.base_n:
-            out = merged.star_graph.edge_between(blk.vertex_map[x], blk.vertex_map[y])
-        else:
-            out = merged.star_graph.edge_between(
-                blk.vertex_map[x], g.n + offset + (y - bp.base_n)
-            )
-        if out is None:
-            raise KeyError(f"star edge {s} of a block has no counterpart in g")
-        return out
+def _merge(g: Graph, blocks, certificates: list[BlockCertificate]) -> OnePlanarEmbedding:
+    # which dummies of each block survive, and the surviving pairs in g's ids
+    uncrossed: list[list[int]] = []
+    alive: list[list[bool]] = []
+    pairs: list[tuple[int, int]] = []
+    for blk, cert in zip(blocks, certificates):
+        bg, rows, crossings = blk.graph, cert.rotation.order, cert.crossings
+        if len(rows) != bg.n + len(crossings):
+            raise ValueError(f"rotation has {len(rows)} rows for a star graph on "
+                             f"{bg.n + len(crossings)} vertices")
+        edge_of = _star_edge_map(bg.m, crossings)
+        uncrossed.append(edge_of[: len(edge_of) - 4 * len(crossings)])
+        # cyclic pattern e1,e2,e1,e2 versus e1,e1,e2,e2 at a degree-4 dummy
+        alive.append([
+            edge_of[rows[bg.n + t][0]] == edge_of[rows[bg.n + t][2]]
+            for t in range(len(crossings))
+        ])
+        pairs.extend(
+            (blk.edge_map[a], blk.edge_map[b])
+            for (a, b), keep in zip(crossings, alive[-1]) if keep
+        )
+    merged = planarize(g, pairs)
+    star = merged.star_graph
 
     per_vertex: list[list[list[int]]] = [[] for _ in range(g.n)]
     dummy_rotations: list[list[int]] = []
-    for blk, emb, offset in zip(blocks, embeddings, offsets):
-        bp = emb.planarization
-        for lv, v in enumerate(blk.vertex_map):
-            per_vertex[v].append(
-                [translate(blk, emb, offset, s) for s in emb.rotation.order[lv]]
-            )
-        for t in range(len(bp.dummy_map)):
-            dummy_rotations.append(
-                [translate(blk, emb, offset, s) for s in emb.rotation.order[bp.base_n + t]]
-            )
+    d = g.n  # next dummy of the merged planarization
+    for blk, cert, plain, keeps in zip(blocks, certificates, uncrossed, alive):
+        bg, vmap, rows = blk.graph, blk.vertex_map, cert.rotation.order
+        # merged star edge id of every block star edge; `whole` is None for
+        # the edges that stay crossed
+        whole = [star.edge_between(*g.edges[e]) for e in blk.edge_map]
+        to_merged = [whole[e] for e in plain]
+        for (a, b), keep in zip(cert.crossings, keeps):
+            if keep:
+                ends = bg.edges[a] + bg.edges[b]
+                to_merged.extend(star.edge_between(vmap[x], d) for x in ends)
+                d += 1
+            else:
+                to_merged.extend((whole[a], whole[a], whole[b], whole[b]))
+        if None in to_merged:
+            raise KeyError(f"star edge {to_merged.index(None)} of a block has no counterpart in g")
+
+        for lv, v in enumerate(vmap):
+            per_vertex[v].append([to_merged[s] for s in rows[lv]])
+        for t, keep in enumerate(keeps):
+            if keep:
+                dummy_rotations.append([to_merged[s] for s in rows[bg.n + t]])
 
     order: list[list[int]] = []
     for v in range(g.n):
@@ -362,7 +332,7 @@ def _merge(g: Graph, blocks, embeddings: list[OnePlanarEmbedding]) -> OnePlanarE
     return OnePlanarEmbedding(
         planarization=merged,
         rotation=RotationSystem.from_lists(order),
-        crossings=tuple(all_pairs),
+        crossings=tuple(pair for pair, _ in merged.dummy_map),
     )
 
 

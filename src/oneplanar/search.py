@@ -25,7 +25,7 @@ from enum import Enum
 from itertools import accumulate
 from operator import or_
 
-from .embedding import OnePlanarEmbedding, planarize, realize, star_edge_list
+from .embedding import BlockCertificate, star_edge_list
 from .graph import Graph
 from .pairs import (
     PairUniverse,
@@ -119,7 +119,7 @@ class NodeVerdict:
     cut_reason: CutReason | None = None
     solution_kind: SolutionKind | None = None
     # For SOL nodes: the crossing set and a planar rotation of its star
-    # graph, ready to be turned into a certificate.
+    # graph, which make the block's certificate.
     crossings: tuple[tuple[int, int], ...] | None = None
     star_rotation: tuple[tuple[int, ...], ...] | None = None
 
@@ -134,7 +134,7 @@ _CUT_NONPLANAR = NodeVerdict(NodeKind.CUT, cut_reason=CutReason.NONPLANAR_INDUCE
 @dataclass
 class BlockResult:
     verdict: Verdict
-    embedding: OnePlanarEmbedding | None
+    certificate: BlockCertificate | None
     stats: SearchStats
 
 
@@ -199,10 +199,18 @@ class SearchState:
             partner_mask[a] |= 1 << b
             partner_mask[b] |= 1 << a
         self._partners, self._partner_mask = partners, partner_mask
-        self._pair_kites = [
-            sum(1 << e for e in find_kite_edges(g, [pr])) if kite_pruning else 0
-            for pr in pairs
-        ]
+        # kite mask of each pair, the mask form of find_kite_edges(g, [pair])
+        self._pair_kites = [0] * k
+        if kite_pruning:
+            edges, between = g.edges, g.edge_between
+            for i, (a, b) in enumerate(pairs):
+                u1, v1 = edges[a]
+                u2, v2 = edges[b]
+                mask = 0
+                for e in (between(u1, u2), between(u1, v2), between(v1, u2), between(v1, v2)):
+                    if e is not None:
+                        mask |= 1 << e
+                self._pair_kites[i] = mask
         # closed[d]: edges in no pair, plus those whose last pair is before d
         last = [0] * (k + 1)
         for e, occ in enumerate(universe.edge_pairs):
@@ -328,12 +336,14 @@ def backtrack(
     cfg: SearchConfig,
     stats: SearchStats,
     deadline: float | None = None,
-) -> tuple[Verdict, OnePlanarEmbedding | None]:
+) -> tuple[Verdict, BlockCertificate | None]:
     """Depth-first search over the universe; 0 branches explored first.
 
-    Returns OnePlanar with a certificate (not validated; see merge_blocks)
-    on the first solution node.  Full exhaustion proves NotOnePlanar;
-    exhausting a restricted universe or hitting the deadline yields Unknown.
+    Returns OnePlanar on the first solution node, with that node's crossing
+    set and star rotation as the block certificate (not checked here;
+    merge_blocks builds the drawing certificate and validates it).  Full
+    exhaustion proves NotOnePlanar; exhausting a restricted universe or
+    hitting the deadline yields Unknown.
     The deadline is checked before every node, the root included.
     """
     stats.used_backtracking = True
@@ -363,9 +373,8 @@ def backtrack(
                 stats.sol_satur += 1
             else:
                 stats.sol_compl += 1
-            # planarize uses star_edge_list too, so the rotation's edge ids carry over
-            p = planarize(g, v.crossings)
-            return Verdict.ONE_PLANAR, realize(p, RotationSystem(v.star_rotation))
+            cert = BlockCertificate(v.crossings, RotationSystem(v.star_rotation))
+            return Verdict.ONE_PLANAR, cert
         if not stack:
             break
         depth, bit = stack.pop()
@@ -423,6 +432,12 @@ def test_block(
     with more than 4n - 8 edges is too dense for any drawing; otherwise
     a restricted pass over pairs meeting a skew set runs first and the
     unrestricted search settles whatever is left open.
+
+    A positive verdict carries a :class:`BlockCertificate`: no crossings
+    and the planarity test's rotation for a planar block, else the
+    solution node's crossings and star rotation.  It is not checked here;
+    :func:`~oneplanar.embedding.merge_blocks` builds and validates the
+    drawing certificate.
     """
     stats = SearchStats()
     own_deadline = time.monotonic() + cfg.time_budget
@@ -431,8 +446,7 @@ def test_block(
     stats.planarity_calls += 1
     pv = test_planarity(g)
     if pv.planar:
-        emb = realize(planarize(g, []), pv.rotation)
-        return BlockResult(Verdict.ONE_PLANAR, emb, stats)
+        return BlockResult(Verdict.ONE_PLANAR, BlockCertificate((), pv.rotation), stats)
 
     if g.n >= 7 and g.m > 4 * g.n - 8:
         return BlockResult(Verdict.NOT_ONE_PLANAR, None, stats)
@@ -445,16 +459,16 @@ def test_block(
         if skew:
             stats.used_skew_pass = True
             restricted = build_restricted_universe(g, skew)
-            verdict, emb = backtrack(g, restricted, cfg, stats, deadline)
+            verdict, cert = backtrack(g, restricted, cfg, stats, deadline)
             if verdict is Verdict.ONE_PLANAR:
-                return BlockResult(verdict, emb, stats)
+                return BlockResult(verdict, cert, stats)
             if time.monotonic() >= deadline:
                 return BlockResult(Verdict.UNKNOWN, None, stats)
 
-    verdict, emb = backtrack(g, build_universe(g), cfg, stats, deadline)
+    verdict, cert = backtrack(g, build_universe(g), cfg, stats, deadline)
     if verdict is Verdict.NOT_ONE_PLANAR and g.n < 7:
         raise RuntimeError("internal error: graphs on fewer than 7 vertices always have a drawing")
-    return BlockResult(verdict, emb, stats)
+    return BlockResult(verdict, cert, stats)
 
 
 def oracle_is_one_planar(g: Graph, max_k: int = 20) -> bool:

@@ -7,7 +7,14 @@ import random
 
 import pytest
 
-from oneplanar.graph import Graph, build_graph
+from oneplanar.embedding import BlockCertificate, OnePlanarEmbedding, merge_blocks
+from oneplanar.graph import (
+    Block,
+    BlockDecomposition,
+    Graph,
+    biconnected_components,
+    build_graph,
+)
 
 
 def complete_graph(n: int) -> Graph:
@@ -60,6 +67,35 @@ def glue_at_vertex(g1: Graph, g2: Graph) -> Graph:
     for u, v in g2.edges:
         edges.append((u + shift if u else 0, v + shift if v else 0))
     return build_graph(g1.n + g2.n - 1, edges)
+
+
+def chain_graph(parts: list[Graph]) -> Graph:
+    """Graphs glued end to end: the last vertex of each is the first of the next."""
+    edges: list[tuple[int, int]] = []
+    n = 0
+    for i, part in enumerate(parts):
+        shift = n - 1 if i else 0
+        edges += [(u + shift, v + shift) for u, v in part.edges]
+        n = shift + part.n
+    return build_graph(n, edges)
+
+
+def one_block(g: Graph) -> BlockDecomposition:
+    """g as a single block with identity vertex and edge maps."""
+    blk = Block(graph=g, vertex_map=tuple(range(g.n)), edge_map=tuple(range(g.m)))
+    return BlockDecomposition(
+        blocks=(blk,), cut_vertices=(), block_tree=tuple((0, v) for v in range(g.n))
+    )
+
+
+def merge_one_block(g: Graph, cert: BlockCertificate) -> OnePlanarEmbedding:
+    """The validated certificate `merge_blocks` builds from g's block certificate.
+
+    Isolated vertices belong to no block, so an edgeless g merges no block.
+    """
+    if not g.m:
+        return merge_blocks(g, biconnected_components(g), [])
+    return merge_blocks(g, one_block(g), [cert])
 
 
 def random_connected_graph(n: int, m: int, rng: random.Random) -> Graph:

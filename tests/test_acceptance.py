@@ -21,6 +21,7 @@ from conftest import (
     cycle_graph,
     glue_at_vertex,
     grid_graph,
+    merge_one_block,
     path_graph,
     petersen_graph,
     random_connected_graph,
@@ -117,8 +118,8 @@ def test_verdicts_match_exhaustive_oracle(capsys):
             got = res.verdict
             if got is Verdict.UNKNOWN or (got is Verdict.ONE_PLANAR) != want:
                 disagreements += 1
-            elif res.embedding is not None:
-                COLLECTED.append((g, res.embedding))
+            elif res.certificate is not None:
+                COLLECTED.append((g, merge_one_block(g, res.certificate)))
     dt = time.perf_counter() - t0
     ok = disagreements == 0 and dt < 300.0
     _report(capsys, ok,
@@ -133,16 +134,16 @@ def test_every_positive_verdict_has_valid_certificate(capsys):
               petersen_graph(), grid_graph(3, 4)):
         res = solve_block(g, SearchConfig())
         assert res.verdict is Verdict.ONE_PLANAR
-        COLLECTED.append((g, res.embedding))
+        COLLECTED.append((g, merge_one_block(g, res.certificate)))
     failures = sum(0 if validate(g, emb) else 1 for g, emb in COLLECTED)
-    # Serialization must preserve validity, spot-checked across the pile.
-    for g, emb in COLLECTED[:: max(1, len(COLLECTED) // 50)]:
+    # Serialization must preserve validity, for every certificate.
+    for g, emb in COLLECTED:
         back = parse_embedding(serialize_embedding(emb), g)
         failures += 0 if validate(g, back) else 1
     ok = failures == 0 and len(COLLECTED) >= 5
     _report(capsys, ok,
-            f"{len(COLLECTED)} certificates revalidated independently, "
-            f"{failures} failures")
+            f"{len(COLLECTED)} certificates revalidated independently and "
+            f"round-tripped through the text format, {failures} failures")
 
 
 def test_classic_graphs(capsys):
@@ -150,9 +151,9 @@ def test_classic_graphs(capsys):
     k6 = solve_block(complete_graph(6), SearchConfig())
     k33 = solve_block(complete_bipartite(3, 3), SearchConfig())
     assert k5.verdict is k6.verdict is k33.verdict is Verdict.ONE_PLANAR
-    assert count_crossings(k5.embedding) == 1
-    assert count_crossings(k6.embedding) == 3
-    assert count_crossings(k33.embedding) == 1
+    assert count_crossings(merge_one_block(complete_graph(5), k5.certificate)) == 1
+    assert count_crossings(merge_one_block(complete_graph(6), k6.certificate)) == 3
+    assert count_crossings(merge_one_block(complete_bipartite(3, 3), k33.certificate)) == 1
     planar_corpus = [
         path_graph(9), cycle_graph(12), grid_graph(4, 5), wheel_graph(8),
         complete_graph(4),
@@ -160,10 +161,11 @@ def test_classic_graphs(capsys):
     for g in planar_corpus:
         res = solve_block(g, SearchConfig())
         assert res.verdict is Verdict.ONE_PLANAR
-        assert count_crossings(res.embedding) == 0
+        emb = merge_one_block(g, res.certificate)
+        assert count_crossings(emb) == 0
         assert res.stats.used_backtracking is False
         assert res.stats.nodes_visited == 0
-        COLLECTED.append((g, res.embedding))
+        COLLECTED.append((g, emb))
     _report(capsys, True,
             "classics solved: K5=1 crossing, K6=3, K3,3=1; planar corpus "
             "embeds with zero crossings and zero search nodes")

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import hashlib
 import multiprocessing
 import os
 import random
@@ -12,15 +13,18 @@ import sys
 import pytest
 
 import oneplanar.cli as cli_module
+import oneplanar.embedding as embedding_module
 import oneplanar.planarity as planarity_module
 
 from conftest import (
+    chain_graph,
     complete_bipartite,
     complete_graph,
     cycle_graph,
     glue_at_vertex,
     grid_graph,
     petersen_graph,
+    random_connected_graph,
 )
 from oneplanar.cli import (
     CSV_HEADER,
@@ -33,7 +37,12 @@ from oneplanar.cli import (
     parse_graph_file,
     run_pipeline,
 )
-from oneplanar.embedding import count_crossings, parse_embedding, validate
+from oneplanar.embedding import (
+    count_crossings,
+    parse_embedding,
+    serialize_embedding,
+    validate,
+)
 from oneplanar.graph import GraphError, build_graph
 from oneplanar.search import SearchConfig
 
@@ -207,6 +216,58 @@ class TestPipeline:
     def test_record_density(self):
         record, _ = run_pipeline(complete_graph(5), SearchConfig())
         assert record.n == 5 and record.m == 10 and record.density == 2.0
+
+    @pytest.mark.parametrize("name", ["K5/K3,3 chain", "grid 6x6"])
+    def test_one_planarization_and_euler_check_per_certificate(self, name, monkeypatch):
+        g = {
+            "K5/K3,3 chain": chain_graph([complete_graph(5), complete_bipartite(3, 3)] * 2
+                                         + [complete_graph(5)]),
+            "grid 6x6": grid_graph(6, 6),
+        }[name]
+        calls = {"planarize": 0, "euler_check": 0}
+        for attr, module in (("planarize", embedding_module), ("euler_check", planarity_module)):
+            orig = getattr(module, attr)
+
+            def counting(*args, _orig=orig, _attr=attr, **kwargs):
+                calls[_attr] += 1
+                return _orig(*args, **kwargs)
+
+            # every module that imported the name calls the wrapper too
+            for mod in list(sys.modules.values()):
+                if getattr(mod, "__name__", "").startswith("oneplanar") and \
+                        getattr(mod, attr, None) is orig:
+                    monkeypatch.setattr(mod, attr, counting)
+        record, emb = run_pipeline(g, SearchConfig())
+        # the merged certificate is the only one built and checked
+        assert calls == {"planarize": 1, "euler_check": 1}
+        assert record.verdict == "OnePlanar" and validate(g, emb)
+        assert record.blocks == (5 if name == "K5/K3,3 chain" else 1)
+
+    def test_certificates_match_recorded_digest(self):
+        # Recorded when every block built and checked a certificate of its
+        # own before the merge; the single merge must give the same bytes.
+        # No search certificate here has a dummy to dissolve; the hand-made
+        # blocks in test_embedding cover that path.
+        corpus = [
+            ("K5", complete_graph(5)),
+            ("K6", complete_graph(6)),
+            ("K3,3", complete_bipartite(3, 3)),
+            ("Petersen", petersen_graph()),
+            ("K6+K5", glue_at_vertex(complete_graph(6), complete_graph(5))),
+            ("chain20", chain_graph([complete_graph(5), complete_bipartite(3, 3)] * 10)),
+            ("grid5x6", grid_graph(5, 6)),
+        ]
+        rng = random.Random(2024)
+        corpus += [(f"rand{n}", random_connected_graph(n, 2 * n - 2, rng)) for n in range(8, 13)]
+        digest = hashlib.sha256()
+        for name, g in corpus:
+            record, emb = run_pipeline(g, SearchConfig())
+            digest.update(f"{name} {record.verdict}\n".encode())
+            if emb is not None:
+                digest.update(serialize_embedding(emb).encode())
+        assert digest.hexdigest() == (
+            "908659eb8d28fc7063cd532ad38a0efc8f48bf1c16ae026b1396c02105d693c7"
+        )
 
 
 def write_corpus(root) -> dict[str, str]:

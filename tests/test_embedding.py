@@ -1,4 +1,4 @@
-"""Planarization, certificate realization, validation, and the text format."""
+"""Planarization, block merging, validation, and the text format."""
 
 from __future__ import annotations
 
@@ -6,19 +6,18 @@ import dataclasses
 
 import pytest
 
-from conftest import complete_graph, glue_at_vertex
+from conftest import complete_graph, glue_at_vertex, merge_one_block
 from oneplanar.embedding import (
     AdjacentPairError,
+    BlockCertificate,
     EdgeCrossedTwiceError,
     EmbeddingParseError,
     InvalidBlockEmbeddingError,
-    NotPlanarRotationError,
     OnePlanarEmbedding,
     count_crossings,
     merge_blocks,
     parse_embedding,
     planarize,
-    realize,
     serialize_embedding,
     validate,
 )
@@ -33,10 +32,14 @@ def star_rotation(p) -> RotationSystem:
     return RotationSystem.from_lists(lists)
 
 
+def block_certificate(g: Graph, crossings) -> BlockCertificate:
+    """g's certificate as a block: the crossings and an LR rotation of their star."""
+    return BlockCertificate(tuple(crossings), star_rotation(planarize(g, crossings)))
+
+
 def k5_certificate() -> tuple[Graph, OnePlanarEmbedding]:
     g = complete_graph(5)
-    p = planarize(g, [(0, 9)])
-    return g, realize(p, star_rotation(p))
+    return g, merge_one_block(g, block_certificate(g, [(0, 9)]))
 
 
 def two_edge_graph() -> Graph:
@@ -78,13 +81,15 @@ class TestPlanarize:
 
 
 class TestRealize:
+    """A block certificate realized by `merge_blocks` on a one-block
+    decomposition: each dummy kept or dissolved, the result validated."""
+
     def test_alternating_dummy_survives(self):
         g = two_edge_graph()
-        p = planarize(g, [(0, 1)])
         # Star is a 4-ray star around the dummy; halves are edges 0..3 with
         # edge pattern (0, 0, 1, 1), so order 0,2,1,3 alternates.
         rs = RotationSystem.from_lists([[0], [1], [2], [3], [0, 2, 1, 3]])
-        emb = realize(p, rs)
+        emb = merge_one_block(g, BlockCertificate(((0, 1),), rs))
         assert emb.crossings == ((0, 1),)
         assert validate(g, emb)
 
@@ -93,23 +98,21 @@ class TestRealize:
         # Blocked or touching patterns (0 0 1 1 / 0 1 1 0) are not
         # transversal crossings; the dummy is dissolved in place.
         g = two_edge_graph()
-        p = planarize(g, [(0, 1)])
         rs = RotationSystem.from_lists([[0], [1], [2], [3], dummy_row])
-        emb = realize(p, rs)
+        emb = merge_one_block(g, BlockCertificate(((0, 1),), rs))
         assert emb.crossings == ()
         assert emb.planarization.star_graph == g
         assert validate(g, emb)
 
     def test_nonplanar_rotation_rejected(self):
         g = complete_graph(4)
-        p = planarize(g, [])
         bad = RotationSystem.from_lists([[0, 1, 2], [0, 3, 4], [1, 3, 5], [2, 5, 4]])
-        with pytest.raises(NotPlanarRotationError):
-            realize(p, bad)
+        with pytest.raises(InvalidBlockEmbeddingError):
+            merge_one_block(g, BlockCertificate((), bad))
 
     def test_plain_planar_certificate(self):
         g = complete_graph(4)
-        emb = realize(planarize(g, []), check_planarity(g).rotation)
+        emb = merge_one_block(g, BlockCertificate((), check_planarity(g).rotation))
         assert emb.crossings == () and count_crossings(emb) == 0
         assert validate(g, emb)
 
@@ -163,11 +166,8 @@ class TestMergeBlocks:
         g = glue_at_vertex(complete_graph(5), complete_graph(5))
         dec = biconnected_components(g)
         assert len(dec.blocks) == 2
-        embs = []
-        for block in dec.blocks:
-            p = planarize(block.graph, [(0, 9)])
-            embs.append(realize(p, star_rotation(p)))
-        merged = merge_blocks(g, dec, embs)
+        certs = [block_certificate(block.graph, [(0, 9)]) for block in dec.blocks]
+        merged = merge_blocks(g, dec, certs)
         assert count_crossings(merged) == 2
         assert validate(g, merged)
         # The cut vertex carries darts of both blocks in one rotation row.
@@ -176,11 +176,8 @@ class TestMergeBlocks:
     def test_bridge_and_triangle(self):
         g = build_graph(4, [(0, 1), (1, 2), (0, 2), (2, 3)])
         dec = biconnected_components(g)
-        embs = [
-            realize(planarize(b.graph, []), check_planarity(b.graph).rotation)
-            for b in dec.blocks
-        ]
-        merged = merge_blocks(g, dec, embs)
+        certs = [BlockCertificate((), check_planarity(b.graph).rotation) for b in dec.blocks]
+        merged = merge_blocks(g, dec, certs)
         assert count_crossings(merged) == 0
         assert validate(g, merged)
 
@@ -193,26 +190,27 @@ class TestMergeBlocks:
     def test_invalid_certificate_rejected(self):
         g = glue_at_vertex(complete_graph(5), complete_graph(5))
         dec = biconnected_components(g)
-        _, emb = k5_certificate()
-        bad = dataclasses.replace(emb, crossings=((0, 8),))
+        cert = block_certificate(complete_graph(5), [(0, 9)])
+        bad = dataclasses.replace(cert, crossings=((0, 8),))
         with pytest.raises(InvalidBlockEmbeddingError):
-            merge_blocks(g, dec, [emb, bad])
+            merge_blocks(g, dec, [cert, bad])
 
     @pytest.mark.parametrize(
         "mangle",
         [
-            lambda order: order[:-1],  # one row short: the translation misses
+            lambda order: order[:-1],  # one row short: does not fit the star graph
+            lambda order: order + ((),),  # one row too many: does not fit either
             lambda order: (order[0][::-1],) + order[1:],  # builds, fails validation
         ],
-        ids=["row-short", "row-reversed"],
+        ids=["row-short", "row-extra", "row-reversed"],
     )
     def test_mangled_rotation_rejected(self, mangle):
         g = glue_at_vertex(complete_graph(5), complete_graph(5))
         dec = biconnected_components(g)
-        _, emb = k5_certificate()
-        bad = dataclasses.replace(emb, rotation=RotationSystem(mangle(emb.rotation.order)))
+        cert = block_certificate(complete_graph(5), [(0, 9)])
+        bad = dataclasses.replace(cert, rotation=RotationSystem(mangle(cert.rotation.order)))
         with pytest.raises(InvalidBlockEmbeddingError):
-            merge_blocks(g, dec, [emb, bad])
+            merge_blocks(g, dec, [cert, bad])
 
     @pytest.mark.parametrize("picks", [(1, 0), (0, 0), (1, 1)])
     def test_other_blocks_certificate_rejected(self, picks):
@@ -220,12 +218,32 @@ class TestMergeBlocks:
         # belongs to a block of the other shape.
         g = glue_at_vertex(complete_graph(5), complete_graph(4))
         dec = biconnected_components(g)
-        _, k5 = k5_certificate()
-        k4 = realize(planarize(complete_graph(4), []), check_planarity(complete_graph(4)).rotation)
+        k5 = block_certificate(complete_graph(5), [(0, 9)])
+        k4 = BlockCertificate((), check_planarity(complete_graph(4)).rotation)
         good = [k5, k4]
         assert validate(g, merge_blocks(g, dec, good))
         with pytest.raises(InvalidBlockEmbeddingError):
             merge_blocks(g, dec, [good[i] for i in picks])
+
+    def test_touching_block_glued_to_k5_is_unchanged(self):
+        # A 4-cycle block whose one dummy only touches (edge pattern
+        # 0 0 2 2), glued at a vertex to a K5 block with a real crossing.
+        # The text was recorded from the earlier two-step build: each
+        # block's certificate on its own first, then the merge.
+        c4 = build_graph(4, [(0, 1), (1, 2), (2, 3), (0, 3)])
+        # star edges: 0 = (1, 2), 1 = (0, 3), then the halves 2..5 to 0, 1, 2, 3
+        touching = BlockCertificate(
+            ((0, 2),), RotationSystem.from_lists([[1, 2], [0, 3], [0, 4], [1, 5], [2, 3, 4, 5]])
+        )
+        g = glue_at_vertex(c4, complete_graph(5))
+        dec = biconnected_components(g)
+        merged = merge_blocks(g, dec, [touching, block_certificate(complete_graph(5), [(0, 9)])])
+        assert serialize_embedding(merged) == (
+            "crossings:\n4 13\nrotation:\n0: 3 0 5 6 c0.0 7\n1: 1 0\n2: 1 2\n3: 3 2\n"
+            "4: 8 10 c0.1 9\n5: 5 12 8 11\n6: 9 c0.2 6 11\n7: c0.3 10 12 7\n"
+            "8: c0.2 c0.1 c0.3 c0.0\ndummies:\nc0: 4 13\n"
+        )
+        assert validate(g, merged)
 
 
 class TestTextFormat:
@@ -240,7 +258,7 @@ class TestTextFormat:
 
     def test_round_trip_without_crossing(self):
         g = complete_graph(4)
-        emb = realize(planarize(g, []), check_planarity(g).rotation)
+        emb = merge_one_block(g, BlockCertificate((), check_planarity(g).rotation))
         text = serialize_embedding(emb)
         assert parse_embedding(text, g).rotation == emb.rotation
 

@@ -14,6 +14,7 @@ from conftest import (
     cycle_graph,
     glue_at_vertex,
     grid_graph,
+    merge_one_block,
     petersen_graph,
     random_connected_graph,
 )
@@ -279,9 +280,9 @@ class TestBacktrack:
         # root, three zero nodes, solution at full depth.
         g = complete_graph(4)
         stats = SearchStats()
-        verdict, emb = backtrack(g, build_universe(g), quiet_cfg(), stats)
+        verdict, cert = backtrack(g, build_universe(g), quiet_cfg(), stats)
         assert verdict is Verdict.ONE_PLANAR
-        assert count_crossings(emb) == 0
+        assert count_crossings(merge_one_block(g, cert)) == 0
         assert stats.nodes_visited == 4
         assert stats.sol_satur == 1
         assert stats.cuts_dec == stats.cuts_kec == stats.cuts_nonplanar == 0
@@ -289,10 +290,11 @@ class TestBacktrack:
     def test_k5_restricted(self):
         g = complete_graph(5)
         stats = SearchStats()
-        verdict, emb = backtrack(
+        verdict, cert = backtrack(
             g, build_restricted_universe(g, [0]), quiet_cfg(), stats
         )
         assert verdict is Verdict.ONE_PLANAR
+        emb = merge_one_block(g, cert)
         assert count_crossings(emb) == 1
         assert validate(g, emb)
         assert stats.nodes_visited == 5
@@ -301,8 +303,9 @@ class TestBacktrack:
     def test_k5_full_universe(self):
         g = complete_graph(5)
         stats = SearchStats()
-        verdict, emb = backtrack(g, build_universe(g), quiet_cfg(), stats)
+        verdict, cert = backtrack(g, build_universe(g), quiet_cfg(), stats)
         assert verdict is Verdict.ONE_PLANAR
+        emb = merge_one_block(g, cert)
         assert validate(g, emb)
         assert count_crossings(emb) == 1
 
@@ -312,25 +315,25 @@ class TestBacktrack:
         g = complete_graph(6)
         u = build_restricted_universe(g, [0])
         stats = SearchStats()
-        verdict, emb = backtrack(g, u, quiet_cfg(), stats)
-        assert verdict is Verdict.UNKNOWN and emb is None
+        verdict, cert = backtrack(g, u, quiet_cfg(), stats)
+        assert verdict is Verdict.UNKNOWN and cert is None
         assert stats.cuts_dec > 0 or stats.cuts_nonplanar > 0
 
     def test_full_exhaustion_is_negative(self):
         # Padded K7: verdict comes from exhausting the full universe.
         g = complete_graph(7)
         stats = SearchStats()
-        verdict, emb = backtrack(g, build_universe(g), quiet_cfg(), stats)
-        assert verdict is Verdict.NOT_ONE_PLANAR and emb is None
+        verdict, cert = backtrack(g, build_universe(g), quiet_cfg(), stats)
+        assert verdict is Verdict.NOT_ONE_PLANAR and cert is None
         assert stats.nodes_visited > 100_000
 
     def test_deadline_returns_unknown(self):
         g = complete_graph(7)
         stats = SearchStats()
-        verdict, emb = backtrack(
+        verdict, cert = backtrack(
             g, build_universe(g), quiet_cfg(), stats, deadline=time.monotonic() + 0.05
         )
-        assert verdict is Verdict.UNKNOWN and emb is None
+        assert verdict is Verdict.UNKNOWN and cert is None
 
     def test_deterministic_stats(self):
         g = complete_graph(6)
@@ -338,8 +341,9 @@ class TestBacktrack:
         runs = []
         for _ in range(2):
             stats = SearchStats()
-            verdict, emb = backtrack(g, build_universe(g), cfg, stats)
-            runs.append((verdict, serialize_embedding(emb), stats.nodes_visited,
+            verdict, cert = backtrack(g, build_universe(g), cfg, stats)
+            text = serialize_embedding(merge_one_block(g, cert))
+            runs.append((verdict, text, stats.nodes_visited,
                          stats.cuts_dec, stats.cuts_kec, stats.cuts_nonplanar,
                          stats.sol_satur, stats.sol_compl))
         assert runs[0] == runs[1]
@@ -353,9 +357,9 @@ class TestBacktrack:
         by_seed = {}
         for seed in (0, 1):
             stats = SearchStats()
-            verdict, emb = backtrack(g, u, SearchConfig(rng_seed=seed), stats)
+            verdict, cert = backtrack(g, u, SearchConfig(rng_seed=seed), stats)
             assert verdict is Verdict.ONE_PLANAR
-            assert count_crossings(emb) == 0
+            assert count_crossings(merge_one_block(g, cert)) == 0
             by_seed[seed] = (stats.nodes_visited, stats.sol_compl)
         assert by_seed == {0: (2, 1), 1: (1, 1)}
 
@@ -597,23 +601,24 @@ class TestBlockDriver:
     def test_planar_block_skips_search(self):
         res = solve_block(grid_graph(4, 4), SearchConfig())
         assert res.verdict is Verdict.ONE_PLANAR
-        assert count_crossings(res.embedding) == 0
+        assert count_crossings(merge_one_block(grid_graph(4, 4), res.certificate)) == 0
         assert res.stats.used_backtracking is False
         assert res.stats.nodes_visited == 0
 
     def test_k5_uses_skew_pass(self):
         res = solve_block(complete_graph(5), SearchConfig())
         assert res.verdict is Verdict.ONE_PLANAR
-        assert count_crossings(res.embedding) == 1
+        assert count_crossings(merge_one_block(complete_graph(5), res.certificate)) == 1
         assert res.stats.used_skew_pass is True
         assert res.stats.nodes_visited == 5
 
     def test_k6_needs_full_search(self):
         res = solve_block(complete_graph(6), SearchConfig())
         assert res.verdict is Verdict.ONE_PLANAR
-        assert count_crossings(res.embedding) == 3
+        emb = merge_one_block(complete_graph(6), res.certificate)
+        assert count_crossings(emb) == 3
         assert res.stats.used_skew_pass is False
-        assert validate(complete_graph(6), res.embedding)
+        assert validate(complete_graph(6), emb)
 
     def test_density_rejection_instant(self):
         for n in (7, 8, 9):
@@ -628,7 +633,7 @@ class TestBlockDriver:
     def test_petersen(self):
         res = solve_block(petersen_graph(), SearchConfig())
         assert res.verdict is Verdict.ONE_PLANAR
-        assert validate(petersen_graph(), res.embedding)
+        assert validate(petersen_graph(), merge_one_block(petersen_graph(), res.certificate))
 
     def test_small_graphs_always_admit_drawings(self, rng: random.Random):
         # Every graph on fewer than 7 vertices has a drawing; the driver
@@ -639,7 +644,7 @@ class TestBlockDriver:
             g = random_connected_graph(n, rng.randrange(max(0, n - 1), mmax + 1), rng)
             res = solve_block(g, SearchConfig())
             assert res.verdict is Verdict.ONE_PLANAR
-            assert validate(g, res.embedding)
+            assert validate(g, merge_one_block(g, res.certificate))
 
     def test_expired_deadline_yields_unknown(self):
         # K6 passes the density gate, so the exhausted clock must stop the
@@ -648,7 +653,7 @@ class TestBlockDriver:
         res = solve_block(
             g, SearchConfig(skew_set_size=0), deadline=time.monotonic() - 1.0
         )
-        assert res.verdict is Verdict.UNKNOWN and res.embedding is None
+        assert res.verdict is Verdict.UNKNOWN and res.certificate is None
         # the clock is read before the root: only the whole-graph test ran
         assert res.stats.nodes_visited == 0
         assert res.stats.planarity_calls == 1
@@ -666,7 +671,7 @@ class TestBlockDriver:
         res = solve_block(
             complete_graph(6), SearchConfig(skew_set_size=3), deadline=time.monotonic() - 1.0
         )
-        assert res.verdict is Verdict.UNKNOWN and res.embedding is None
+        assert res.verdict is Verdict.UNKNOWN and res.certificate is None
         assert len(calls) <= 1
 
     def test_option_combos_agree_on_verdicts(self, rng: random.Random):
