@@ -139,7 +139,7 @@ def _parse_gml(text: str, path: str) -> Graph:
     if tok != "[":
         raise ParseError(path, lineno, "expected '[' after 'graph'")
 
-    node_ids: list[int] = []
+    node_ids: set[int] = set()
     raw_edges: list[tuple[int, int, int]] = []
     while True:
         lineno, tok = take()
@@ -162,7 +162,7 @@ def _parse_gml(text: str, path: str) -> Graph:
                 raise ParseError(path, lineno, "node without id")
             if nid in node_ids:
                 raise ParseError(path, lineno, f"duplicate node id {nid}")
-            node_ids.append(nid)
+            node_ids.add(nid)
         elif tok == "edge":
             ln, op = take()
             if op != "[":
@@ -400,7 +400,9 @@ def bench(
     report is reproducible run to run (timing columns aside).  A file
     that fails to parse or crashes, or whose worker process dies, becomes
     a verdict=Error row.  `workers` defaults to ONEPLANAR_THREADS (or 1);
-    a value there that is not a positive integer raises ValueError.
+    a value there that is not a positive integer raises ValueError.  No
+    more workers than files are started; a single one runs in the calling
+    process.
     """
     files: list[str] = []
     for p in paths:
@@ -418,6 +420,8 @@ def bench(
         workers = _env_workers()
 
     tasks = [(path, fmt, cfg, skip_planar) for path in files]
+    # a process pool starts all its workers at the first submit
+    workers = min(workers, len(tasks))
     if workers <= 1:
         results = [_bench_one(t) for t in tasks]
     else:

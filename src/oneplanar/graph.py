@@ -146,7 +146,6 @@ def biconnected_components(g: Graph) -> BlockDecomposition:
     depth = [0] * n
     low = [0] * n
     parent_edge = [-1] * n
-    is_cut = [False] * n
     edge_stack: list[int] = []
     raw_blocks: list[list[int]] = []
 
@@ -154,7 +153,6 @@ def biconnected_components(g: Graph) -> BlockDecomposition:
         if visited[root]:
             continue
         visited[root] = True
-        root_children = 0
         # Iterative DFS; each stack frame is (vertex, incidence position).
         stack = [(root, 0)]
         while stack:
@@ -171,8 +169,6 @@ def biconnected_components(g: Graph) -> BlockDecomposition:
                     low[w] = depth[w]
                     parent_edge[w] = e
                     edge_stack.append(e)
-                    if v == root:
-                        root_children += 1
                     stack.append((w, 0))
                 elif depth[w] < depth[v]:
                     # Back edge to a proper ancestor.
@@ -194,10 +190,6 @@ def biconnected_components(g: Graph) -> BlockDecomposition:
                             if e == parent_edge[v]:
                                 break
                         raw_blocks.append(comp)
-                        if u != root:
-                            is_cut[u] = True
-        if root_children >= 2:
-            is_cut[root] = True
 
     raw_blocks.sort(key=min)
     blocks: list[Block] = []
@@ -214,15 +206,18 @@ def biconnected_components(g: Graph) -> BlockDecomposition:
             )
         )
 
-    cuts = tuple(v for v in range(n) if is_cut[v])
-    cut_set = set(cuts)
-    tree = []
-    for bi, blk in enumerate(blocks):
+    # a cut vertex is a vertex in two or more blocks
+    membership = [0] * n
+    for blk in blocks:
         for v in blk.vertex_map:
-            if v in cut_set:
-                tree.append((bi, v))
+            membership[v] += 1
     return BlockDecomposition(
         blocks=tuple(blocks),
-        cut_vertices=cuts,
-        block_tree=tuple(tree),
+        cut_vertices=tuple(v for v in range(n) if membership[v] > 1),
+        block_tree=tuple(
+            (bi, v)
+            for bi, blk in enumerate(blocks)
+            for v in blk.vertex_map
+            if membership[v] > 1
+        ),
     )

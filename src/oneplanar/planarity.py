@@ -353,80 +353,62 @@ def euler_check(g: Graph, rs: RotationSystem) -> bool:
     raise :class:`InconsistentRotationError`.  For a structurally valid
     rotation the return value says whether every edge-bearing connected
     component satisfies V - E + F = 2 under face tracing.
+
+    One sum over the whole graph suffices.  Face tracing gives a component
+    of genus g the value V - E + F = 2 - 2g <= 2, so the sum V' - m + F
+    (V' the vertices that have edges) reaches 2 * C' (C' the components
+    that have edges) only when every component has genus 0.
     """
-    order = rs.order
-    if len(order) != g.n:
+    n, m, edges, order = g.n, g.m, g.edges, rs.order
+    if len(order) != n:
         raise InconsistentRotationError(
-            f"rotation has {len(order)} vertices, graph has {g.n}"
+            f"rotation has {len(order)} vertices, graph has {n}"
         )
-    pos: list[dict[int, int]] = []
-    for v in range(g.n):
-        seen: dict[int, int] = {}
-        for i, e in enumerate(order[v]):
-            if not (0 <= e < g.m):
+    # at[d]: position of dart d in the row of the vertex it leaves; dart 2e
+    # leaves edges[e][0] and dart 2e + 1 leaves edges[e][1]
+    at = [-1] * (2 * m)
+    for v in range(n):
+        row = order[v]
+        for i, e in enumerate(row):
+            if not (0 <= e < m):
                 raise InconsistentRotationError(f"unknown edge id {e} at vertex {v}")
-            if e in seen:
+            a, b = edges[e]
+            d = 2 * e if v == a else 2 * e + 1 if v == b else -1
+            if d >= 0 and at[d] >= 0:
                 raise InconsistentRotationError(f"edge {e} repeated at vertex {v}")
-            a, b = g.edges[e]
-            if v != a and v != b:
+            if d < 0:
                 raise InconsistentRotationError(f"edge {e} not incident to vertex {v}")
-            seen[e] = i
-        if len(seen) != g.degree(v):
+            at[d] = i
+        if len(row) != g.degree(v):
             raise InconsistentRotationError(f"rotation at vertex {v} misses edges")
-        pos.append(seen)
 
-    if g.m == 0:
-        return True
+    # C' is V' less the edges that join two union-find trees
+    vertices = components = sum(1 for inc in g.incidence if inc)
+    parent = list(range(n))
+    for a, b in edges:
+        while parent[a] != a:
+            parent[a] = parent[parent[a]]
+            a = parent[a]
+        while parent[b] != b:
+            parent[b] = parent[parent[b]]
+            b = parent[b]
+        if a != b:
+            parent[a] = b
+            components -= 1
 
-    # union-find over vertices joined by edges
-    parent = list(range(g.n))
-
-    def find(x: int) -> int:
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    for a, b in g.edges:
-        ra, rb = find(a), find(b)
-        if ra != rb:
-            parent[ra] = rb
-
-    # trace faces: successor of dart d is the rotation successor of d
-    # reversed, taken at the head vertex of d
-    def head(d: int) -> int:
-        return g.edges[d >> 1][1 - (d & 1)]
-
-    def tail(d: int) -> int:
-        return g.edges[d >> 1][d & 1]
-
-    faces: dict[int, int] = {}
-    seen_dart = [False] * (2 * g.m)
-    for start in range(2 * g.m):
-        if seen_dart[start]:
+    # trace faces: the successor of dart d into vertex h is the dart after
+    # d's reverse in h's row
+    faces = 0
+    seen = bytearray(2 * m)
+    for start in range(2 * m):
+        if seen[start]:
             continue
-        comp = find(tail(start))
-        faces[comp] = faces.get(comp, 0) + 1
+        faces += 1
         d = start
-        while not seen_dart[d]:
-            seen_dart[d] = True
-            h = head(d)
+        while not seen[d]:
+            seen[d] = 1
+            h = edges[d >> 1][1 - (d & 1)]
             rot = order[h]
-            i = pos[h][d >> 1]
-            f = rot[(i + 1) % len(rot)]
-            a, b = g.edges[f]
-            d = 2 * f if h == a else 2 * f + 1
-
-    verts: dict[int, int] = {}
-    edges_per: dict[int, int] = {}
-    for v in range(g.n):
-        if g.degree(v) > 0:
-            c = find(v)
-            verts[c] = verts.get(c, 0) + 1
-    for a, _ in g.edges:
-        c = find(a)
-        edges_per[c] = edges_per.get(c, 0) + 1
-
-    return all(
-        verts[c] - edges_per[c] + faces.get(c, 0) == 2 for c in verts
-    )
+            f = rot[(at[d ^ 1] + 1) % len(rot)]
+            d = 2 * f if edges[f][0] == h else 2 * f + 1
+    return vertices - m + faces == 2 * components

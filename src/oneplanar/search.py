@@ -345,14 +345,16 @@ def backtrack(
     exhaustion proves NotOnePlanar; exhausting a restricted universe or
     hitting the deadline yields Unknown.
     The deadline is checked before every node, the root included.
+
+    The path is the stack: every 0 on it still has its 1-sibling to
+    visit and every 1 has none, so the decided prefix alone says where
+    the search goes after a leaf.
     """
     stats.used_backtracking = True
     rng = random.Random(cfg.rng_seed)
     state = SearchState(g, universe, cfg.enable_kite_pruning)
     sol, k = state.sol, universe.k
 
-    # stack of (depth, bit) still to visit: bit 1 pushed first so bit 0 pops first
-    stack: list[tuple[int, int]] = []
     while True:
         if deadline is not None and time.monotonic() >= deadline:
             return Verdict.UNKNOWN, None
@@ -360,8 +362,8 @@ def backtrack(
         stats.nodes_visited += 1
         if v is _CNT:
             if sol.cursor < k:
-                stack.append((sol.cursor, 1))
-                stack.append((sol.cursor, 0))
+                state.push(0)
+                continue
         elif v is _CUT_DEC:
             stats.cuts_dec += 1
         elif v is _CUT_KEC:
@@ -375,12 +377,14 @@ def backtrack(
                 stats.sol_compl += 1
             cert = BlockCertificate(v.crossings, RotationSystem(v.star_rotation))
             return Verdict.ONE_PLANAR, cert
-        if not stack:
-            break
-        depth, bit = stack.pop()
-        while sol.cursor > depth:
+        # a leaf: back up past the 1s, whose subtrees are done, and take the
+        # 1-sibling of the deepest 0
+        while sol.cursor and sol.bits[sol.cursor - 1]:
             state.pop()
-        state.push(bit)
+        if not sol.cursor:
+            break
+        state.pop()
+        state.push(1)
 
     if universe.restricted:
         return Verdict.UNKNOWN, None

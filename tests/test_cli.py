@@ -9,6 +9,7 @@ import random
 import re
 import subprocess
 import sys
+from concurrent.futures import Future
 
 import pytest
 
@@ -385,6 +386,38 @@ class TestBench:
         one = bench([str(tmp_path)], SearchConfig(), workers=1)
         two = bench([str(tmp_path)], SearchConfig(), workers=2)
         assert strip_times(one.csv) == strip_times(two.csv)
+
+    def test_workers_capped_at_file_count(self, tmp_path, monkeypatch):
+        # A fork pool starts all of its workers at the first submit, so a
+        # pool wider than the batch forks idle processes.  The recording
+        # fake runs every task here and starts none.
+        for name, g in (("k4.txt", complete_graph(4)), ("k5.txt", complete_graph(5)),
+                        ("c5.txt", cycle_graph(5))):
+            (tmp_path / name).write_text("".join(f"{u} {v}\n" for u, v in g.edges))
+        pools = []
+
+        class RecordingPool:
+            def __init__(self, max_workers):
+                pools.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def submit(self, fn, *args):
+                fut = Future()
+                fut.set_result(fn(*args))
+                return fut
+
+        monkeypatch.setattr(cli_module, "ProcessPoolExecutor", RecordingPool)
+        many = bench([str(tmp_path)], SearchConfig(), workers=64)
+        assert pools == [3]
+        assert [r.name for r in many.records] == ["c5.txt", "k4.txt", "k5.txt"]
+        one = bench([str(tmp_path / "k5.txt")], SearchConfig(), workers=64)
+        assert pools == [3]
+        assert [(r.name, r.verdict) for r in one.records] == [("k5.txt", "OnePlanar")]
 
     @pytest.mark.skipif(
         multiprocessing.get_start_method() != "fork",

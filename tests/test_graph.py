@@ -137,8 +137,12 @@ class TestBiconnected:
                 for b in dec.blocks
             }
             assert got_blocks == want_blocks
-            assert set(dec.cut_vertices) == set(nx.articulation_points(h))
+            cuts = set(nx.articulation_points(h))
+            assert set(dec.cut_vertices) == cuts
             assert list(dec.cut_vertices) == sorted(dec.cut_vertices)
+            assert set(dec.block_tree) == {
+                (bi, v) for bi, b in enumerate(dec.blocks) for v in b.vertex_map if v in cuts
+            }
 
     def test_edge_partition(self, rng: random.Random):
         for _ in range(60):

@@ -155,6 +155,18 @@ class TestEmbeddings:
         assert check_planarity(g).rotation == check_planarity(g).rotation
 
 
+def networkx_accepts(g: Graph, rs: RotationSystem) -> bool:
+    """networkx's own Euler check of the rotation, read as clockwise rows."""
+    emb = nx.PlanarEmbedding()
+    emb.add_nodes_from(range(g.n))
+    emb.set_data({v: [g.other_end(e, v) for e in rs.order[v]] for v in range(g.n)})
+    try:
+        emb.check_structure()
+    except nx.NetworkXException:
+        return False
+    return True
+
+
 class TestEulerCheck:
     def test_accepts_planar_rotation(self):
         g = cycle_graph(4)
@@ -175,6 +187,45 @@ class TestEulerCheck:
         g = build_graph(6, [(0, 1), (1, 2), (0, 2), (3, 4), (4, 5), (3, 5)])
         rot = check_planarity(g).rotation
         assert euler_check(g, rot)
+
+    def test_matches_networkx_on_random_rotations(self, rng: random.Random):
+        # networkx's check_structure traces faces and applies Euler's
+        # formula per component; euler_check applies it once, summed.
+        verdicts = {True: 0, False: 0}
+        for _ in range(300):
+            n = rng.randrange(2, 11)
+            m = rng.randrange(0, min(2 * n, n * (n - 1) // 2) + 1)
+            edges = rng.sample([(u, v) for u in range(n) for v in range(u + 1, n)], m)
+            g = build_graph(n, edges)
+            candidates = [[list(inc) for inc in g.incidence]]
+            planar = check_planarity(g)
+            if planar.planar:
+                assert euler_check(g, planar.rotation)
+                candidates.append([list(r) for r in planar.rotation.order])
+            for base in list(candidates):
+                shuffled = [list(r) for r in base]
+                for r in shuffled:
+                    rng.shuffle(r)
+                candidates.append(shuffled)
+            for lists in candidates:
+                rs = RotationSystem.from_lists(lists)
+                want = networkx_accepts(g, rs)
+                assert euler_check(g, rs) == want, (edges, lists)
+                verdicts[want] += 1
+        assert min(verdicts.values()) > 100
+
+    def test_rejects_toroidal_component_next_to_planar_one(self):
+        # Components have V - E + F <= 2 each, so the planar triangle
+        # cannot make up for the toroidal K4 in the one summed check.
+        k4 = [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3)]
+        g = build_graph(7, k4 + [(4, 5), (5, 6), (4, 6)])
+        lists = [[0, 1, 2], [0, 3, 4], [1, 3, 5], [2, 5, 4], [6, 8], [6, 7], [7, 8]]
+        rs = RotationSystem.from_lists(lists)
+        assert not euler_check(g, rs)
+        assert not networkx_accepts(g, rs)
+        planar_k4 = check_planarity(complete_graph(4)).rotation.order
+        fixed = RotationSystem.from_lists([list(r) for r in planar_k4] + lists[4:])
+        assert euler_check(g, fixed) and networkx_accepts(g, fixed)
 
     @pytest.mark.parametrize(
         "lists",

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import hashlib
 import random
 import time
 
@@ -513,6 +514,7 @@ _TREE_GRAPHS = {
 _TREE_CONFIGS = {
     "default": {},
     "p=0": {"completion_probability": 0.0},
+    "p=0.5": {"completion_probability": 0.5},
     "p=1": {"completion_probability": 1.0},
     "no kite": {"enable_kite_pruning": False},
 }
@@ -526,6 +528,39 @@ def test_search_tree_is_pinned(graph, config):
     assert s.used_skew_pass is (graph == "random12")
     got = (s.nodes_visited, s.cuts_dec, s.cuts_kec, s.cuts_nonplanar, s.sol_satur, s.sol_compl)
     assert got == PINNED_TREES[graph, config]
+
+
+# sha256 over the "cursor kind reason" line of every node test_block
+# classifies, in visiting order, recorded with the search that kept an
+# explicit stack of siblings still to visit.
+PINNED_ORDERS = {
+    ("K6", "default"): "7a90d5358c3b18e8d712fbece37ffa9af0f40f952f77f05f8ce97c0478264949",
+    ("K6", "p=0.5"): "7a90d5358c3b18e8d712fbece37ffa9af0f40f952f77f05f8ce97c0478264949",
+    ("K6", "p=0"): "7a90d5358c3b18e8d712fbece37ffa9af0f40f952f77f05f8ce97c0478264949",
+    ("K4,4", "default"): "74580db65aaaf60d822a303250ff2106145a14d1d35935ec603229c44dc2c2ee",
+    ("K4,4", "p=0.5"): "74580db65aaaf60d822a303250ff2106145a14d1d35935ec603229c44dc2c2ee",
+    ("K4,4", "p=0"): "74580db65aaaf60d822a303250ff2106145a14d1d35935ec603229c44dc2c2ee",
+    ("random12", "default"): "224f7c1b18bbf77f62c0a773605125ef66f9549865736e5c4e5b05b08107144c",
+    ("random12", "p=0.5"): "224f7c1b18bbf77f62c0a773605125ef66f9549865736e5c4e5b05b08107144c",
+    ("random12", "p=0"): "8a271f6688494ee7362bb126608feaf8fa21246ca204297779ca86718d77a07d",
+}
+
+
+@pytest.mark.parametrize("graph,config", sorted(PINNED_ORDERS))
+def test_search_order_is_pinned(graph, config, monkeypatch):
+    original = SearchState.classify
+    digest = hashlib.sha256()
+
+    def recording(state, cfg, rng, stats):
+        v = original(state, cfg, rng, stats)
+        reason = v.cut_reason or v.solution_kind
+        digest.update(f"{state.sol.cursor} {v.kind.name} {reason and reason.name}\n".encode())
+        return v
+
+    monkeypatch.setattr(SearchState, "classify", recording)
+    res = solve_block(_TREE_GRAPHS[graph](), SearchConfig(**_TREE_CONFIGS[config]))
+    assert res.verdict is Verdict.ONE_PLANAR
+    assert digest.hexdigest() == PINNED_ORDERS[graph, config]
 
 
 class TestSkewSets:
