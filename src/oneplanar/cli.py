@@ -23,7 +23,7 @@ from .embedding import (
     merge_blocks,
     serialize_embedding,
 )
-from .graph import Graph, biconnected_components, build_graph
+from .graph import BlockDecomposition, Graph, biconnected_components, build_graph
 from .search import (
     SearchConfig,
     SearchStats,
@@ -233,6 +233,15 @@ def run_pipeline(
     overall answer Unknown unless some later block is outright negative.
     """
     t0 = time.monotonic()
+    return _finish(g, name, t0, *_decide_blocks(g, cfg, t0))
+
+
+def _decide_blocks(
+    g: Graph, cfg: SearchConfig, t0: float
+) -> tuple[BlockDecomposition, Verdict, SearchStats, list[BlockCertificate]]:
+    """The block loop of `run_pipeline`, started at `t0`: the decomposition,
+    the overall verdict, the merged stats and, while every block so far is
+    positive, the block certificates."""
     deadline = t0 + cfg.time_budget
     dec = biconnected_components(g)
     stats = SearchStats()
@@ -248,7 +257,19 @@ def run_pipeline(
             verdict = Verdict.UNKNOWN
         elif verdict is Verdict.ONE_PLANAR:
             certificates.append(res.certificate)
+    return dec, verdict, stats, certificates
 
+
+def _finish(
+    g: Graph,
+    name: str,
+    t0: float,
+    dec: BlockDecomposition,
+    verdict: Verdict,
+    stats: SearchStats,
+    certificates: list[BlockCertificate],
+) -> tuple[InstanceRecord, OnePlanarEmbedding | None]:
+    """The merge and the record of `run_pipeline`, started at `t0`."""
     emb = None
     crossings = None
     if verdict is Verdict.ONE_PLANAR:
@@ -301,12 +322,15 @@ def _bench_one(task) -> InstanceRecord | None:
     name = os.path.basename(path)
     try:
         g = parse_graph_file(path, fmt)
-        record, _ = run_pipeline(g, cfg, name=name)
-        # a validated certificate without crossings is a plane embedding, and
-        # a planar graph's blocks all return one from the planarity gate
-        if skip_planar and record.verdict == Verdict.ONE_PLANAR.value and record.crossings == 0:
+        t0 = time.monotonic()
+        blocks = _decide_blocks(g, cfg, t0)
+        # g is planar iff all its blocks are, and a planar block's certificate
+        # is the planarity gate's, without crossings: drop the row unmerged
+        _, verdict, _, certificates = blocks
+        planar = verdict is Verdict.ONE_PLANAR and not any(c.crossings for c in certificates)
+        if skip_planar and planar:
             return None
-        return record
+        return _finish(g, name, t0, *blocks)[0]
     except Exception as exc:  # per-file failures become Error rows
         return InstanceRecord(name=name, verdict="Error", error=str(exc))
 

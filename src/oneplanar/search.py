@@ -86,9 +86,10 @@ class SearchConfig:
 class SearchStats:
     """Counters of one search, or of several merged.
 
-    ``planarity_calls`` counts the LR planarity runs actually made.  A
-    query that the current search path has already answered (see
-    :class:`SearchState`) is skipped and not counted.
+    ``planarity_calls`` counts the planarity queries the current search
+    path had not already answered (see :class:`SearchState`), whether the
+    LR test or the edge count settles them.  A repeated query is skipped
+    and not counted.
     """
 
     nodes_visited: int = 0
@@ -184,6 +185,12 @@ class SearchState:
       answered.
     * ``_nonplanar_full[d]``: the full star graph of the node's crossing set
       is nonplanar.  A bit-0 push inherits it, a bit-1 push clears it.
+
+    A star graph with c crossings has n + c vertices, so it is nonplanar
+    by count alone once it has more than 3(n + c) - 6 edges; `classify`
+    answers such a query without building the star graph.
+    `one_child_cut` decides whether the 1-child of the cursor would be a
+    DEC or KEC cut, without pushing it.
     """
 
     def __init__(self, g: Graph, universe: PairUniverse, kite_pruning: bool) -> None:
@@ -217,6 +224,10 @@ class SearchState:
             last[occ[-1] + 1 if occ else 0] |= 1 << e
         self.closed = list(accumulate(last, or_))
         self._all_edges = (1 << g.m) - 1
+        # a star graph keeping E edges of g, c crossings among them, has
+        # n + c vertices and E + 2c edges: above 3(n + c) - 6, that is with
+        # E - c above 3n - 6, it is nonplanar (no crossing fits on n <= 2)
+        self._edge_bound = 3 * g.n - 6 if g.n > 2 else g.m
         self.crossed = [0] * (k + 1)
         self.kites = [0] * (k + 1)
         self.cornered = [0] * (k + 1)
@@ -258,6 +269,19 @@ class SearchState:
             self.crossings.pop()
         sol.pop()
 
+    def one_child_cut(self) -> NodeVerdict | None:
+        """The DEC or KEC cut that `classify` would return after
+        ``push(1)``, or None.  Only for a cursor whose node is CNT, so
+        nothing is doubled and no crossed edge is a kite edge yet."""
+        d = self.sol.cursor
+        a, b = self.sol.universe.pairs[d]
+        ab = 1 << a | 1 << b
+        if self.crossed[d] & ab:
+            return _CUT_DEC
+        if (self.crossed[d] | ab) & (self.kites[d] | self._pair_kites[d]):
+            return _CUT_KEC
+        return None
+
     def saturated(self) -> int:
         """Mask of the saturated edges at the cursor."""
         d = self.sol.cursor
@@ -277,9 +301,9 @@ class SearchState:
             # after a bit-0 push with no new saturated edge the parent, a
             # CNT node, has already found this very query planar
             if not (d and not self.sol.bits[d - 1] and self._planar_sat[d - 1] == sat):
-                n_star, star = star_edge_list(g, self.crossings, keep=sat)
                 stats.planarity_calls += 1
-                if not is_planar_edges(n_star, star):
+                too_dense = sat.bit_count() - len(self.crossings) > self._edge_bound
+                if too_dense or not is_planar_edges(*star_edge_list(g, self.crossings, keep=sat)):
                     return _CUT_NONPLANAR
             self._planar_sat[d] = sat
             if not (cfg.completion_probability > 0 and rng.random() < cfg.completion_probability):
@@ -292,9 +316,9 @@ class SearchState:
             kind = SolutionKind.SATURATION
 
         if not self._nonplanar_full[d]:
-            n_star, star = star_edge_list(g, self.crossings)
             stats.planarity_calls += 1
-            rot = rotation_edges(n_star, star)
+            too_dense = g.m - len(self.crossings) > self._edge_bound
+            rot = None if too_dense else rotation_edges(*star_edge_list(g, self.crossings))
             if rot is not None:
                 return NodeVerdict(
                     NodeKind.SOL,
@@ -344,11 +368,15 @@ def backtrack(
     merge_blocks builds the drawing certificate and validates it).  Full
     exhaustion proves NotOnePlanar; exhausting a restricted universe or
     hitting the deadline yields Unknown.
-    The deadline is checked before every node, the root included.
+    The deadline is read before every node that `classify` sees, the
+    root included.
 
     The path is the stack: every 0 on it still has its 1-sibling to
     visit and every 1 has none, so the decided prefix alone says where
-    the search goes after a leaf.
+    the search goes after a leaf.  A 1-sibling that
+    :meth:`SearchState.one_child_cut` settles is counted, as a node and a
+    cut, on the way back up and never pushed; node and cut counts are the
+    same as if it had been pushed and classified.
     """
     stats.used_backtracking = True
     rng = random.Random(cfg.rng_seed)
@@ -378,13 +406,24 @@ def backtrack(
             cert = BlockCertificate(v.crossings, RotationSystem(v.star_rotation))
             return Verdict.ONE_PLANAR, cert
         # a leaf: back up past the 1s, whose subtrees are done, and take the
-        # 1-sibling of the deepest 0
-        while sol.cursor and sol.bits[sol.cursor - 1]:
+        # 1-sibling of the deepest 0 unless it is a cut leaf as well
+        while True:
+            while sol.cursor and sol.bits[sol.cursor - 1]:
+                state.pop()
+            if not sol.cursor:
+                break
             state.pop()
+            cut = state.one_child_cut()
+            if cut is None:
+                state.push(1)
+                break
+            stats.nodes_visited += 1
+            if cut is _CUT_DEC:
+                stats.cuts_dec += 1
+            else:
+                stats.cuts_kec += 1
         if not sol.cursor:
             break
-        state.pop()
-        state.push(1)
 
     if universe.restricted:
         return Verdict.UNKNOWN, None

@@ -381,6 +381,26 @@ class TestBench:
         every = bench([str(tmp_path)], SearchConfig())
         assert {r.name: r.blocks for r in every.records}["planar.txt"] > 1
 
+    def test_skip_planar_merges_no_planar_certificate(self, tmp_path, monkeypatch):
+        # a planar graph's row is dropped from its block results, before
+        # any certificate is built; a row that stays is merged as before
+        planar = glue_at_vertex(grid_graph(3, 3), complete_graph(4))
+        (tmp_path / "planar.txt").write_text("".join(f"{u} {v}\n" for u, v in planar.edges))
+        (tmp_path / "k6.txt").write_text("".join(f"{u} {v}\n" for u, v in complete_graph(6).edges))
+        merged = []
+        merge = cli_module.merge_blocks
+
+        def counting(g, dec, certificates):
+            merged.append(g.n)
+            return merge(g, dec, certificates)
+
+        monkeypatch.setattr(cli_module, "merge_blocks", counting)
+        bench([str(tmp_path / "planar.txt")], SearchConfig(), skip_planar=True)
+        assert merged == []
+        kept = bench([str(tmp_path / "k6.txt")], SearchConfig(), skip_planar=True)
+        assert merged == [6]
+        assert [(r.name, r.crossings) for r in kept.records] == [("k6.txt", 3)]
+
     def test_worker_counts_agree(self, tmp_path):
         write_corpus(tmp_path)
         one = bench([str(tmp_path)], SearchConfig(), workers=1)

@@ -6,6 +6,7 @@ import hashlib
 import random
 import time
 
+import networkx as nx
 import pytest
 
 import oneplanar.search as search_module
@@ -19,7 +20,7 @@ from conftest import (
     petersen_graph,
     random_connected_graph,
 )
-from oneplanar.embedding import count_crossings, serialize_embedding, validate
+from oneplanar.embedding import count_crossings, serialize_embedding, star_edge_list, validate
 from oneplanar.graph import Graph, build_graph
 from oneplanar.pairs import (
     PartialSolution,
@@ -28,7 +29,7 @@ from oneplanar.pairs import (
     crossing_counts,
     saturated_edges,
 )
-from oneplanar.planarity import is_planar_edges
+from oneplanar.planarity import is_planar_edges, rotation_edges
 from oneplanar.search import (
     CutReason,
     NodeKind,
@@ -288,6 +289,15 @@ class TestBacktrack:
         assert stats.sol_satur == 1
         assert stats.cuts_dec == stats.cuts_kec == stats.cuts_nonplanar == 0
 
+    def test_graphs_on_two_vertices_or_fewer(self):
+        # 3n - 6 bounds the edges of planar graphs on three vertices or
+        # more only: an edge or a lone vertex is a saturation solution
+        for g in (build_graph(1, []), build_graph(2, [(0, 1)])):
+            stats = SearchStats()
+            verdict, cert = backtrack(g, build_universe(g), quiet_cfg(), stats)
+            assert verdict is Verdict.ONE_PLANAR and cert.crossings == ()
+            assert stats.nodes_visited == stats.sol_satur == stats.planarity_calls == 1
+
     def test_k5_restricted(self):
         g = complete_graph(5)
         stats = SearchStats()
@@ -486,6 +496,141 @@ class TestSearchState:
         assert stats.planarity_calls < stats.nodes_visited / 2
 
 
+def k7_minus_edge() -> Graph:
+    """K7 without edge 01: not 1-planar, and too dense for most star graphs."""
+    return build_graph(7, [e for e in complete_graph(7).edges if e != (0, 1)])
+
+
+_CUT_GRAPHS = {
+    "K6": lambda: complete_graph(6),
+    "K4,4": lambda: complete_bipartite(4, 4),
+    "Petersen": petersen_graph,
+    "K7-e": k7_minus_edge,
+}
+
+
+class TestPrePushCut:
+    """At every 1-child that backtrack reaches, the pre-push decision is
+    the DEC or KEC verdict, or the absence of one, that verify_node gives
+    the replayed prefix plus a 1, so the tree is the one a search that
+    pushes every 1-child would walk."""
+
+    MAX_NODES = {"K4,4": 12000, "K7-e": 3000}  # classified nodes; K6 and Petersen run to the end
+
+    @pytest.mark.parametrize("graph", sorted(_CUT_GRAPHS))
+    @pytest.mark.parametrize("restricted", [False, True], ids=["full", "restricted"])
+    @pytest.mark.parametrize("kite", [True, False], ids=["kite", "nokite"])
+    def test_matches_replayed_classification(self, monkeypatch, graph, restricted, kite):
+        g = _CUT_GRAPHS[graph]()
+        cfg = SearchConfig(enable_kite_pruning=kite)
+        original_cut, original_classify = SearchState.one_child_cut, SearchState.classify
+        cuts = {CutReason.DOUBLE_EDGE_CROSSING: 0, CutReason.KITE_EDGE_CROSSING: 0}
+        classified, replaying = 0, False
+
+        def checking_cut(state):
+            nonlocal replaying
+            v = original_cut(state)
+            sol = state.sol
+            replaying = True
+            want = verify_node(prefix(sol.universe, sol.bits[: sol.cursor] + [1]), g, cfg,
+                               random.Random(0))
+            replaying = False
+            assert v == (want if want.cut_reason in cuts else None)
+            if v is not None:
+                cuts[v.cut_reason] += 1
+            return v
+
+        def counting_classify(state, cfg, rng, stats):
+            nonlocal classified
+            if not replaying:
+                classified += 1
+                if classified > self.MAX_NODES.get(graph, 10**9):
+                    raise _Enough
+            return original_classify(state, cfg, rng, stats)
+
+        monkeypatch.setattr(SearchState, "one_child_cut", checking_cut)
+        monkeypatch.setattr(SearchState, "classify", counting_classify)
+        u = build_restricted_universe(g, [0, 1]) if restricted else build_universe(g)
+        stats = SearchStats()
+        try:
+            backtrack(g, u, cfg, stats)
+        except _Enough:
+            pass
+        else:
+            # one node per classification and one per cut 1-child
+            assert stats.nodes_visited == classified + sum(cuts.values())
+        assert cuts[CutReason.DOUBLE_EDGE_CROSSING] > 0
+        # Petersen's full search finds its drawing after 205 nodes, none a KEC cut
+        kec_seen = kite and (graph, restricted) != ("Petersen", False)
+        assert (cuts[CutReason.KITE_EDGE_CROSSING] > 0) is kec_seen
+
+
+class TestCountAnswers:
+    """Queries that classify settles by the edge count, without a star
+    graph or an LR run, are nonplanar star graphs."""
+
+    MAX_NODES = 3000
+
+    @pytest.mark.parametrize("graph", ["K6", "K7-e"])
+    def test_settled_queries_are_nonplanar(self, monkeypatch, graph):
+        g = _CUT_GRAPHS[graph]()
+        runs = 0
+
+        def counted(fn):
+            def run(*args):
+                nonlocal runs
+                runs += 1
+                return fn(*args)
+
+            return run
+
+        monkeypatch.setattr(search_module, "is_planar_edges", counted(is_planar_edges))
+        monkeypatch.setattr(search_module, "rotation_edges", counted(rotation_edges))
+        original = SearchState.classify
+        settled = {"saturated": 0, "full": 0}
+        classified = 0
+
+        def checking(state, cfg, rng, stats):
+            nonlocal classified
+            asked, ran = stats.planarity_calls, runs
+            v = original(state, cfg, rng, stats)
+            unrun = (stats.planarity_calls - asked) - (runs - ran)
+            assert unrun in (0, 1)
+            if unrun:
+                # the settled query is the last one asked: a saturated
+                # query cuts, while a nonplanar full query below a node
+                # that is not saturated leaves it CNT
+                sat = state.saturated()
+                saturated = sat != (1 << g.m) - 1 and v.cut_reason is CutReason.NONPLANAR_INDUCED
+                n_star, star = star_edge_list(g, state.crossings, keep=sat if saturated else None)
+                assert not nx.check_planarity(nx.Graph(star))[0]
+                assert not is_planar_edges(n_star, star)
+                settled["saturated" if saturated else "full"] += 1
+            classified += 1
+            if classified >= self.MAX_NODES:
+                raise _Enough
+            return v
+
+        monkeypatch.setattr(SearchState, "classify", checking)
+        try:
+            solve_block(g, SearchConfig())
+        except _Enough:
+            pass
+        assert settled["full"] > 0
+        assert settled["saturated"] > 0 or graph == "K6"
+
+
+# planarity_calls of test_block under the default config, recorded before
+# the edge count answered queries without an LR run
+PINNED_CALLS = {"K6": 202, "K4,4": 2546, "random12": 679}
+
+
+@pytest.mark.parametrize("graph", sorted(PINNED_CALLS))
+def test_planarity_calls_are_pinned(graph):
+    res = solve_block(_TREE_GRAPHS[graph](), SearchConfig())
+    assert res.stats.planarity_calls == PINNED_CALLS[graph]
+
+
 # Node and cut counts of test_block at the commit before the search state
 # was made incremental: (nodes, cuts_dec, cuts_kec, cuts_nonplanar,
 # sol_satur, sol_compl).  Equal counts under every completion probability
@@ -532,7 +677,8 @@ def test_search_tree_is_pinned(graph, config):
 
 # sha256 over the "cursor kind reason" line of every node test_block
 # classifies, in visiting order, recorded with the search that kept an
-# explicit stack of siblings still to visit.
+# explicit stack of siblings still to visit.  A 1-child that the search
+# cuts without a push is hashed as the line its classification gave.
 PINNED_ORDERS = {
     ("K6", "default"): "7a90d5358c3b18e8d712fbece37ffa9af0f40f952f77f05f8ce97c0478264949",
     ("K6", "p=0.5"): "7a90d5358c3b18e8d712fbece37ffa9af0f40f952f77f05f8ce97c0478264949",
@@ -557,7 +703,16 @@ def test_search_order_is_pinned(graph, config, monkeypatch):
         digest.update(f"{state.sol.cursor} {v.kind.name} {reason and reason.name}\n".encode())
         return v
 
+    original_cut = SearchState.one_child_cut
+
+    def recording_cut(state):
+        v = original_cut(state)
+        if v is not None:
+            digest.update(f"{state.sol.cursor + 1} CUT {v.cut_reason.name}\n".encode())
+        return v
+
     monkeypatch.setattr(SearchState, "classify", recording)
+    monkeypatch.setattr(SearchState, "one_child_cut", recording_cut)
     res = solve_block(_TREE_GRAPHS[graph](), SearchConfig(**_TREE_CONFIGS[config]))
     assert res.verdict is Verdict.ONE_PLANAR
     assert digest.hexdigest() == PINNED_ORDERS[graph, config]
