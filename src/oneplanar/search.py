@@ -3,14 +3,18 @@
 The search walks the pair universe left to right, assigning each pair
 "crosses" (1) or "does not cross" (0).  Each node of the resulting
 binary tree is classified as a solution, a dead end, or a node worth
-extending, based on three facts about the decided prefix:
+extending, based on four facts about the decided prefix:
 
   * an edge crossed twice can never be repaired (DEC cut);
   * a crossed kite edge is never necessary, because a kite edge can be
     redrawn along its crossing without touching anything (KEC cut);
   * edges whose status can no longer change (saturated edges) must
     already form a planar arrangement once their crossings are replaced
-    by dummy vertices (nonplanar cut otherwise).
+    by dummy vertices (nonplanar cut otherwise);
+  * a drawing with c crossings planarizes to n + c vertices and m + 2c
+    edges, so it needs c >= m - 3n + 6; a node whose crossings plus the
+    crossings its unsaturated edges could still add fall short holds no
+    solution (capacity cut, counted as a nonplanar cut).
 
 Exhausting the tree without a solution proves the graph has no such
 drawing, provided the universe was not restricted.
@@ -89,7 +93,7 @@ class SearchStats:
     ``planarity_calls`` counts the planarity queries the current search
     path had not already answered (see :class:`SearchState`), whether the
     LR test or the edge count settles them.  A repeated query is skipped
-    and not counted.
+    and not counted; a capacity cut asks none.
     """
 
     nodes_visited: int = 0
@@ -186,9 +190,13 @@ class SearchState:
     * ``_nonplanar_full[d]``: the full star graph of the node's crossing set
       is nonplanar.  A bit-0 push inherits it, a bit-1 push clears it.
 
-    A star graph with c crossings has n + c vertices, so it is nonplanar
-    by count alone once it has more than 3(n + c) - 6 edges; `classify`
-    answers such a query without building the star graph.
+    The star graph of a drawing with c crossings has n + c vertices and
+    m + 2c edges, so it can only be planar if c >= ``_need`` = m - 3n + 6.
+    `classify` answers a completion or saturation query with fewer
+    crossings without building its star graph.  It cuts a node that is
+    not saturated when its crossings plus half its free edges (unsaturated,
+    with an unsaturated universe partner) stay below ``_need``, since
+    every crossing below the node pairs two free edges (capacity cut).
     `one_child_cut` decides whether the 1-child of the cursor would be a
     DEC or KEC cut, without pushing it.
     """
@@ -224,10 +232,9 @@ class SearchState:
             last[occ[-1] + 1 if occ else 0] |= 1 << e
         self.closed = list(accumulate(last, or_))
         self._all_edges = (1 << g.m) - 1
-        # a star graph keeping E edges of g, c crossings among them, has
-        # n + c vertices and E + 2c edges: above 3(n + c) - 6, that is with
-        # E - c above 3n - 6, it is nonplanar (no crossing fits on n <= 2)
-        self._edge_bound = 3 * g.n - 6 if g.n > 2 else g.m
+        # fewest crossings of a planar star graph; on n <= 2 every graph is
+        # planar and no crossing fits
+        self._need = g.m - (3 * g.n - 6) if g.n > 2 else 0
         self.crossed = [0] * (k + 1)
         self.kites = [0] * (k + 1)
         self.cornered = [0] * (k + 1)
@@ -298,12 +305,25 @@ class SearchState:
             return _CUT_KEC
         sat = self.saturated()
         if sat != self._all_edges:
+            # capacity cut: a crossing below this node pairs two free edges,
+            # unsaturated ones with an unsaturated universe partner, each
+            # used once; count them until they cover the crossings missing
+            missing = 2 * (self._need - len(self.crossings))
+            if missing > 0:
+                unsat = self._all_edges ^ sat
+                rest, partner_mask = unsat, self._partner_mask
+                while rest and missing:
+                    low = rest & -rest
+                    if partner_mask[low.bit_length() - 1] & unsat:
+                        missing -= 1
+                    rest ^= low
+                if missing:
+                    return _CUT_NONPLANAR
             # after a bit-0 push with no new saturated edge the parent, a
             # CNT node, has already found this very query planar
             if not (d and not self.sol.bits[d - 1] and self._planar_sat[d - 1] == sat):
                 stats.planarity_calls += 1
-                too_dense = sat.bit_count() - len(self.crossings) > self._edge_bound
-                if too_dense or not is_planar_edges(*star_edge_list(g, self.crossings, keep=sat)):
+                if not is_planar_edges(*star_edge_list(g, self.crossings, keep=sat)):
                     return _CUT_NONPLANAR
             self._planar_sat[d] = sat
             if not (cfg.completion_probability > 0 and rng.random() < cfg.completion_probability):
@@ -317,7 +337,7 @@ class SearchState:
 
         if not self._nonplanar_full[d]:
             stats.planarity_calls += 1
-            too_dense = g.m - len(self.crossings) > self._edge_bound
+            too_dense = len(self.crossings) < self._need
             rot = None if too_dense else rotation_edges(*star_edge_list(g, self.crossings))
             if rot is not None:
                 return NodeVerdict(
@@ -339,10 +359,11 @@ def verify_node(
 ) -> NodeVerdict:
     """Classify one search node from its decided prefix.
 
-    Order of checks: double crossings, crossed kite edges, planarity of
-    the saturated subgraph's planarization, saturation of the whole
-    graph, and finally the optional zero-completion attempt.  The random
-    draw happens only if that last step is actually reached.
+    Order of checks: double crossings, crossed kite edges, saturation of
+    the whole graph; then, for a node that is not saturated, the capacity
+    bound, planarity of the saturated subgraph's planarization, and
+    finally the optional zero-completion attempt.  The random draw happens
+    only if that last step is actually reached.
 
     The prefix is replayed into a fresh :class:`SearchState`, so this is
     the classification `backtrack` runs at every node, minus the planarity

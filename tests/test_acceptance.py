@@ -8,6 +8,7 @@ the benchmark CSV, and the certificate machinery.
 
 from __future__ import annotations
 
+import itertools
 import random
 import re
 import time
@@ -34,7 +35,7 @@ from oneplanar.embedding import (
     serialize_embedding,
     validate,
 )
-from oneplanar.graph import Graph
+from oneplanar.graph import Graph, build_graph
 from oneplanar.pairs import (
     PartialSolution,
     build_universe,
@@ -101,30 +102,66 @@ def test_dense_graphs_rejected_without_search(capsys):
             f"nodes, worst {worst_ms:.2f}ms")
 
 
-def test_verdicts_match_exhaustive_oracle(capsys):
-    t0 = time.perf_counter()
-    graphs = oracle_corpus()
-    combos = [
-        SearchConfig(enable_kite_pruning=kite, completion_probability=prob)
-        for kite in (True, False)
-        for prob in (0.8, 0.0)
-    ]
-    checked = disagreements = 0
+# every combination of kite pruning and completion attempts
+ORACLE_COMBOS = [
+    SearchConfig(enable_kite_pruning=kite, completion_probability=prob)
+    for kite in (True, False)
+    for prob in (0.8, 0.0)
+]
+
+
+def _oracle_disagreements(graphs: list[Graph], max_k: int = 20) -> int:
+    """Runs under ORACLE_COMBOS whose verdict is Unknown or differs from
+    the exhaustive oracle's; certificates go to COLLECTED."""
+    disagreements = 0
     for g in graphs:
-        want = oracle_is_one_planar(g)
-        for cfg in combos:
+        want = oracle_is_one_planar(g, max_k)
+        for cfg in ORACLE_COMBOS:
             res = solve_block(g, cfg)
-            checked += 1
             got = res.verdict
             if got is Verdict.UNKNOWN or (got is Verdict.ONE_PLANAR) != want:
                 disagreements += 1
             elif res.certificate is not None:
                 COLLECTED.append((g, merge_one_block(g, res.certificate)))
+    return disagreements
+
+
+def test_verdicts_match_exhaustive_oracle(capsys):
+    t0 = time.perf_counter()
+    graphs = oracle_corpus()
+    disagreements = _oracle_disagreements(graphs)
     dt = time.perf_counter() - t0
     ok = disagreements == 0 and dt < 300.0
     _report(capsys, ok,
             f"search agrees with exhaustive enumeration on {len(graphs)} "
-            f"graphs x {len(combos)} option sets ({checked} runs, "
+            f"graphs x {len(ORACLE_COMBOS)} option sets "
+            f"({len(graphs) * len(ORACLE_COMBOS)} runs, "
+            f"{disagreements} disagreements, {dt:.0f}s)")
+
+
+def _k6_minus_at_most_two_edges() -> list[Graph]:
+    """The 121 labelled graphs K6 - F with |F| <= 2: every one has more
+    than 3n - 6 edges, so the capacity cut can fire in its search."""
+    edges = complete_graph(6).edges
+    graphs = [
+        build_graph(6, [e for e in edges if e not in dropped])
+        for size in (0, 1, 2)
+        for dropped in itertools.combinations(edges, size)
+    ]
+    assert len(graphs) == 121
+    return graphs
+
+
+def test_verdicts_match_oracle_above_the_euler_bound(capsys):
+    t0 = time.perf_counter()
+    graphs = _k6_minus_at_most_two_edges()
+    disagreements = _oracle_disagreements(graphs, max_k=45)
+    dt = time.perf_counter() - t0
+    ok = disagreements == 0
+    _report(capsys, ok,
+            f"search agrees with exhaustive enumeration on {len(graphs)} "
+            f"graphs K6 minus at most 2 edges x {len(ORACLE_COMBOS)} option sets "
+            f"({len(graphs) * len(ORACLE_COMBOS)} runs, "
             f"{disagreements} disagreements, {dt:.0f}s)")
 
 

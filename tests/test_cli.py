@@ -48,13 +48,21 @@ from oneplanar.graph import GraphError, build_graph
 from oneplanar.search import SearchConfig
 
 
-# graph and its verdict
+def k7_without(*dropped):
+    return build_graph(7, [e for e in complete_graph(7).edges if e not in dropped])
+
+
+# graph and its verdict; K7 stops at the density gate, K7 - e and K7 - P3
+# are decided by exhausting the full universe
 _METAMORPHIC_BASES = {
     "K5": (complete_graph(5), "OnePlanar"),
     "K6": (complete_graph(6), "OnePlanar"),
     "K3,3": (complete_bipartite(3, 3), "OnePlanar"),
     "Petersen": (petersen_graph(), "OnePlanar"),
     "K7": (complete_graph(7), "NotOnePlanar"),
+    "K7-e": (k7_without((0, 1)), "NotOnePlanar"),
+    "K7-P3": (k7_without((0, 1), (1, 2)), "NotOnePlanar"),
+    "K7-2match": (k7_without((0, 1), (2, 3)), "OnePlanar"),
 }
 
 

@@ -336,7 +336,7 @@ class TestBacktrack:
         stats = SearchStats()
         verdict, cert = backtrack(g, build_universe(g), quiet_cfg(), stats)
         assert verdict is Verdict.NOT_ONE_PLANAR and cert is None
-        assert stats.nodes_visited > 100_000
+        assert stats.nodes_visited == 45_275
 
     def test_deadline_returns_unknown(self):
         g = complete_graph(7)
@@ -567,7 +567,9 @@ class TestPrePushCut:
 
 class TestCountAnswers:
     """Queries that classify settles by the edge count, without a star
-    graph or an LR run, are nonplanar star graphs."""
+    graph or an LR run, are nonplanar star graphs.  Only completion and
+    saturation attempts are settled so: the capacity cut comes before
+    every saturated query the count would settle."""
 
     MAX_NODES = 3000
 
@@ -617,12 +619,161 @@ class TestCountAnswers:
         except _Enough:
             pass
         assert settled["full"] > 0
-        assert settled["saturated"] > 0 or graph == "K6"
+        # the capacity cut settles every saturated query the count would
+        # answer before it is asked
+        assert settled["saturated"] == 0
+
+
+def capacity_cut_by_reference(state: SearchState, g: Graph, kite: bool) -> bool:
+    """Whether the node at the cursor is a capacity cut, from the decided
+    prefix and the reference functions alone: not a DEC or KEC cut, not
+    saturated, and its crossings plus half its free edges (unsaturated,
+    with an unsaturated universe partner) below m - 3n + 6."""
+    sol = state.sol
+    pairs = sol.decided_pairs()
+    counts = crossing_counts(sol)
+    kites = find_kite_edges(g, pairs) if kite else set()
+    if any(c > 1 for c in counts) or any(counts[e] for e in kites):
+        return False
+    sat = saturated_edges(sol, kites)
+    if len(sat) == g.m:
+        return False
+    partners: list[set[int]] = [set() for _ in range(g.m)]
+    for a, b in sol.universe.pairs:
+        partners[a].add(b)
+        partners[b].add(a)
+    free = [e for e in range(g.m) if e not in sat and partners[e] - sat]
+    return len(pairs) + len(free) // 2 < g.m - (3 * g.n - 6)
+
+
+def dec_free_extensions(sol: PartialSolution):
+    """Crossing sets of every full assignment extending the decided prefix
+    in which no edge is crossed twice."""
+    pairs, k = sol.universe.pairs, sol.universe.k
+    chosen = sol.decided_pairs()
+    used = {e for pair in chosen for e in pair}
+
+    def extend(i: int):
+        if i == k:
+            yield list(chosen)
+            return
+        yield from extend(i + 1)
+        a, b = pairs[i]
+        if a not in used and b not in used:
+            chosen.append(pairs[i])
+            used.update((a, b))
+            yield from extend(i + 1)
+            chosen.pop()
+            used.difference_update((a, b))
+
+    yield from extend(sol.cursor)
+
+
+def is_capacity_cut(v, state: SearchState, asked: int, stats: SearchStats) -> bool:
+    """A nonplanar cut of a node that is not saturated, made without a
+    planarity query: the capacity cut, and nothing else in classify."""
+    return (v.cut_reason is CutReason.NONPLANAR_INDUCED and stats.planarity_calls == asked
+            and state.saturated() != (1 << state.g.m) - 1)
+
+
+def k7_minus_2match() -> Graph:
+    """K7 without edges 01 and 23: 1-planar."""
+    return build_graph(7, [e for e in complete_graph(7).edges if e not in ((0, 1), (2, 3))])
+
+
+def scale_instance(index: int) -> Graph:
+    """Instance `index` of the acceptance scale set: the nonplanar draws of
+    random_connected_graph(20, 30) from seed 20250814, in draw order."""
+    rng = random.Random(20250814)
+    found = -1
+    while True:
+        g = random_connected_graph(20, 30, rng)
+        if not is_planar_edges(g.n, list(g.edges)):
+            found += 1
+            if found == index:
+                return g
+
+
+class TestCapacityCut:
+    """Every node classify cuts by capacity is one the reference functions
+    call a capacity cut, and the other way round; where at most
+    MAX_UNDECIDED pairs are left, every extension of the cut node without
+    a doubly crossed edge has a nonplanar star graph."""
+
+    MAX_UNDECIDED = 16
+    MAX_NODES = {"K7-2match": 3000, "K7-e": 3000}  # K6 runs to the end
+
+    @pytest.mark.parametrize("graph,universe", [
+        ("K6", "full"),
+        # K6 has no single skew edge: restrict to its first skew set
+        ("K6", "skew set"),
+        ("K7-2match", "full"),
+        ("K7-e", "full"),
+    ])
+    @pytest.mark.parametrize("kite", [True, False], ids=["kite", "nokite"])
+    def test_cut_subtrees_hold_no_drawing(self, monkeypatch, graph, universe, kite):
+        g = {"K6": lambda: complete_graph(6), "K7-2match": k7_minus_2match,
+             "K7-e": k7_minus_edge}[graph]()
+        original = SearchState.classify
+        classified = cuts = checked = 0
+
+        def checking(state, cfg, rng, stats):
+            nonlocal classified, cuts, checked
+            asked = stats.planarity_calls
+            v = original(state, cfg, rng, stats)
+            cut = is_capacity_cut(v, state, asked, stats)
+            assert cut is capacity_cut_by_reference(state, g, kite)
+            sol = state.sol
+            if cut:
+                cuts += 1
+            if cut and sol.universe.k - sol.cursor <= self.MAX_UNDECIDED:
+                checked += 1
+                for crossings in dec_free_extensions(sol):
+                    _, star = star_edge_list(g, crossings)
+                    assert not nx.check_planarity(nx.Graph(star))[0]
+            classified += 1
+            if classified >= self.MAX_NODES.get(graph, 10**9):
+                raise _Enough
+            return v
+
+        monkeypatch.setattr(SearchState, "classify", checking)
+        if universe == "full":
+            u = build_universe(g)
+        else:
+            u = build_restricted_universe(g, find_skew_set(g, 3))
+        try:
+            backtrack(g, u, SearchConfig(enable_kite_pruning=kite), SearchStats())
+        except _Enough:
+            pass
+        assert checked > 0
+        if graph != "K7-2match":
+            assert cuts > 0
+
+    @pytest.mark.parametrize("graph", ["K4,4", "random12", "scale6"])
+    def test_inert_below_the_bound(self, monkeypatch, graph):
+        # m <= 3n - 6: a drawing may need no crossing, so nothing is cut
+        g = _TREE_GRAPHS[graph]() if graph in _TREE_GRAPHS else scale_instance(6)
+        assert g.m <= 3 * g.n - 6
+        original = SearchState.classify
+        cuts = 0
+
+        def counting(state, cfg, rng, stats):
+            nonlocal cuts
+            asked = stats.planarity_calls
+            v = original(state, cfg, rng, stats)
+            cuts += is_capacity_cut(v, state, asked, stats)
+            return v
+
+        monkeypatch.setattr(SearchState, "classify", counting)
+        res = solve_block(g, SearchConfig())
+        assert res.verdict is Verdict.ONE_PLANAR and res.stats.nodes_visited > 2000
+        assert cuts == 0
 
 
 # planarity_calls of test_block under the default config, recorded before
-# the edge count answered queries without an LR run
-PINNED_CALLS = {"K6": 202, "K4,4": 2546, "random12": 679}
+# the edge count answered queries without an LR run; K6's with the
+# capacity cut, which changes its tree
+PINNED_CALLS = {"K6": 56, "K4,4": 2546, "random12": 679}
 
 
 @pytest.mark.parametrize("graph", sorted(PINNED_CALLS))
@@ -634,12 +785,14 @@ def test_planarity_calls_are_pinned(graph):
 # Node and cut counts of test_block at the commit before the search state
 # was made incremental: (nodes, cuts_dec, cuts_kec, cuts_nonplanar,
 # sol_satur, sol_compl).  Equal counts under every completion probability
-# show that no random draw moved.
+# show that no random draw moved.  K6 has m > 3n - 6, so the capacity cut
+# changes its tree: its counts are recorded with the cut.  K4,4 and
+# random12 are below the bound and keep theirs.
 PINNED_TREES = {
-    ("K6", "default"): (898, 127, 246, 58, 1, 0),
-    ("K6", "p=0"): (898, 127, 246, 58, 1, 0),
-    ("K6", "p=1"): (898, 127, 246, 58, 1, 0),
-    ("K6", "no kite"): (2144, 413, 0, 641, 0, 1),
+    ("K6", "default"): (326, 32, 66, 47, 1, 0),
+    ("K6", "p=0"): (326, 32, 66, 47, 1, 0),
+    ("K6", "p=1"): (326, 32, 66, 47, 1, 0),
+    ("K6", "no kite"): (2118, 407, 0, 634, 0, 1),
     ("K4,4", "default"): (15624, 3648, 3174, 964, 1, 0),
     ("K4,4", "p=0"): (15624, 3648, 3174, 964, 1, 0),
     ("K4,4", "p=1"): (15624, 3648, 3174, 964, 1, 0),
@@ -678,11 +831,12 @@ def test_search_tree_is_pinned(graph, config):
 # sha256 over the "cursor kind reason" line of every node test_block
 # classifies, in visiting order, recorded with the search that kept an
 # explicit stack of siblings still to visit.  A 1-child that the search
-# cuts without a push is hashed as the line its classification gave.
+# cuts without a push is hashed as the line its classification gave.  K6's
+# digests are recorded with the capacity cut, which changes its tree.
 PINNED_ORDERS = {
-    ("K6", "default"): "7a90d5358c3b18e8d712fbece37ffa9af0f40f952f77f05f8ce97c0478264949",
-    ("K6", "p=0.5"): "7a90d5358c3b18e8d712fbece37ffa9af0f40f952f77f05f8ce97c0478264949",
-    ("K6", "p=0"): "7a90d5358c3b18e8d712fbece37ffa9af0f40f952f77f05f8ce97c0478264949",
+    ("K6", "default"): "e576dd8d42afaee10c2094ba3d0f9b99498d4061a130deedee985bfae08d8858",
+    ("K6", "p=0.5"): "e576dd8d42afaee10c2094ba3d0f9b99498d4061a130deedee985bfae08d8858",
+    ("K6", "p=0"): "e576dd8d42afaee10c2094ba3d0f9b99498d4061a130deedee985bfae08d8858",
     ("K4,4", "default"): "74580db65aaaf60d822a303250ff2106145a14d1d35935ec603229c44dc2c2ee",
     ("K4,4", "p=0.5"): "74580db65aaaf60d822a303250ff2106145a14d1d35935ec603229c44dc2c2ee",
     ("K4,4", "p=0"): "74580db65aaaf60d822a303250ff2106145a14d1d35935ec603229c44dc2c2ee",
