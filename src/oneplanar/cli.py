@@ -17,7 +17,6 @@ from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, fields, replace
 
 from .embedding import (
-    BlockCertificate,
     OnePlanarEmbedding,
     count_crossings,
     merge_blocks,
@@ -238,14 +237,14 @@ def run_pipeline(
 
 def _decide_blocks(
     g: Graph, cfg: SearchConfig, t0: float
-) -> tuple[BlockDecomposition, Verdict, SearchStats, list[BlockCertificate]]:
+) -> tuple[BlockDecomposition, Verdict, SearchStats, list[OnePlanarEmbedding]]:
     """The block loop of `run_pipeline`, started at `t0`: the decomposition,
     the overall verdict, the merged stats and, while every block so far is
     positive, the block certificates."""
     deadline = t0 + cfg.time_budget
     dec = biconnected_components(g)
     stats = SearchStats()
-    certificates: list[BlockCertificate] = []
+    certificates: list[OnePlanarEmbedding] = []
     verdict = Verdict.ONE_PLANAR
     for blk in dec.blocks:
         res = test_block(blk.graph, cfg, deadline=deadline)
@@ -267,7 +266,7 @@ def _finish(
     dec: BlockDecomposition,
     verdict: Verdict,
     stats: SearchStats,
-    certificates: list[BlockCertificate],
+    certificates: list[OnePlanarEmbedding],
 ) -> tuple[InstanceRecord, OnePlanarEmbedding | None]:
     """The merge and the record of `run_pipeline`, started at `t0`."""
     emb = None

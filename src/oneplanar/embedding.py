@@ -1,10 +1,14 @@
-"""Planarizations, drawing certificates, and block merging.
+"""Star graphs, drawing certificates, and block merging.
 
-A set of crossing pairs turns a graph into its planarization: every
-crossing becomes a degree-4 dummy vertex subdividing both edges.  A
-planar rotation system of that star graph, with the rotation at each
-dummy alternating between its two edges, is the certificate format for
-"this graph has a drawing with at most one crossing per edge".
+A set of crossing pairs turns a graph into its star graph (its
+planarization): every crossing becomes a degree-4 dummy vertex
+subdividing both edges.  A planar rotation system of that star graph,
+with the rotation at each dummy alternating between its two edges, is
+the certificate for "this graph has a drawing with at most one crossing
+per edge".  :class:`OnePlanarEmbedding` holds just the graph, the pairs
+and the rotation; star ids follow the one :func:`star_edge_list` layout,
+and only :func:`validate` builds the star graph, through
+:func:`planarize`.
 """
 
 from __future__ import annotations
@@ -13,11 +17,7 @@ import re
 from dataclasses import dataclass
 
 from .graph import Graph, build_graph
-from .planarity import (
-    InconsistentRotationError,
-    RotationSystem,
-    euler_check,
-)
+from .planarity import RotationSystem, euler_check
 
 
 class EdgeCrossedTwiceError(ValueError):
@@ -43,48 +43,19 @@ class EmbeddingParseError(ValueError):
 
 
 @dataclass(frozen=True)
-class Planarization:
-    """Star graph obtained by replacing each crossing with a dummy vertex.
-
-    Dummy t gets star vertex id ``base_graph.n + t`` following the order
-    of the crossing list.  ``dummy_map[t]`` is ``((e1, e2), (u1, v1, u2,
-    v2))`` with (u1, v1) the endpoints of e1 and (u2, v2) those of e2.
-    ``edge_map[s]`` names the original edge that star edge s is part of.
-    """
-
-    base_graph: Graph
-    star_graph: Graph
-    dummy_map: tuple[tuple[tuple[int, int], tuple[int, int, int, int]], ...]
-    edge_map: tuple[int, ...]
-
-    @property
-    def base_n(self) -> int:
-        return self.base_graph.n
-
-
-@dataclass(frozen=True)
 class OnePlanarEmbedding:
-    """Certificate: planarization plus a planar rotation of its star graph.
+    """Certificate: crossing pairs of g and a planar rotation of their star.
 
-    The rotation at every dummy must alternate between the two crossing
-    edges, so each dummy is a genuine transversal crossing.
+    Each pair lists its smaller edge id first.  The star graph is never
+    stored: it is always the :func:`star_edge_list` layout of g and the
+    pairs, and ``rotation`` names its edges by star id.  The rotation at
+    every dummy must alternate between the two crossing edges, so each
+    dummy is a genuine transversal crossing.  A positive block search
+    hands back one for its block, unchecked; :func:`merge_blocks` builds
+    and validates the one for the whole graph.
     """
 
-    planarization: Planarization
-    rotation: RotationSystem
-    crossings: tuple[tuple[int, int], ...]
-
-
-@dataclass(frozen=True)
-class BlockCertificate:
-    """What a positive block search hands back; not checked on its own.
-
-    ``rotation`` is a planar rotation of the star graph that
-    :func:`star_edge_list` lays out for the block and ``crossings``.
-    :func:`merge_blocks` turns the certificates of all blocks into one
-    :class:`OnePlanarEmbedding` and validates that.
-    """
-
+    graph: Graph
     crossings: tuple[tuple[int, int], ...]
     rotation: RotationSystem
 
@@ -116,13 +87,27 @@ def star_edge_list(g: Graph, pairs, keep=None) -> tuple[int, list[tuple[int, int
     return d, edges
 
 
-def planarize(g: Graph, crossings) -> Planarization:
-    """Build the star graph for the given crossing pairs.
+def _star_ids(m: int, pairs) -> tuple[list[int], list[int]]:
+    """Both ways between edge ids and star ids in the star_edge_list layout.
 
-    Pairs must be independent (AdjacentPairError otherwise) and no edge
-    may appear twice (EdgeCrossedTwiceError).  Each pair is stored as
-    (smaller id, larger id) and the star graph follows
-    :func:`star_edge_list`, which keeps everything deterministic.
+    Returns (plain, star_of): star edge s < len(plain) is the uncrossed
+    edge plain[s] and star_of[e] is its star id, -1 for a crossed edge.
+    Half j of the t-th pair (to corner u1, v1, u2, v2 for j = 0..3) is
+    star edge len(plain) + 4t + j, a part of the pair's edge j >> 1.
+    """
+    in_pair = {e for pr in pairs for e in pr}
+    plain = [e for e in range(m) if e not in in_pair]
+    star_of = [-1] * m
+    for s, e in enumerate(plain):
+        star_of[e] = s
+    return plain, star_of
+
+
+def _checked_pairs(g: Graph, crossings) -> list[tuple[int, int]]:
+    """The crossing pairs, each as (smaller id, larger id), once checked.
+
+    Pairs must name edges of g, be independent (AdjacentPairError
+    otherwise), and no edge may appear twice (EdgeCrossedTwiceError).
     """
     seen: set[int] = set()
     norm: list[tuple[int, int]] = []
@@ -138,95 +123,54 @@ def planarize(g: Graph, crossings) -> Planarization:
         if a == b or g.adjacent_edges(a, b):
             raise AdjacentPairError(a, b)
         norm.append((a, b))
-
-    n_star, star_edges = star_edge_list(g, norm)
-    return Planarization(
-        base_graph=g,
-        star_graph=build_graph(n_star, star_edges),
-        dummy_map=tuple(((a, b), g.edges[a] + g.edges[b]) for a, b in norm),
-        edge_map=tuple(_star_edge_map(g.m, norm)),
-    )
+    return norm
 
 
-def _star_edge_map(m: int, pairs) -> list[int]:
-    """The edge of g that each edge of the star_edge_list star is part of."""
-    in_pair = {e for pr in pairs for e in pr}
-    return [e for e in range(m) if e not in in_pair] + [e for a, b in pairs for e in (a, a, b, b)]
+def planarize(g: Graph, crossings) -> Graph:
+    """The star graph of g for the given crossing pairs; the one builder.
+
+    The pairs are checked as in :func:`_checked_pairs` and each is taken
+    as (smaller id, larger id); the star graph follows
+    :func:`star_edge_list`, which keeps everything deterministic.
+    """
+    return build_graph(*star_edge_list(g, _checked_pairs(g, crossings)))
+
+
+def _alternating(dummy_rows, halves: int) -> list[bool]:
+    """Whether each dummy's row alternates between its pair's two edges.
+
+    The t-th row's halves are star ids halves + 4t + j, j = 0..3, and half
+    j is part of the pair's edge j >> 1.  A row of exactly its four halves
+    alternates iff its first and third entries belong to the same edge:
+    the cyclic pattern e1,e2,e1,e2 against e1,e1,e2,e2.
+    """
+    out = []
+    for row in dummy_rows:
+        out.append((row[0] - halves) >> 1 == (row[2] - halves) >> 1)
+        halves += 4
+    return out
 
 
 def validate(g: Graph, emb: OnePlanarEmbedding) -> bool:
     """Independent certificate check; True only if everything holds up.
 
-    Verifies, from scratch: the planarization really is g with each
-    listed crossing subdivided exactly once, the crossing list is sane
-    (independent pairs, no edge twice), the rotation is a sphere
-    embedding of the star graph, and every dummy alternates.
+    Verifies, from scratch: the certificate is about g, every pair lists
+    its smaller id first, the pairs are sane (independent, no edge twice),
+    the rotation is a sphere embedding of their star graph, and every
+    dummy alternates; :func:`euler_check` has made sure that each dummy's
+    row holds exactly its four halves.
     """
+    if emb.graph.n != g.n or emb.graph.edges != g.edges:
+        return False
+    if any(a >= b for a, b in emb.crossings):
+        return False
     try:
-        p = emb.planarization
-        star = p.star_graph
-        if p.base_graph.n != g.n or p.base_graph.edges != g.edges:
-            return False
-        t_count = len(p.dummy_map)
-        if star.n != g.n + t_count:
-            return False
-        if emb.crossings != tuple(pair for pair, _ in p.dummy_map):
-            return False
-        if len(p.edge_map) != star.m:
-            return False
-
-        crossed: dict[int, int] = {}
-        for t, ((a, b), (u1, v1, u2, v2)) in enumerate(p.dummy_map):
-            if a == b or g.adjacent_edges(a, b):
-                return False
-            if g.edges[a] != (u1, v1) or g.edges[b] != (u2, v2):
-                return False
-            for e in (a, b):
-                if e in crossed:
-                    return False
-                crossed[e] = t
-
-        # every original edge is covered by exactly the right star edges
-        halves: dict[int, list[tuple[int, int]]] = {e: [] for e in range(g.m)}
-        for s, (x, y) in enumerate(star.edges):
-            e = p.edge_map[s]
-            if not (0 <= e < g.m):
-                return False
-            if y < g.n:
-                if e in crossed or g.edges[e] != (x, y):
-                    return False
-                halves[e].append((-1, s))
-            else:
-                t = y - g.n
-                if crossed.get(e) != t:
-                    return False
-                if x not in g.edges[e]:
-                    return False
-                halves[e].append((t, s))
-        for e in range(g.m):
-            h = halves[e]
-            if e in crossed:
-                if len(h) != 2:
-                    return False
-                ends = {star.edges[s][0] for _, s in h}
-                if ends != set(g.edges[e]):
-                    return False
-            elif len(h) != 1:
-                return False
-
+        star = planarize(g, emb.crossings)
         if not euler_check(star, emb.rotation):
             return False
-        for t in range(t_count):
-            rot = emb.rotation.order[g.n + t]
-            if len(rot) != 4:
-                return False
-            e02 = (p.edge_map[rot[0]], p.edge_map[rot[2]])
-            e13 = (p.edge_map[rot[1]], p.edge_map[rot[3]])
-            if e02[0] != e02[1] or e13[0] != e13[1] or e02[0] == e13[0]:
-                return False
-        return True
-    except (IndexError, KeyError, InconsistentRotationError):
+    except ValueError:  # bad pairs, or a rotation that does not fit the star
         return False
+    return all(_alternating(emb.rotation.order[g.n :], star.m - 4 * len(emb.crossings)))
 
 
 # ---------------------------------------------------------------------------
@@ -235,7 +179,7 @@ def validate(g: Graph, emb: OnePlanarEmbedding) -> bool:
 
 
 def merge_blocks(
-    g: Graph, decomposition, certificates: list[BlockCertificate]
+    g: Graph, decomposition, certificates: list[OnePlanarEmbedding]
 ) -> OnePlanarEmbedding:
     """Build g's certificate from the block certificates and validate it.
 
@@ -243,11 +187,11 @@ def merge_blocks(
     the two edges.  At any other dummy the edges only touch: the dummy is
     dissolved and each of its half-edges is replaced in place by the whole
     edge, so g never gets more crossings than its blocks listed.  Every
-    block star edge is translated once, straight to its id in the
-    planarization of g by the surviving pairs.  Blocks share only cut
-    vertices, so the rotation at a shared vertex splices each later
-    block's rotation in as one contiguous segment right after the
-    smallest-id dart of the first block there.  Only the result is
+    block star edge is translated once, straight to its id in g's star
+    layout for the surviving pairs; no star graph is built here.  Blocks
+    share only cut vertices, so the rotation at a shared vertex splices
+    each later block's rotation in as one contiguous segment right after
+    the smallest-id dart of the first block there.  Only the result is
     validated, against g; InvalidBlockEmbeddingError is raised if it fails
     or the inputs do not fit g.
     """
@@ -265,9 +209,9 @@ def merge_blocks(
     return merged
 
 
-def _merge(g: Graph, blocks, certificates: list[BlockCertificate]) -> OnePlanarEmbedding:
+def _merge(g: Graph, blocks, certificates: list[OnePlanarEmbedding]) -> OnePlanarEmbedding:
     # which dummies of each block survive, and the surviving pairs in g's ids
-    uncrossed: list[list[int]] = []
+    plains: list[list[int]] = []
     alive: list[list[bool]] = []
     pairs: list[tuple[int, int]] = []
     for blk, cert in zip(blocks, certificates):
@@ -275,44 +219,41 @@ def _merge(g: Graph, blocks, certificates: list[BlockCertificate]) -> OnePlanarE
         if len(rows) != bg.n + len(crossings):
             raise ValueError(f"rotation has {len(rows)} rows for a star graph on "
                              f"{bg.n + len(crossings)} vertices")
-        edge_of = _star_edge_map(bg.m, crossings)
-        uncrossed.append(edge_of[: len(edge_of) - 4 * len(crossings)])
-        # cyclic pattern e1,e2,e1,e2 versus e1,e1,e2,e2 at a degree-4 dummy
-        alive.append([
-            edge_of[rows[bg.n + t][0]] == edge_of[rows[bg.n + t][2]]
-            for t in range(len(crossings))
-        ])
-        pairs.extend(
-            (blk.edge_map[a], blk.edge_map[b])
-            for (a, b), keep in zip(crossings, alive[-1]) if keep
-        )
-    merged = planarize(g, pairs)
-    star = merged.star_graph
+        plain, _ = _star_ids(bg.m, crossings)
+        plains.append(plain)
+        keeps = _alternating(rows[bg.n :], len(plain))
+        alive.append(keeps)
+        for (a, b), keep in zip(crossings, keeps):
+            if keep:
+                a, b = blk.edge_map[a], blk.edge_map[b]
+                pairs.append((a, b) if a < b else (b, a))
+    merged_plain, star_of = _star_ids(g.m, pairs)
+    halves = len(merged_plain)  # merged star id of the next kept pair's first half
 
     per_vertex: list[list[list[int]]] = [[] for _ in range(g.n)]
     dummy_rotations: list[list[int]] = []
-    d = g.n  # next dummy of the merged planarization
-    for blk, cert, plain, keeps in zip(blocks, certificates, uncrossed, alive):
+    t = 0  # index of the next kept pair in `pairs`
+    for blk, cert, plain, keeps in zip(blocks, certificates, plains, alive):
         bg, vmap, rows = blk.graph, blk.vertex_map, cert.rotation.order
-        # merged star edge id of every block star edge; `whole` is None for
-        # the edges that stay crossed
-        whole = [star.edge_between(*g.edges[e]) for e in blk.edge_map]
+        # merged star id of every block edge, -1 for the edges that stay crossed
+        whole = [star_of[e] for e in blk.edge_map]
         to_merged = [whole[e] for e in plain]
         for (a, b), keep in zip(cert.crossings, keeps):
             if keep:
-                ends = bg.edges[a] + bg.edges[b]
-                to_merged.extend(star.edge_between(vmap[x], d) for x in ends)
-                d += 1
+                corners = g.edges[pairs[t][0]] + g.edges[pairs[t][1]]
+                to_merged.extend(
+                    halves + corners.index(vmap[x]) for x in bg.edges[a] + bg.edges[b]
+                )
+                halves += 4
+                t += 1
             else:
                 to_merged.extend((whole[a], whole[a], whole[b], whole[b]))
-        if None in to_merged:
-            raise KeyError(f"star edge {to_merged.index(None)} of a block has no counterpart in g")
 
         for lv, v in enumerate(vmap):
             per_vertex[v].append([to_merged[s] for s in rows[lv]])
-        for t, keep in enumerate(keeps):
+        for row, keep in zip(rows[bg.n :], keeps):
             if keep:
-                dummy_rotations.append([to_merged[s] for s in rows[bg.n + t]])
+                dummy_rotations.append([to_merged[s] for s in row])
 
     order: list[list[int]] = []
     for v in range(g.n):
@@ -328,12 +269,7 @@ def _merge(g: Graph, blocks, certificates: list[BlockCertificate]) -> OnePlanarE
         spliced.extend(base[pos + 1 :])
         order.append(spliced)
     order.extend(dummy_rotations)
-
-    return OnePlanarEmbedding(
-        planarization=merged,
-        rotation=RotationSystem.from_lists(order),
-        crossings=tuple(pair for pair, _ in merged.dummy_map),
-    )
+    return OnePlanarEmbedding(g, tuple(pairs), RotationSystem.from_lists(order))
 
 
 # ---------------------------------------------------------------------------
@@ -343,33 +279,35 @@ def _merge(g: Graph, blocks, certificates: list[BlockCertificate]) -> OnePlanarE
 _DART_RE = re.compile(r"^c(\d+)\.(\d+)$")
 
 
-def _dart_token(p: Planarization, s: int) -> str:
-    x, y = p.star_graph.edges[s]
-    if y < p.base_n:
-        return str(p.edge_map[s])
-    t = y - p.base_n
-    corners = p.dummy_map[t][1]
-    return f"c{t}.{corners.index(x)}"
-
-
 def serialize_embedding(emb: OnePlanarEmbedding) -> str:
     """Render a certificate in the three-section text format."""
-    p = emb.planarization
+    g = emb.graph
+    plain, _ = _star_ids(g.m, emb.crossings)
+
+    def token(s: int) -> str:
+        if s < len(plain):
+            return str(plain[s])
+        return "c{}.{}".format(*divmod(s - len(plain), 4))
+
     lines = ["crossings:"]
     for a, b in emb.crossings:
         lines.append(f"{a} {b}")
     lines.append("rotation:")
-    for v in range(p.star_graph.n):
-        toks = " ".join(_dart_token(p, s) for s in emb.rotation.order[v])
+    for v, row in enumerate(emb.rotation.order):
+        toks = " ".join(token(s) for s in row)
         lines.append(f"{v}: {toks}" if toks else f"{v}:")
     lines.append("dummies:")
-    for t, ((a, b), _) in enumerate(p.dummy_map):
+    for t, (a, b) in enumerate(emb.crossings):
         lines.append(f"c{t}: {a} {b}")
     return "\n".join(lines) + "\n"
 
 
 def parse_embedding(text: str, g: Graph) -> OnePlanarEmbedding:
-    """Parse the output of :func:`serialize_embedding` back against g."""
+    """Parse the output of :func:`serialize_embedding` back against g.
+
+    Darts are mapped to star ids through the star layout; no star graph
+    is built.
+    """
     sections: dict[str, list[tuple[int, str]]] = {}
     current: list[tuple[int, str]] | None = None
     for lineno, raw in enumerate(text.splitlines(), start=1):
@@ -399,7 +337,7 @@ def parse_embedding(text: str, g: Graph) -> OnePlanarEmbedding:
         except ValueError:
             raise EmbeddingParseError(lineno, "edge ids must be integers") from None
     try:
-        p = planarize(g, pairs)
+        pairs = _checked_pairs(g, pairs)
     except ValueError as exc:
         raise EmbeddingParseError(0, f"bad crossing list: {exc}") from None
 
@@ -411,9 +349,11 @@ def parse_embedding(text: str, g: Graph) -> OnePlanarEmbedding:
             raise EmbeddingParseError(lineno, f"malformed dummy line {line!r}")
         if int(mobj.group(1)) != t:
             raise EmbeddingParseError(lineno, "dummy ids must appear in order")
-        if (int(mobj.group(2)), int(mobj.group(3))) != p.dummy_map[t][0]:
+        if (int(mobj.group(2)), int(mobj.group(3))) != pairs[t]:
             raise EmbeddingParseError(lineno, "dummy pair disagrees with crossings")
 
+    m, n_star = g.m, g.n + len(pairs)
+    plain, star_of = _star_ids(m, pairs)
     rows: dict[int, list[int]] = {}
     for lineno, line in sections["rotation"]:
         head, _, rest = line.partition(":")
@@ -421,34 +361,31 @@ def parse_embedding(text: str, g: Graph) -> OnePlanarEmbedding:
             v = int(head)
         except ValueError:
             raise EmbeddingParseError(lineno, f"bad vertex id {head!r}") from None
-        if not (0 <= v < p.star_graph.n) or v in rows:
+        if not (0 <= v < n_star) or v in rows:
             raise EmbeddingParseError(lineno, f"unexpected vertex id {v}")
         row = []
         for tok in rest.split():
             mobj = _DART_RE.match(tok)
             if mobj:
                 t, h = int(mobj.group(1)), int(mobj.group(2))
-                if not (0 <= t < len(p.dummy_map)) or not (0 <= h < 4):
+                if not (0 <= t < len(pairs)) or not (0 <= h < 4):
                     raise EmbeddingParseError(lineno, f"bad dart {tok!r}")
-                corner = p.dummy_map[t][1][h]
-                s = p.star_graph.edge_between(corner, p.base_n + t)
+                s = len(plain) + 4 * t + h
             else:
                 try:
                     e = int(tok)
                 except ValueError:
                     raise EmbeddingParseError(lineno, f"bad dart {tok!r}") from None
-                if not (0 <= e < g.m):
+                if not (0 <= e < m):
                     raise EmbeddingParseError(lineno, f"unknown edge {e}")
-                s = p.star_graph.edge_between(*g.edges[e])
-            if s is None:
-                raise EmbeddingParseError(lineno, f"dart {tok!r} not in star graph")
+                s = star_of[e]
+                if s < 0:
+                    raise EmbeddingParseError(lineno, f"dart {tok!r} not in star graph")
             row.append(s)
         rows[v] = row
-    if len(rows) != p.star_graph.n:
+    if len(rows) != n_star:
         raise EmbeddingParseError(0, "rotation section misses vertices")
 
     return OnePlanarEmbedding(
-        planarization=p,
-        rotation=RotationSystem.from_lists([rows[v] for v in range(p.star_graph.n)]),
-        crossings=tuple(p.dummy_map[t][0] for t in range(len(p.dummy_map))),
+        g, tuple(pairs), RotationSystem.from_lists([rows[v] for v in range(n_star)])
     )

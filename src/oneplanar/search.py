@@ -29,7 +29,7 @@ from enum import Enum
 from itertools import accumulate
 from operator import or_
 
-from .embedding import BlockCertificate, star_edge_list
+from .embedding import OnePlanarEmbedding, star_edge_list
 from .graph import Graph
 from .pairs import (
     PairUniverse,
@@ -124,7 +124,7 @@ class NodeVerdict:
     cut_reason: CutReason | None = None
     solution_kind: SolutionKind | None = None
     # For SOL nodes: the crossing set and a planar rotation of its star
-    # graph, which make the block's certificate.
+    # graph in the star_edge_list layout, the block's OnePlanarEmbedding.
     crossings: tuple[tuple[int, int], ...] | None = None
     star_rotation: tuple[tuple[int, ...], ...] | None = None
 
@@ -139,7 +139,7 @@ _CUT_NONPLANAR = NodeVerdict(NodeKind.CUT, cut_reason=CutReason.NONPLANAR_INDUCE
 @dataclass
 class BlockResult:
     verdict: Verdict
-    certificate: BlockCertificate | None
+    certificate: OnePlanarEmbedding | None
     stats: SearchStats
 
 
@@ -381,12 +381,13 @@ def backtrack(
     cfg: SearchConfig,
     stats: SearchStats,
     deadline: float | None = None,
-) -> tuple[Verdict, BlockCertificate | None]:
+) -> tuple[Verdict, OnePlanarEmbedding | None]:
     """Depth-first search over the universe; 0 branches explored first.
 
-    Returns OnePlanar on the first solution node, with that node's crossing
-    set and star rotation as the block certificate (not checked here;
-    merge_blocks builds the drawing certificate and validates it).  Full
+    Returns OnePlanar on the first solution node, with a
+    :class:`OnePlanarEmbedding` of g from that node's crossing set and star
+    rotation (not checked here; merge_blocks builds the certificate of the
+    whole graph and validates it).  Full
     exhaustion proves NotOnePlanar; exhausting a restricted universe or
     hitting the deadline yields Unknown.
     The deadline is read before every node that `classify` sees, the
@@ -424,7 +425,7 @@ def backtrack(
                 stats.sol_satur += 1
             else:
                 stats.sol_compl += 1
-            cert = BlockCertificate(v.crossings, RotationSystem(v.star_rotation))
+            cert = OnePlanarEmbedding(g, v.crossings, RotationSystem(v.star_rotation))
             return Verdict.ONE_PLANAR, cert
         # a leaf: back up past the 1s, whose subtrees are done, and take the
         # 1-sibling of the deepest 0 unless it is a cut leaf as well
@@ -497,11 +498,11 @@ def test_block(
     a restricted pass over pairs meeting a skew set runs first and the
     unrestricted search settles whatever is left open.
 
-    A positive verdict carries a :class:`BlockCertificate`: no crossings
-    and the planarity test's rotation for a planar block, else the
-    solution node's crossings and star rotation.  It is not checked here;
-    :func:`~oneplanar.embedding.merge_blocks` builds and validates the
-    drawing certificate.
+    A positive verdict carries a :class:`OnePlanarEmbedding` of g: no
+    crossings and the planarity test's rotation for a planar block, else
+    the solution node's crossings and star rotation.  It is not checked
+    here; :func:`~oneplanar.embedding.merge_blocks` builds and validates
+    the certificate of the whole graph.
     """
     stats = SearchStats()
     own_deadline = time.monotonic() + cfg.time_budget
@@ -510,7 +511,7 @@ def test_block(
     stats.planarity_calls += 1
     pv = test_planarity(g)
     if pv.planar:
-        return BlockResult(Verdict.ONE_PLANAR, BlockCertificate((), pv.rotation), stats)
+        return BlockResult(Verdict.ONE_PLANAR, OnePlanarEmbedding(g, (), pv.rotation), stats)
 
     if g.n >= 7 and g.m > 4 * g.n - 8:
         return BlockResult(Verdict.NOT_ONE_PLANAR, None, stats)

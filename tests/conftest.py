@@ -7,7 +7,7 @@ import random
 
 import pytest
 
-from oneplanar.embedding import BlockCertificate, OnePlanarEmbedding, merge_blocks
+from oneplanar.embedding import OnePlanarEmbedding, merge_blocks
 from oneplanar.graph import (
     Block,
     BlockDecomposition,
@@ -88,7 +88,7 @@ def one_block(g: Graph) -> BlockDecomposition:
     )
 
 
-def merge_one_block(g: Graph, cert: BlockCertificate) -> OnePlanarEmbedding:
+def merge_one_block(g: Graph, cert: OnePlanarEmbedding) -> OnePlanarEmbedding:
     """The validated certificate `merge_blocks` builds from g's block certificate.
 
     Isolated vertices belong to no block, so an edgeless g merges no block.

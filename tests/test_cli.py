@@ -15,6 +15,7 @@ import pytest
 
 import oneplanar.cli as cli_module
 import oneplanar.embedding as embedding_module
+import oneplanar.graph as graph_module
 import oneplanar.planarity as planarity_module
 
 from conftest import (
@@ -251,6 +252,35 @@ class TestPipeline:
         assert calls == {"planarize": 1, "euler_check": 1}
         assert record.verdict == "OnePlanar" and validate(g, emb)
         assert record.blocks == (5 if name == "K5/K3,3 chain" else 1)
+
+    @pytest.mark.parametrize("name", ["K5/K3,3 chain", "grid 6x6"])
+    def test_one_star_graph_per_run_and_round_trip(self, name, monkeypatch):
+        g = {
+            "K5/K3,3 chain": chain_graph([complete_graph(5), complete_bipartite(3, 3)] * 2
+                                         + [complete_graph(5)]),
+            "grid 6x6": grid_graph(6, 6),
+        }[name]
+        calls = {"planarize": 0, "build_graph": 0}
+        for attr, module in (("planarize", embedding_module), ("build_graph", graph_module)):
+            orig = getattr(module, attr)
+
+            def counting(*args, _orig=orig, _attr=attr, **kwargs):
+                calls[_attr] += 1
+                return _orig(*args, **kwargs)
+
+            # every module that imported the name calls the wrapper too
+            for mod in list(sys.modules.values()):
+                if getattr(mod, "__name__", "").startswith("oneplanar") and \
+                        getattr(mod, attr, None) is orig:
+                    monkeypatch.setattr(mod, attr, counting)
+        record, emb = run_pipeline(g, SearchConfig())
+        text = serialize_embedding(emb)
+        calls["build_graph"] = 0
+        parsed = parse_embedding(text, g)
+        # validate in run_pipeline builds the only star graph; the parser
+        # reads darts through the star layout and builds no graph at all
+        assert calls == {"planarize": 1, "build_graph": 0}
+        assert parsed == emb and record.verdict == "OnePlanar"
 
     def test_certificates_match_recorded_digest(self):
         # Recorded when every block built and checked a certificate of its

@@ -1,4 +1,4 @@
-"""Planarization, block merging, validation, and the text format."""
+"""Star graphs, block merging, validation, and the text format."""
 
 from __future__ import annotations
 
@@ -9,7 +9,6 @@ import pytest
 from conftest import complete_graph, glue_at_vertex, merge_one_block
 from oneplanar.embedding import (
     AdjacentPairError,
-    BlockCertificate,
     EdgeCrossedTwiceError,
     EmbeddingParseError,
     InvalidBlockEmbeddingError,
@@ -26,15 +25,15 @@ from oneplanar.planarity import RotationSystem, rotation_edges
 from oneplanar.planarity import test_planarity as check_planarity
 
 
-def star_rotation(p) -> RotationSystem:
-    lists = rotation_edges(p.star_graph.n, list(p.star_graph.edges))
+def star_rotation(star: Graph) -> RotationSystem:
+    lists = rotation_edges(star.n, list(star.edges))
     assert lists is not None
     return RotationSystem.from_lists(lists)
 
 
-def block_certificate(g: Graph, crossings) -> BlockCertificate:
+def block_certificate(g: Graph, crossings) -> OnePlanarEmbedding:
     """g's certificate as a block: the crossings and an LR rotation of their star."""
-    return BlockCertificate(tuple(crossings), star_rotation(planarize(g, crossings)))
+    return OnePlanarEmbedding(g, tuple(crossings), star_rotation(planarize(g, crossings)))
 
 
 def k5_certificate() -> tuple[Graph, OnePlanarEmbedding]:
@@ -49,13 +48,12 @@ def two_edge_graph() -> Graph:
 class TestPlanarize:
     def test_k5_star_structure(self):
         g = complete_graph(5)
-        p = planarize(g, [(0, 9)])
-        assert p.star_graph.n == 6 and p.star_graph.m == 12
-        assert p.dummy_map == (((0, 9), (0, 1, 3, 4)),)
-        # Uncrossed originals keep id order, then the four dummy halves.
-        assert p.star_graph.edges[:8] == tuple(g.edges[e] for e in range(1, 9))
-        assert p.star_graph.edges[8:] == ((0, 5), (1, 5), (3, 5), (4, 5))
-        assert p.edge_map == (1, 2, 3, 4, 5, 6, 7, 8, 0, 0, 9, 9)
+        star = planarize(g, [(0, 9)])
+        assert star.n == 6 and star.m == 12
+        # Uncrossed originals keep id order, then the halves to the corners
+        # 0, 1 of edge 0 and 3, 4 of edge 9.
+        assert star.edges[:8] == tuple(g.edges[e] for e in range(1, 9))
+        assert star.edges[8:] == ((0, 5), (1, 5), (3, 5), (4, 5))
 
     def test_pair_order_normalized(self):
         g = complete_graph(5)
@@ -63,9 +61,8 @@ class TestPlanarize:
 
     def test_no_crossings_reproduces_graph(self):
         g = complete_graph(4)
-        p = planarize(g, [])
-        assert p.star_graph == g and p.dummy_map == ()
-        assert p.edge_map == tuple(range(6))
+        star = planarize(g, [])
+        assert star == g and star.edges == g.edges
 
     def test_edge_crossed_twice_rejected(self):
         with pytest.raises(EdgeCrossedTwiceError):
@@ -89,7 +86,7 @@ class TestRealize:
         # Star is a 4-ray star around the dummy; halves are edges 0..3 with
         # edge pattern (0, 0, 1, 1), so order 0,2,1,3 alternates.
         rs = RotationSystem.from_lists([[0], [1], [2], [3], [0, 2, 1, 3]])
-        emb = merge_one_block(g, BlockCertificate(((0, 1),), rs))
+        emb = merge_one_block(g, OnePlanarEmbedding(g, ((0, 1),), rs))
         assert emb.crossings == ((0, 1),)
         assert validate(g, emb)
 
@@ -99,20 +96,20 @@ class TestRealize:
         # transversal crossings; the dummy is dissolved in place.
         g = two_edge_graph()
         rs = RotationSystem.from_lists([[0], [1], [2], [3], dummy_row])
-        emb = merge_one_block(g, BlockCertificate(((0, 1),), rs))
+        emb = merge_one_block(g, OnePlanarEmbedding(g, ((0, 1),), rs))
         assert emb.crossings == ()
-        assert emb.planarization.star_graph == g
+        assert planarize(g, emb.crossings) == g
         assert validate(g, emb)
 
     def test_nonplanar_rotation_rejected(self):
         g = complete_graph(4)
         bad = RotationSystem.from_lists([[0, 1, 2], [0, 3, 4], [1, 3, 5], [2, 5, 4]])
         with pytest.raises(InvalidBlockEmbeddingError):
-            merge_one_block(g, BlockCertificate((), bad))
+            merge_one_block(g, OnePlanarEmbedding(g, (), bad))
 
     def test_plain_planar_certificate(self):
         g = complete_graph(4)
-        emb = merge_one_block(g, BlockCertificate((), check_planarity(g).rotation))
+        emb = merge_one_block(g, OnePlanarEmbedding(g, (), check_planarity(g).rotation))
         assert emb.crossings == () and count_crossings(emb) == 0
         assert validate(g, emb)
 
@@ -147,18 +144,16 @@ class TestValidate:
 
     def test_rejects_nonalternating_dummy_claimed_as_crossing(self):
         g = two_edge_graph()
-        p = planarize(g, [(0, 1)])
         rs = RotationSystem.from_lists([[0], [1], [2], [3], [0, 1, 2, 3]])
-        fake = OnePlanarEmbedding(planarization=p, rotation=rs, crossings=((0, 1),))
+        fake = OnePlanarEmbedding(g, ((0, 1),), rs)
         assert not validate(g, fake)
 
     def test_rejects_foreign_planarization(self):
+        # the rotation of another crossing set's star, given with K5's pairs
         g, emb = k5_certificate()
-        other = planarize(g, [(0, 8)])
-        fake = OnePlanarEmbedding(
-            planarization=other, rotation=emb.rotation, crossings=emb.crossings
-        )
-        assert not validate(g, fake)
+        other = star_rotation(planarize(g, [(0, 8)]))
+        assert validate(g, OnePlanarEmbedding(g, ((0, 8),), other))
+        assert not validate(g, dataclasses.replace(emb, rotation=other))
 
 
 class TestMergeBlocks:
@@ -176,7 +171,8 @@ class TestMergeBlocks:
     def test_bridge_and_triangle(self):
         g = build_graph(4, [(0, 1), (1, 2), (0, 2), (2, 3)])
         dec = biconnected_components(g)
-        certs = [BlockCertificate((), check_planarity(b.graph).rotation) for b in dec.blocks]
+        certs = [OnePlanarEmbedding(b.graph, (), check_planarity(b.graph).rotation)
+                 for b in dec.blocks]
         merged = merge_blocks(g, dec, certs)
         assert count_crossings(merged) == 0
         assert validate(g, merged)
@@ -219,7 +215,9 @@ class TestMergeBlocks:
         g = glue_at_vertex(complete_graph(5), complete_graph(4))
         dec = biconnected_components(g)
         k5 = block_certificate(complete_graph(5), [(0, 9)])
-        k4 = BlockCertificate((), check_planarity(complete_graph(4)).rotation)
+        k4 = OnePlanarEmbedding(
+            complete_graph(4), (), check_planarity(complete_graph(4)).rotation
+        )
         good = [k5, k4]
         assert validate(g, merge_blocks(g, dec, good))
         with pytest.raises(InvalidBlockEmbeddingError):
@@ -232,8 +230,9 @@ class TestMergeBlocks:
         # block's certificate on its own first, then the merge.
         c4 = build_graph(4, [(0, 1), (1, 2), (2, 3), (0, 3)])
         # star edges: 0 = (1, 2), 1 = (0, 3), then the halves 2..5 to 0, 1, 2, 3
-        touching = BlockCertificate(
-            ((0, 2),), RotationSystem.from_lists([[1, 2], [0, 3], [0, 4], [1, 5], [2, 3, 4, 5]])
+        touching = OnePlanarEmbedding(
+            c4, ((0, 2),),
+            RotationSystem.from_lists([[1, 2], [0, 3], [0, 4], [1, 5], [2, 3, 4, 5]]),
         )
         g = glue_at_vertex(c4, complete_graph(5))
         dec = biconnected_components(g)
@@ -258,7 +257,7 @@ class TestTextFormat:
 
     def test_round_trip_without_crossing(self):
         g = complete_graph(4)
-        emb = merge_one_block(g, BlockCertificate((), check_planarity(g).rotation))
+        emb = merge_one_block(g, OnePlanarEmbedding(g, (), check_planarity(g).rotation))
         text = serialize_embedding(emb)
         assert parse_embedding(text, g).rotation == emb.rotation
 
