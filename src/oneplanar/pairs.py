@@ -1,15 +1,15 @@
-"""Universe of crossable edge pairs and partial assignments over it.
+"""Universe of crossable edge pairs.
 
 A candidate drawing is encoded as a bit vector over all unordered pairs of
 independent edges (edges sharing an endpoint can never cross).  Pairs are
 kept in lexicographic order of their (smaller id, larger id) tuple; the
 search walks this order left to right, so a partial assignment is just a
-prefix of decided bits.
+prefix of decided bits (see :class:`~oneplanar.search.SearchState`).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .graph import Graph
 
@@ -69,89 +69,3 @@ def build_restricted_universe(g: Graph, skew_edges) -> PairUniverse:
         if (e in skew or f in skew) and not g.adjacent_edges(e, f)
     ]
     return _index_pairs(g.m, pairs, restricted=True)
-
-
-@dataclass
-class PartialSolution:
-    """Prefix of decided pair bits; positions >= cursor are undecided."""
-
-    universe: PairUniverse
-    bits: list[int] = field(default_factory=list)
-    cursor: int = 0
-
-    @staticmethod
-    def empty(universe: PairUniverse) -> "PartialSolution":
-        return PartialSolution(universe, [0] * universe.k, 0)
-
-    def push(self, bit: int) -> None:
-        self.bits[self.cursor] = bit
-        self.cursor += 1
-
-    def pop(self) -> None:
-        self.cursor -= 1
-        self.bits[self.cursor] = 0
-
-    def decided_pairs(self) -> list[tuple[int, int]]:
-        """Pairs set to 1 in the decided prefix, in universe order."""
-        pairs = self.universe.pairs
-        return [pairs[i] for i in range(self.cursor) if self.bits[i]]
-
-
-def crossing_counts(sol: PartialSolution) -> list[int]:
-    """How often each edge is crossed by the decided prefix."""
-    counts = [0] * sol.universe.m
-    pairs = sol.universe.pairs
-    for i in range(sol.cursor):
-        if sol.bits[i]:
-            e, f = pairs[i]
-            counts[e] += 1
-            counts[f] += 1
-    return counts
-
-
-def crossed_edges(sol: PartialSolution) -> set[int]:
-    """Edges contained in some pair decided to cross."""
-    out: set[int] = set()
-    pairs = sol.universe.pairs
-    for i in range(sol.cursor):
-        if sol.bits[i]:
-            e, f = pairs[i]
-            out.add(e)
-            out.add(f)
-    return out
-
-
-def saturated_edges(sol: PartialSolution, kites=frozenset()) -> set[int]:
-    """Edges whose crossing status can no longer change.
-
-    An edge is saturated once one of these holds:
-      (a) it is already crossed;
-      (b) its last pair in the order lies before the cursor (edges in no
-          pair are saturated from the start);
-      (c) every partner it could still cross is itself crossed, so any
-          further crossing would cross that partner twice;
-      (d) it is a kite edge of a crossing decided so far.
-
-    Pairs decided to 0 do not help with (c): the partner must actually be
-    crossed.  All conditions read the active universe, so restricted
-    universes saturate edges that full universes would keep open.
-    """
-    u = sol.universe
-    crossed = crossed_edges(sol)
-    sat = set(crossed)
-    sat.update(kites)
-    pairs = u.pairs
-    for e, occ in enumerate(u.edge_pairs):
-        if e in sat:
-            continue
-        if not occ or occ[-1] < sol.cursor:
-            sat.add(e)
-            continue
-        for p in occ:
-            a, b = pairs[p]
-            partner = b if a == e else a
-            if partner not in crossed:
-                break
-        else:
-            sat.add(e)
-    return sat

@@ -2,12 +2,17 @@
 
 The search walks the pair universe left to right, assigning each pair
 "crosses" (1) or "does not cross" (0).  Each node of the resulting
-binary tree is classified as a solution, a dead end, or a node worth
-extending, based on four facts about the decided prefix:
+binary tree is a solution, a dead end (cut), or a node worth extending,
+by four facts about the decided prefix.  The first two are decided when
+a 1 is pushed, which is then refused:
 
   * an edge crossed twice can never be repaired (DEC cut);
-  * a crossed kite edge is never necessary, because a kite edge can be
-    redrawn along its crossing without touching anything (KEC cut);
+  * a crossed kite edge, an edge joining an end of one crossing edge to
+    an end of the other, is never necessary, because it can be redrawn
+    along its crossing without touching anything (KEC cut).
+
+The other two are decided when the node is classified:
+
   * edges whose status can no longer change (saturated edges) must
     already form a planar arrangement once their crossings are replaced
     by dummy vertices (nonplanar cut otherwise);
@@ -31,12 +36,7 @@ from operator import or_
 
 from .embedding import OnePlanarEmbedding, star_edge_list
 from .graph import Graph
-from .pairs import (
-    PairUniverse,
-    PartialSolution,
-    build_restricted_universe,
-    build_universe,
-)
+from .pairs import PairUniverse, build_restricted_universe, build_universe
 from .planarity import (
     RotationSystem,
     is_planar_edges,
@@ -143,43 +143,30 @@ class BlockResult:
     stats: SearchStats
 
 
-def find_kite_edges(g: Graph, crossing_pairs) -> set[int]:
-    """Edges of g joining endpoints across some crossing pair.
-
-    For crossing edges (u1, v1) x (u2, v2) these are the up-to-four
-    quadrilateral edges u1u2, u1v2, v1u2, v1v2 that exist in g.
-    """
-    out: set[int] = set()
-    for a, b in crossing_pairs:
-        u1, v1 = g.edges[a]
-        u2, v2 = g.edges[b]
-        for x in (u1, v1):
-            for y in (u2, v2):
-                e = g.edge_between(x, y)
-                if e is not None:
-                    out.add(e)
-    return out
-
-
 class SearchState:
     """One search path: its decided prefix and everything a node's
     classification reads from it, as one edge mask per depth.
 
-    Bit e of a mask stands for edge e.  For the node at depth d (d pairs
-    decided) the state holds:
+    ``bits[:cursor]`` are the decided bits, 1 for a pair that crosses,
+    and ``crossings`` lists the crossing pairs in universe order.  Bit e
+    of a mask stands for edge e.  An edge is saturated, its crossing
+    status fixed below the node, once one of these holds; for the node at
+    depth d (d pairs decided) the state holds one mask per rule:
 
-    * ``crossed[d]``: edges in some crossing pair; ``doubled[d]``: some
-      edge is in two of them;
-    * ``kites[d]``: kite edges of the crossings (0 without kite pruning);
-    * ``cornered[d]``: edges every universe partner of which is crossed,
-      saturation rule (c);
-    * ``closed[d]``: edges with no pair at position d or later, rule (b);
-      it depends on the universe only.
+    * ``crossed[d]``: (a) it is in some crossing pair;
+    * ``closed[d]``: (b) it has no pair at position d or later; this
+      depends on the universe only;
+    * ``cornered[d]``: (c) every universe partner it has is crossed, so
+      any further crossing would cross that partner twice (a pair decided
+      0 does not count);
+    * ``kites[d]``: (d) it is a kite edge of a crossing (0 without kite
+      pruning).
 
-    The saturated set :func:`~oneplanar.pairs.saturated_edges` computes is
-    the OR of the four masks.  `push` writes depth d + 1 from depth d and
-    `pop` moves the cursor back, so nothing is undone.  ``crossings`` lists
-    the crossing pairs in universe order.
+    All rules read the active universe, so a restricted universe saturates
+    edges a full one would keep open.  `push` writes depth d + 1 from
+    depth d and `pop` moves the cursor back, so nothing is undone.  `push`
+    alone decides DEC and KEC cuts: it refuses a 1 that would cross an
+    edge twice or cross a kite edge, so no path holds either.
 
     Two facts about the path are kept per depth and only set by `classify`:
 
@@ -197,15 +184,15 @@ class SearchState:
     not saturated when its crossings plus half its free edges (unsaturated,
     with an unsaturated universe partner) stay below ``_need``, since
     every crossing below the node pairs two free edges (capacity cut).
-    `one_child_cut` decides whether the 1-child of the cursor would be a
-    DEC or KEC cut, without pushing it.
     """
 
     def __init__(self, g: Graph, universe: PairUniverse, kite_pruning: bool) -> None:
         self.g = g
-        self.sol = PartialSolution.empty(universe)
-        self.crossings: list[tuple[int, int]] = []
+        self.universe = universe
         k, pairs = universe.k, universe.pairs
+        self.bits = [0] * k
+        self.cursor = 0
+        self.crossings: list[tuple[int, int]] = []
         partners: list[list[int]] = [[] for _ in range(g.m)]
         partner_mask = [0] * g.m
         for a, b in pairs:
@@ -214,7 +201,8 @@ class SearchState:
             partner_mask[a] |= 1 << b
             partner_mask[b] |= 1 << a
         self._partners, self._partner_mask = partners, partner_mask
-        # kite mask of each pair, the mask form of find_kite_edges(g, [pair])
+        # kite mask of each pair: the edges of g joining an end of one of
+        # its edges to an end of the other
         self._pair_kites = [0] * k
         if kite_pruning:
             edges, between = g.edges, g.edge_between
@@ -238,71 +226,73 @@ class SearchState:
         self.crossed = [0] * (k + 1)
         self.kites = [0] * (k + 1)
         self.cornered = [0] * (k + 1)
-        self.doubled = [False] * (k + 1)
         self._planar_sat = [-1] * (k + 1)
         self._nonplanar_full = [False] * (k + 1)
 
-    def push(self, bit: int) -> None:
-        """Decide the pair at the cursor: 1 crosses it, 0 does not."""
-        sol = self.sol
-        d = sol.cursor
-        sol.push(bit)
+    def push(self, bit: int) -> NodeVerdict | None:
+        """Decide the pair at the cursor: 1 crosses it, 0 does not.
+
+        A 1 that would cross an already crossed edge returns the DEC cut;
+        otherwise a 1 whose crossing would cross a kite edge, of an earlier
+        crossing or of its own, returns the KEC cut.  A refused push leaves
+        the state untouched; every other push returns None.
+        """
+        d = self.cursor
+        if bit:
+            a, b = pair = self.universe.pairs[d]
+            ab = 1 << a | 1 << b
+            if self.crossed[d] & ab:
+                return _CUT_DEC
+            crossed = self.crossed[d] | ab
+            kites = self.kites[d] | self._pair_kites[d]
+            if crossed & kites:
+                return _CUT_KEC
+        self.bits[d] = bit
+        self.cursor = d + 1
         self._planar_sat[d + 1] = -1
         self._nonplanar_full[d + 1] = self._nonplanar_full[d] and not bit
         if not bit:
             self.crossed[d + 1] = self.crossed[d]
             self.kites[d + 1] = self.kites[d]
             self.cornered[d + 1] = self.cornered[d]
-            self.doubled[d + 1] = self.doubled[d]
-            return
-        a, b = pair = sol.universe.pairs[d]
+            return None
         self.crossings.append(pair)
-        ab = 1 << a | 1 << b
-        crossed = self.crossed[d] | ab
         self.crossed[d + 1] = crossed
-        self.doubled[d + 1] = self.doubled[d] or bool(self.crossed[d] & ab)
-        self.kites[d + 1] = self.kites[d] | self._pair_kites[d]
+        self.kites[d + 1] = kites
         cornered = self.cornered[d]
         partner_mask = self._partner_mask
         for f in self._partners[a] + self._partners[b]:
             if not partner_mask[f] & ~crossed:
                 cornered |= 1 << f
         self.cornered[d + 1] = cornered
+        return None
 
     def pop(self) -> None:
         """Take back the last decision."""
-        sol = self.sol
-        if sol.bits[sol.cursor - 1]:
+        self.cursor -= 1
+        if self.bits[self.cursor]:
             self.crossings.pop()
-        sol.pop()
-
-    def one_child_cut(self) -> NodeVerdict | None:
-        """The DEC or KEC cut that `classify` would return after
-        ``push(1)``, or None.  Only for a cursor whose node is CNT, so
-        nothing is doubled and no crossed edge is a kite edge yet."""
-        d = self.sol.cursor
-        a, b = self.sol.universe.pairs[d]
-        ab = 1 << a | 1 << b
-        if self.crossed[d] & ab:
-            return _CUT_DEC
-        if (self.crossed[d] | ab) & (self.kites[d] | self._pair_kites[d]):
-            return _CUT_KEC
-        return None
 
     def saturated(self) -> int:
         """Mask of the saturated edges at the cursor."""
-        d = self.sol.cursor
+        d = self.cursor
         return self.crossed[d] | self.kites[d] | self.cornered[d] | self.closed[d]
 
     def classify(
         self, cfg: SearchConfig, rng: random.Random, stats: SearchStats
     ) -> NodeVerdict:
-        """Classify the node at the end of the path; see :func:`verify_node`."""
-        g, d = self.g, self.sol.cursor
-        if self.doubled[d]:
-            return _CUT_DEC
-        if self.crossed[d] & self.kites[d]:
-            return _CUT_KEC
+        """Classify the node at the cursor as a solution, a nonplanar cut
+        or a node to extend.
+
+        Precondition: the path was built by `push`, so no edge on it is
+        crossed twice and no kite edge is crossed; DEC and KEC cuts never
+        come from here.  Order of checks: saturation of the whole graph;
+        then, for a node that is not saturated, the capacity bound,
+        planarity of the saturated subgraph's star graph, and finally the
+        optional zero-completion attempt.  The random draw happens only if
+        that last step is actually reached.
+        """
+        g, d = self.g, self.cursor
         sat = self.saturated()
         if sat != self._all_edges:
             # capacity cut: a crossing below this node pairs two free edges,
@@ -321,7 +311,7 @@ class SearchState:
                     return _CUT_NONPLANAR
             # after a bit-0 push with no new saturated edge the parent, a
             # CNT node, has already found this very query planar
-            if not (d and not self.sol.bits[d - 1] and self._planar_sat[d - 1] == sat):
+            if not (d and not self.bits[d - 1] and self._planar_sat[d - 1] == sat):
                 stats.planarity_calls += 1
                 if not is_planar_edges(*star_edge_list(g, self.crossings, keep=sat)):
                     return _CUT_NONPLANAR
@@ -350,31 +340,6 @@ class SearchState:
         return _CUT_NONPLANAR if kind is SolutionKind.SATURATION else _CNT
 
 
-def verify_node(
-    sol: PartialSolution,
-    g: Graph,
-    cfg: SearchConfig,
-    rng: random.Random,
-    stats: SearchStats | None = None,
-) -> NodeVerdict:
-    """Classify one search node from its decided prefix.
-
-    Order of checks: double crossings, crossed kite edges, saturation of
-    the whole graph; then, for a node that is not saturated, the capacity
-    bound, planarity of the saturated subgraph's planarization, and
-    finally the optional zero-completion attempt.  The random draw happens
-    only if that last step is actually reached.
-
-    The prefix is replayed into a fresh :class:`SearchState`, so this is
-    the classification `backtrack` runs at every node, minus the planarity
-    answers a search path carries from node to node.
-    """
-    state = SearchState(g, sol.universe, cfg.enable_kite_pruning)
-    for bit in sol.bits[: sol.cursor]:
-        state.push(bit)
-    return state.classify(cfg, rng, SearchStats() if stats is None else stats)
-
-
 def backtrack(
     g: Graph,
     universe: PairUniverse,
@@ -396,14 +361,14 @@ def backtrack(
     The path is the stack: every 0 on it still has its 1-sibling to
     visit and every 1 has none, so the decided prefix alone says where
     the search goes after a leaf.  A 1-sibling that
-    :meth:`SearchState.one_child_cut` settles is counted, as a node and a
-    cut, on the way back up and never pushed; node and cut counts are the
-    same as if it had been pushed and classified.
+    :meth:`SearchState.push` refuses as a DEC or KEC cut is counted, as a
+    node and a cut, on the way back up; it is a leaf that `classify`
+    never sees.
     """
     stats.used_backtracking = True
     rng = random.Random(cfg.rng_seed)
     state = SearchState(g, universe, cfg.enable_kite_pruning)
-    sol, k = state.sol, universe.k
+    bits, k = state.bits, universe.k
 
     while True:
         if deadline is not None and time.monotonic() >= deadline:
@@ -411,13 +376,9 @@ def backtrack(
         v = state.classify(cfg, rng, stats)
         stats.nodes_visited += 1
         if v is _CNT:
-            if sol.cursor < k:
+            if state.cursor < k:
                 state.push(0)
                 continue
-        elif v is _CUT_DEC:
-            stats.cuts_dec += 1
-        elif v is _CUT_KEC:
-            stats.cuts_kec += 1
         elif v is _CUT_NONPLANAR:
             stats.cuts_nonplanar += 1
         else:
@@ -428,23 +389,22 @@ def backtrack(
             cert = OnePlanarEmbedding(g, v.crossings, RotationSystem(v.star_rotation))
             return Verdict.ONE_PLANAR, cert
         # a leaf: back up past the 1s, whose subtrees are done, and take the
-        # 1-sibling of the deepest 0 unless it is a cut leaf as well
+        # 1-sibling of the deepest 0 unless push refuses it as a cut leaf
         while True:
-            while sol.cursor and sol.bits[sol.cursor - 1]:
+            while state.cursor and bits[state.cursor - 1]:
                 state.pop()
-            if not sol.cursor:
+            if not state.cursor:
                 break
             state.pop()
-            cut = state.one_child_cut()
+            cut = state.push(1)
             if cut is None:
-                state.push(1)
                 break
             stats.nodes_visited += 1
             if cut is _CUT_DEC:
                 stats.cuts_dec += 1
             else:
                 stats.cuts_kec += 1
-        if not sol.cursor:
+        if not state.cursor:
             break
 
     if universe.restricted:

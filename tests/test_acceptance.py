@@ -36,19 +36,16 @@ from oneplanar.embedding import (
     validate,
 )
 from oneplanar.graph import Graph, build_graph
-from oneplanar.pairs import (
-    PartialSolution,
-    build_universe,
-    crossed_edges,
-    saturated_edges,
-)
+from oneplanar.pairs import build_universe
 from oneplanar.planarity import is_planar_edges
 from oneplanar.search import (
     SearchConfig,
+    SearchState,
     Verdict,
     oracle_is_one_planar,
 )
 from oneplanar.search import test_block as solve_block
+from reference import crossed_edges, edge_mask, saturated_edges
 
 
 def _report(capsys, ok: bool, line: str) -> None:
@@ -264,9 +261,10 @@ def _valid_full_assignments(g: Graph, universe, limit: int) -> list[list[int]]:
 def test_saturated_edges_never_change_status(capsys):
     """Across >=1000 (prefix, edge, solution) triples, an edge saturated at
     the prefix is crossed in a full valid extension iff it is crossed in
-    the prefix already."""
+    the prefix already.  The search state replaying each prefix refuses
+    no push and saturates the same edges as the reference."""
     rng = random.Random(1009)
-    triples = violations = 0
+    triples = violations = mismatches = 0
     while triples < 1000:
         n = rng.randrange(5, 8)
         m = rng.randrange(n, min(n + 5, n * (n - 1) // 2 + 1))
@@ -275,19 +273,22 @@ def test_saturated_edges_never_change_status(capsys):
         if not 0 < u.k <= 12:
             continue
         for bits in _valid_full_assignments(g, u, limit=3):
-            full = PartialSolution(u, bits, u.k)
-            full_crossed = crossed_edges(full)
+            full_crossed = crossed_edges(u, bits)
             for j in (u.k // 3, 2 * u.k // 3, u.k - 1):
-                prefix = PartialSolution(u, bits, j)
-                pref_crossed = crossed_edges(prefix)
-                for e in saturated_edges(prefix):
+                pref_crossed = crossed_edges(u, bits[:j])
+                saturated = saturated_edges(u, bits[:j])
+                for e in saturated:
                     triples += 1
                     if (e in pref_crossed) != (e in full_crossed):
                         violations += 1
-    ok = violations == 0
+                state = SearchState(g, u, kite_pruning=False)
+                pushed = all(state.push(bit) is None for bit in bits[:j])
+                if not pushed or state.saturated() != edge_mask(saturated):
+                    mismatches += 1
+    ok = violations == mismatches == 0
     _report(capsys, ok,
             f"saturation is permanent across {triples} sampled triples, "
-            f"{violations} violations")
+            f"{violations} violations, {mismatches} search-state mismatches")
 
 
 def _strip_times(csv: str) -> str:

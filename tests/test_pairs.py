@@ -10,14 +10,9 @@ from hypothesis import strategies as st
 
 from conftest import complete_graph, cycle_graph, random_connected_graph
 from oneplanar.graph import build_graph
-from oneplanar.pairs import (
-    PartialSolution,
-    build_restricted_universe,
-    build_universe,
-    crossed_edges,
-    crossing_counts,
-    saturated_edges,
-)
+from oneplanar.pairs import build_restricted_universe, build_universe
+from oneplanar.search import SearchState
+from reference import crossed_edges, crossing_counts, decided_pairs, edge_mask, saturated_edges
 
 # K5 edge ids are lexicographic: (0,1)=0 (0,2)=1 (0,3)=2 (0,4)=3 (1,2)=4
 # (1,3)=5 (1,4)=6 (2,3)=7 (2,4)=8 (3,4)=9.  Its 15 independent pairs,
@@ -86,66 +81,56 @@ class TestRestrictedUniverse:
         assert set(sub) == {p for p in full if 2 in p or 9 in p}
 
 
-class TestPartialSolution:
+class TestDecidedPrefix:
     def test_push_pop_roundtrip(self):
-        sol = PartialSolution.empty(build_universe(complete_graph(4)))
-        sol.push(1)
-        sol.push(0)
-        assert sol.cursor == 2 and sol.bits == [1, 0, 0]
-        assert sol.decided_pairs() == [(0, 5)]
-        sol.pop()
-        sol.pop()
-        assert sol.cursor == 0 and sol.bits == [0, 0, 0]
+        g = complete_graph(4)
+        state = SearchState(g, build_universe(g), kite_pruning=True)
+        assert state.push(1) is None and state.push(0) is None
+        assert state.cursor == 2 and state.bits[:2] == [1, 0]
+        assert state.crossings == [(0, 5)]
+        state.pop()
+        state.pop()
+        assert state.cursor == 0 and state.crossings == []
 
     def test_counts_match_crossed(self, rng: random.Random):
         g = complete_graph(5)
         u = build_universe(g)
         for _ in range(50):
-            sol = PartialSolution.empty(u)
-            for _ in range(rng.randrange(u.k + 1)):
-                sol.push(rng.randrange(2))
-            counts = crossing_counts(sol)
-            assert crossed_edges(sol) == {e for e, c in enumerate(counts) if c}
-            assert sum(counts) == 2 * len(sol.decided_pairs())
+            bits = [rng.randrange(2) for _ in range(rng.randrange(u.k + 1))]
+            counts = crossing_counts(u, bits)
+            assert crossed_edges(u, bits) == {e for e, c in enumerate(counts) if c}
+            assert sum(counts) == 2 * len(decided_pairs(u, bits))
 
 
 class TestSaturation:
     def test_empty_prefix_full_universe(self):
-        sol = PartialSolution.empty(build_universe(complete_graph(4)))
-        assert saturated_edges(sol) == set()
+        assert saturated_edges(build_universe(complete_graph(4)), []) == set()
 
     def test_crossing_saturates_both_edges(self):
-        sol = PartialSolution.empty(build_universe(complete_graph(4)))
-        sol.push(1)
-        assert saturated_edges(sol) == {0, 5}
+        assert saturated_edges(build_universe(complete_graph(4)), [1]) == {0, 5}
 
     def test_restricted_saturates_uncovered_edges(self):
-        sol = PartialSolution.empty(build_restricted_universe(complete_graph(5), [0]))
-        assert saturated_edges(sol) == {1, 2, 3, 4, 5, 6}
+        u = build_restricted_universe(complete_graph(5), [0])
+        assert saturated_edges(u, []) == {1, 2, 3, 4, 5, 6}
 
     def test_passed_occurrence_saturates(self):
-        sol = PartialSolution.empty(build_restricted_universe(complete_graph(5), [0]))
-        sol.push(0)
+        u = build_restricted_universe(complete_graph(5), [0])
         # Pair (0,7) is behind the cursor, so edge 7 can never cross now.
-        assert saturated_edges(sol) == {1, 2, 3, 4, 5, 6, 7}
+        assert saturated_edges(u, [0]) == {1, 2, 3, 4, 5, 6, 7}
 
     def test_exhausted_partners_saturate(self):
-        sol = PartialSolution.empty(build_restricted_universe(complete_graph(5), [0]))
-        sol.push(1)
+        u = build_restricted_universe(complete_graph(5), [0])
         # Edges 8 and 9 only cross edge 0, which is taken: everything fixed.
-        assert saturated_edges(sol) == set(range(10))
+        assert saturated_edges(u, [1]) == set(range(10))
 
     def test_declined_pair_does_not_count_as_partner(self):
         # Edge 5 in K4 pairs only with edge 0; deciding (0,5)=0 passes its
         # occurrence, so (b) fires, but edge 1 keeps its future pair open.
-        sol = PartialSolution.empty(build_universe(complete_graph(4)))
-        sol.push(0)
-        assert saturated_edges(sol) == {0, 5}
+        assert saturated_edges(build_universe(complete_graph(4)), [0]) == {0, 5}
 
     def test_kite_edges_join_the_set(self):
-        sol = PartialSolution.empty(build_universe(complete_graph(4)))
-        sol.push(1)
-        assert saturated_edges(sol, kites=frozenset({1, 4})) == {0, 1, 4, 5}
+        u = build_universe(complete_graph(4))
+        assert saturated_edges(u, [1], kites=frozenset({1, 4})) == {0, 1, 4, 5}
 
 
 def _pool() -> list:
@@ -168,9 +153,7 @@ def test_saturation_is_monotone(data):
     u = build_universe(g)
     bits = data.draw(st.lists(st.integers(0, 1), min_size=u.k, max_size=u.k))
     j = data.draw(st.integers(0, u.k))
-    short = PartialSolution(u, list(bits), j)
-    long = PartialSolution(u, list(bits), u.k)
-    assert saturated_edges(short) <= saturated_edges(long)
+    assert saturated_edges(u, bits[:j]) <= saturated_edges(u, bits)
 
 
 @settings(max_examples=300, deadline=None)
@@ -180,7 +163,8 @@ def test_saturated_status_survives_valid_extension(data):
 
     Extensions are restricted to assignments without double crossings; a
     drawing crossing an edge twice is never a solution, so those branches
-    carry no counterexamples.
+    carry no counterexamples.  The search state replaying the prefix
+    refuses no push and saturates the same edges.
     """
     g = data.draw(st.sampled_from(POOL))
     u = build_universe(g)
@@ -196,8 +180,10 @@ def test_saturated_status_survives_valid_extension(data):
             counts[e] += 1
             counts[f] += 1
     j = data.draw(st.integers(0, u.k))
-    prefix = PartialSolution(u, bits, j)
-    full = PartialSolution(u, bits, u.k)
-    now, later = crossed_edges(prefix), crossed_edges(full)
-    for e in saturated_edges(prefix):
+    now, later = crossed_edges(u, bits[:j]), crossed_edges(u, bits)
+    saturated = saturated_edges(u, bits[:j])
+    for e in saturated:
         assert (e in now) == (e in later)
+    state = SearchState(g, u, kite_pruning=False)
+    assert all(state.push(bit) is None for bit in bits[:j])
+    assert state.saturated() == edge_mask(saturated)

@@ -22,17 +22,12 @@ from conftest import (
 )
 from oneplanar.embedding import count_crossings, serialize_embedding, star_edge_list, validate
 from oneplanar.graph import Graph, build_graph
-from oneplanar.pairs import (
-    PartialSolution,
-    build_restricted_universe,
-    build_universe,
-    crossing_counts,
-    saturated_edges,
-)
+from oneplanar.pairs import build_restricted_universe, build_universe
 from oneplanar.planarity import is_planar_edges, rotation_edges
 from oneplanar.search import (
     CutReason,
     NodeKind,
+    NodeVerdict,
     SearchConfig,
     SearchState,
     SearchStats,
@@ -40,12 +35,18 @@ from oneplanar.search import (
     UniverseTooLargeError,
     Verdict,
     backtrack,
-    find_kite_edges,
     find_skew_set,
     oracle_is_one_planar,
-    verify_node,
 )
 from oneplanar.search import test_block as solve_block
+from reference import (
+    crossing_counts,
+    decided_pairs,
+    edge_mask,
+    find_kite_edges,
+    prefix_cut,
+    saturated_edges,
+)
 
 
 def quiet_cfg(**kw) -> SearchConfig:
@@ -55,11 +56,20 @@ def quiet_cfg(**kw) -> SearchConfig:
     return SearchConfig(**base)
 
 
-def prefix(universe, bits) -> PartialSolution:
-    sol = PartialSolution.empty(universe)
-    for b in bits:
-        sol.push(b)
-    return sol
+# the unpatched methods, for tests that wrap them on the class
+_push, _classify = SearchState.push, SearchState.classify
+
+
+def replay(g, universe, bits, cfg, rng, stats=None) -> NodeVerdict:
+    """The verdict of the node a bit prefix reaches: the cut of its first
+    push that is refused, or else the classification of the node after
+    the last bit."""
+    state = SearchState(g, universe, cfg.enable_kite_pruning)
+    for bit in bits:
+        cut = _push(state, bit)
+        if cut is not None:
+            return cut
+    return _classify(state, cfg, rng, SearchStats() if stats is None else stats)
 
 
 class TestKites:
@@ -83,16 +93,17 @@ class TestKites:
 
 
 class TestVerifyNode:
+    """Verdicts of single nodes, reached by replaying a bit prefix."""
+
     def test_root_continues_without_completion(self):
         g = complete_graph(4)
-        sol = prefix(build_universe(g), [])
-        v = verify_node(sol, g, quiet_cfg(), random.Random(0))
+        v = replay(g, build_universe(g), [], quiet_cfg(), random.Random(0))
         assert v.kind is NodeKind.CNT
 
     def test_double_crossing_cut(self):
         g = complete_graph(5)
-        sol = prefix(build_universe(g), [1, 1])  # (0,7) and (0,8) cross edge 0
-        v = verify_node(sol, g, quiet_cfg(), random.Random(0))
+        # (0,7) and (0,8) cross edge 0
+        v = replay(g, build_universe(g), [1, 1], quiet_cfg(), random.Random(0))
         assert v.kind is NodeKind.CUT
         assert v.cut_reason is CutReason.DOUBLE_EDGE_CROSSING
 
@@ -102,8 +113,7 @@ class TestVerifyNode:
         bits = [0] * 9
         bits[2] = 1  # pair (0,9)
         bits[8] = 1  # pair (2,8)
-        sol = prefix(build_universe(g), bits)
-        v = verify_node(sol, g, quiet_cfg(), random.Random(0))
+        v = replay(g, build_universe(g), bits, quiet_cfg(), random.Random(0))
         assert v.kind is NodeKind.CUT
         assert v.cut_reason is CutReason.KITE_EDGE_CROSSING
 
@@ -112,16 +122,15 @@ class TestVerifyNode:
         bits = [0] * 9
         bits[2] = 1
         bits[8] = 1
-        sol = prefix(build_universe(g), bits)
         cfg = quiet_cfg(enable_kite_pruning=False)
-        v = verify_node(sol, g, cfg, random.Random(0))
+        v = replay(g, build_universe(g), bits, cfg, random.Random(0))
         assert v.cut_reason is not CutReason.KITE_EDGE_CROSSING
 
     def test_saturated_nonplanar_cut(self):
         g = complete_graph(5)
         u = build_universe(g)
-        sol = prefix(u, [0] * u.k)  # no crossings at all: K5 itself
-        v = verify_node(sol, g, quiet_cfg(), random.Random(0))
+        # no crossings at all: K5 itself
+        v = replay(g, u, [0] * u.k, quiet_cfg(), random.Random(0))
         assert v.kind is NodeKind.CUT
         assert v.cut_reason is CutReason.NONPLANAR_INDUCED
 
@@ -130,7 +139,7 @@ class TestVerifyNode:
         u = build_universe(g)
         bits = [0] * u.k
         bits[2] = 1  # only (0,9)
-        v = verify_node(prefix(u, bits), g, quiet_cfg(), random.Random(0))
+        v = replay(g, u, bits, quiet_cfg(), random.Random(0))
         assert v.kind is NodeKind.SOL
         assert v.solution_kind is SolutionKind.SATURATION
         assert v.crossings == ((0, 9),)
@@ -141,7 +150,7 @@ class TestVerifyNode:
         # everything after a single decision.
         g = complete_graph(5)
         u = build_restricted_universe(g, [0])
-        v = verify_node(prefix(u, [1]), g, quiet_cfg(), random.Random(0))
+        v = replay(g, u, [1], quiet_cfg(), random.Random(0))
         assert v.kind is NodeKind.SOL
         assert v.solution_kind is SolutionKind.SATURATION
 
@@ -152,9 +161,9 @@ class TestVerifyNode:
         g = complete_graph(4)
         u = build_universe(g)
         cfg = quiet_cfg(completion_probability=0.8)
-        v0 = verify_node(prefix(u, []), g, cfg, random.Random(0))
+        v0 = replay(g, u, [], cfg, random.Random(0))
         assert v0.kind is NodeKind.CNT
-        v1 = verify_node(prefix(u, []), g, cfg, random.Random(1))
+        v1 = replay(g, u, [], cfg, random.Random(1))
         assert v1.kind is NodeKind.SOL
         assert v1.solution_kind is SolutionKind.COMPLETION
         assert v1.crossings == ()
@@ -163,12 +172,8 @@ class TestVerifyNode:
         # K5 with nothing crossed completes to a nonplanar drawing, so the
         # node survives even though the coin said try.
         g = complete_graph(5)
-        v = verify_node(
-            prefix(build_universe(g), []),
-            g,
-            quiet_cfg(completion_probability=1.0),
-            random.Random(0),
-        )
+        v = replay(g, build_universe(g), [], quiet_cfg(completion_probability=1.0),
+                   random.Random(0))
         assert v.kind is NodeKind.CNT
 
     def test_no_rng_consumed_before_completion_step(self):
@@ -176,21 +181,22 @@ class TestVerifyNode:
         g = complete_graph(5)
         rng = random.Random(7)
         before = rng.getstate()
-        verify_node(prefix(build_universe(g), [1, 1]), g, quiet_cfg(completion_probability=0.8), rng)
+        replay(g, build_universe(g), [1, 1], quiet_cfg(completion_probability=0.8), rng)
         assert rng.getstate() == before
 
     def test_stats_track_planarity_calls(self):
         g = complete_graph(5)
         u = build_universe(g)
         stats = SearchStats()
-        verify_node(prefix(u, [1, 1]), g, quiet_cfg(), random.Random(0), stats)
+        replay(g, u, [1, 1], quiet_cfg(), random.Random(0), stats)
         assert stats.planarity_calls == 0  # cut before any planarity work
-        verify_node(prefix(u, [0] * u.k), g, quiet_cfg(), random.Random(0), stats)
+        replay(g, u, [0] * u.k, quiet_cfg(), random.Random(0), stats)
         assert stats.planarity_calls == 1
 
     def test_cut_is_monotone_under_extension(self, rng: random.Random):
         # Once a prefix is cut for a structural reason, every extension is
-        # cut as well (possibly for an earlier reason in the chain).
+        # cut as well (possibly for an earlier reason in the chain), and the
+        # reference finds a doubled or crossed kite edge in both.
         g = complete_graph(5)
         u = build_universe(g)
         cfg = quiet_cfg()
@@ -198,17 +204,18 @@ class TestVerifyNode:
         while found < 25:
             depth = rng.randrange(1, u.k)
             bits = [rng.randrange(2) for _ in range(depth)]
-            sol = prefix(u, bits)
-            v = verify_node(sol, g, cfg, random.Random(0))
+            v = replay(g, u, bits, cfg, random.Random(0))
             if v.kind is not NodeKind.CUT:
                 continue
             if v.cut_reason is CutReason.NONPLANAR_INDUCED:
                 continue  # planarity cuts argue over saturated edges only
             found += 1
+            assert prefix_cut(g, u, bits, kite=True) is not None
             for _ in range(4):
                 ext = bits + [rng.randrange(2) for _ in range(u.k - depth)]
-                ve = verify_node(prefix(u, ext), g, cfg, random.Random(0))
+                ve = replay(g, u, ext, cfg, random.Random(0))
                 assert ve.kind is NodeKind.CUT
+                assert prefix_cut(g, u, ext, kite=True) is not None
 
 
 def true_extension_exists(g: Graph, universe, bits) -> bool:
@@ -270,7 +277,7 @@ class TestKiteFreeSearchNeverCutsViable:
                 continue
             depth = rng.randrange(1, u.k + 1)
             bits = [rng.randrange(2) for _ in range(depth)]
-            v = verify_node(prefix(u, bits), g, cfg, random.Random(0))
+            v = replay(g, u, bits, cfg, random.Random(0))
             if v.kind is NodeKind.CUT:
                 checked += 1
                 assert not true_extension_exists(g, u, bits)
@@ -391,24 +398,20 @@ def _state_differential_cases():
     return [pytest.param(g, id=name) for name, g in cases]
 
 
-def edge_mask(edges) -> int:
-    return sum(1 << e for e in edges)
-
-
 def assert_state_matches_reference(state: SearchState, g, kite: bool) -> None:
     """Every mask at the cursor equals what the reference functions compute
-    from the decided prefix alone."""
-    sol = state.sol
-    d = sol.cursor
-    pairs = sol.decided_pairs()
-    counts = crossing_counts(sol)
+    from the decided prefix alone, and the prefix crosses no edge twice
+    and (with kites) no kite edge."""
+    u, bits, d = state.universe, state.bits[: state.cursor], state.cursor
+    pairs = decided_pairs(u, bits)
+    counts = crossing_counts(u, bits)
     kites = find_kite_edges(g, pairs) if kite else set()
+    assert prefix_cut(g, u, bits, kite) is None
     assert state.crossings == pairs
     assert state.crossed[d] == edge_mask(e for e, c in enumerate(counts) if c)
-    assert state.doubled[d] == any(c > 1 for c in counts)
     assert state.kites[d] == edge_mask(kites)
-    assert state.saturated() == edge_mask(saturated_edges(sol, kites))
-    assert state.crossed[d] & state.kites[d] == edge_mask(e for e in kites if counts[e])
+    assert state.saturated() == edge_mask(saturated_edges(u, bits, kites))
+    assert state.crossed[d] & state.kites[d] == edge_mask(e for e in kites if counts[e]) == 0
 
 
 class TestSearchState:
@@ -422,20 +425,14 @@ class TestSearchState:
     @pytest.mark.parametrize("restricted", [False, True], ids=["full", "restricted"])
     @pytest.mark.parametrize("kite", [True, False], ids=["kite", "nokite"])
     def test_matches_reference_at_every_node(self, monkeypatch, g, restricted, kite):
-        original = SearchState.classify
         seen = []
 
         def checking(state, cfg, rng, stats):
-            sol = state.sol
             assert_state_matches_reference(state, g, kite)
-
-            fresh = SearchState(g, sol.universe, kite)
-            for bit in sol.bits[: sol.cursor]:
-                fresh.push(bit)
             replay_rng = random.Random()
             replay_rng.setstate(rng.getstate())
-            want = original(fresh, cfg, replay_rng, SearchStats())
-            got = original(state, cfg, rng, stats)
+            want = replay(g, state.universe, state.bits[: state.cursor], cfg, replay_rng)
+            got = _classify(state, cfg, rng, stats)
             assert got == want
             assert rng.getstate() == replay_rng.getstate()
             seen.append(got.kind)
@@ -457,8 +454,9 @@ class TestSearchState:
 
     def test_pop_undoes_push(self, rng: random.Random):
         # A random walk of pushes and pops, checked after every step.  It
-        # extends prefixes with a doubled edge or a crossed kite edge too,
-        # which backtrack never does.
+        # also tries 1s that would cross an edge twice or cross a kite
+        # edge: push refuses exactly those, with the cut the reference
+        # names, and leaves the state as it was.
         k6 = complete_graph(6)
         k44 = complete_bipartite(4, 4)
         cases = [
@@ -469,22 +467,31 @@ class TestSearchState:
             for kite in (True, False):
                 state = SearchState(g, u, kite_pruning=kite)
                 assert_state_matches_reference(state, g, kite)
-                extended = {"doubled": 0, "crossed kite": 0}
+                refused = {CutReason.DOUBLE_EDGE_CROSSING: 0, CutReason.KITE_EDGE_CROSSING: 0}
                 for _ in range(600):
-                    d = state.sol.cursor
+                    d = state.cursor
                     if d < u.k and (d == 0 or rng.random() < 0.6):
-                        extended["doubled"] += state.doubled[d]
-                        extended["crossed kite"] += bool(state.crossed[d] & state.kites[d])
-                        state.push(int(rng.random() < 0.3))
+                        bit = int(rng.random() < 0.3)
+                        want = prefix_cut(g, u, state.bits[:d] + [bit], kite)
+                        before = (list(state.bits), list(state.crossings), list(state.crossed),
+                                  list(state.kites), list(state.cornered))
+                        cut = state.push(bit)
+                        assert (cut and cut.cut_reason) is want
+                        if cut is not None:
+                            assert cut.kind is NodeKind.CUT
+                            refused[want] += 1
+                            assert state.cursor == d
+                            assert before == (state.bits, state.crossings, state.crossed,
+                                              state.kites, state.cornered)
                     else:
                         state.pop()
                     assert_state_matches_reference(state, g, kite)
-                while state.sol.cursor:
+                while state.cursor:
                     state.pop()
                     assert_state_matches_reference(state, g, kite)
                 assert state.crossings == [] and state.saturated() == state.closed[0]
-                assert extended["doubled"] > 0
-                assert extended["crossed kite"] > 0 or not kite
+                assert refused[CutReason.DOUBLE_EDGE_CROSSING] > 0
+                assert (refused[CutReason.KITE_EDGE_CROSSING] > 0) is kite
 
     def test_path_facts_skip_repeated_queries(self):
         # Most K6 nodes repeat a query their path has already answered (the
@@ -510,10 +517,10 @@ _CUT_GRAPHS = {
 
 
 class TestPrePushCut:
-    """At every 1-child that backtrack reaches, the pre-push decision is
-    the DEC or KEC verdict, or the absence of one, that verify_node gives
-    the replayed prefix plus a 1, so the tree is the one a search that
-    pushes every 1-child would walk."""
+    """At every push that backtrack makes, push refuses a 1 with the DEC or
+    KEC cut exactly when the reference finds an edge crossed twice or a
+    crossed kite edge in the prefix plus that 1, and accepts every 0; each
+    refused 1-child is counted as a node and a cut."""
 
     MAX_NODES = {"K4,4": 12000, "K7-e": 3000}  # classified nodes; K6 and Petersen run to the end
 
@@ -523,32 +530,25 @@ class TestPrePushCut:
     def test_matches_replayed_classification(self, monkeypatch, graph, restricted, kite):
         g = _CUT_GRAPHS[graph]()
         cfg = SearchConfig(enable_kite_pruning=kite)
-        original_cut, original_classify = SearchState.one_child_cut, SearchState.classify
         cuts = {CutReason.DOUBLE_EDGE_CROSSING: 0, CutReason.KITE_EDGE_CROSSING: 0}
-        classified, replaying = 0, False
+        classified = 0
 
-        def checking_cut(state):
-            nonlocal replaying
-            v = original_cut(state)
-            sol = state.sol
-            replaying = True
-            want = verify_node(prefix(sol.universe, sol.bits[: sol.cursor] + [1]), g, cfg,
-                               random.Random(0))
-            replaying = False
-            assert v == (want if want.cut_reason in cuts else None)
+        def checking_push(state, bit):
+            want = prefix_cut(g, state.universe, state.bits[: state.cursor] + [bit], kite)
+            v = _push(state, bit)
+            assert (v and v.cut_reason) is want
             if v is not None:
                 cuts[v.cut_reason] += 1
             return v
 
         def counting_classify(state, cfg, rng, stats):
             nonlocal classified
-            if not replaying:
-                classified += 1
-                if classified > self.MAX_NODES.get(graph, 10**9):
-                    raise _Enough
-            return original_classify(state, cfg, rng, stats)
+            classified += 1
+            if classified > self.MAX_NODES.get(graph, 10**9):
+                raise _Enough
+            return _classify(state, cfg, rng, stats)
 
-        monkeypatch.setattr(SearchState, "one_child_cut", checking_cut)
+        monkeypatch.setattr(SearchState, "push", checking_push)
         monkeypatch.setattr(SearchState, "classify", counting_classify)
         u = build_restricted_universe(g, [0, 1]) if restricted else build_universe(g)
         stats = SearchStats()
@@ -557,7 +557,7 @@ class TestPrePushCut:
         except _Enough:
             pass
         else:
-            # one node per classification and one per cut 1-child
+            # one node per classification and one per refused 1-child
             assert stats.nodes_visited == classified + sum(cuts.values())
         assert cuts[CutReason.DOUBLE_EDGE_CROSSING] > 0
         # Petersen's full search finds its drawing after 205 nodes, none a KEC cut
@@ -629,28 +629,26 @@ def capacity_cut_by_reference(state: SearchState, g: Graph, kite: bool) -> bool:
     prefix and the reference functions alone: not a DEC or KEC cut, not
     saturated, and its crossings plus half its free edges (unsaturated,
     with an unsaturated universe partner) below m - 3n + 6."""
-    sol = state.sol
-    pairs = sol.decided_pairs()
-    counts = crossing_counts(sol)
-    kites = find_kite_edges(g, pairs) if kite else set()
-    if any(c > 1 for c in counts) or any(counts[e] for e in kites):
+    u, bits = state.universe, state.bits[: state.cursor]
+    pairs = decided_pairs(u, bits)
+    if prefix_cut(g, u, bits, kite) is not None:
         return False
-    sat = saturated_edges(sol, kites)
+    sat = saturated_edges(u, bits, find_kite_edges(g, pairs) if kite else set())
     if len(sat) == g.m:
         return False
     partners: list[set[int]] = [set() for _ in range(g.m)]
-    for a, b in sol.universe.pairs:
+    for a, b in u.pairs:
         partners[a].add(b)
         partners[b].add(a)
     free = [e for e in range(g.m) if e not in sat and partners[e] - sat]
     return len(pairs) + len(free) // 2 < g.m - (3 * g.n - 6)
 
 
-def dec_free_extensions(sol: PartialSolution):
+def dec_free_extensions(u, bits):
     """Crossing sets of every full assignment extending the decided prefix
     in which no edge is crossed twice."""
-    pairs, k = sol.universe.pairs, sol.universe.k
-    chosen = sol.decided_pairs()
+    pairs, k = u.pairs, u.k
+    chosen = decided_pairs(u, bits)
     used = {e for pair in chosen for e in pair}
 
     def extend(i: int):
@@ -666,7 +664,7 @@ def dec_free_extensions(sol: PartialSolution):
             chosen.pop()
             used.difference_update((a, b))
 
-    yield from extend(sol.cursor)
+    yield from extend(len(bits))
 
 
 def is_capacity_cut(v, state: SearchState, asked: int, stats: SearchStats) -> bool:
@@ -723,12 +721,11 @@ class TestCapacityCut:
             v = original(state, cfg, rng, stats)
             cut = is_capacity_cut(v, state, asked, stats)
             assert cut is capacity_cut_by_reference(state, g, kite)
-            sol = state.sol
             if cut:
                 cuts += 1
-            if cut and sol.universe.k - sol.cursor <= self.MAX_UNDECIDED:
+            if cut and state.universe.k - state.cursor <= self.MAX_UNDECIDED:
                 checked += 1
-                for crossings in dec_free_extensions(sol):
+                for crossings in dec_free_extensions(state.universe, state.bits[: state.cursor]):
                     _, star = star_edge_list(g, crossings)
                     assert not nx.check_planarity(nx.Graph(star))[0]
             classified += 1
@@ -830,8 +827,8 @@ def test_search_tree_is_pinned(graph, config):
 
 # sha256 over the "cursor kind reason" line of every node test_block
 # classifies, in visiting order, recorded with the search that kept an
-# explicit stack of siblings still to visit.  A 1-child that the search
-# cuts without a push is hashed as the line its classification gave.  K6's
+# explicit stack of siblings still to visit.  A 1-child that push refuses
+# is hashed as the line its classification gave.  K6's
 # digests are recorded with the capacity cut, which changes its tree.
 PINNED_ORDERS = {
     ("K6", "default"): "e576dd8d42afaee10c2094ba3d0f9b99498d4061a130deedee985bfae08d8858",
@@ -854,19 +851,17 @@ def test_search_order_is_pinned(graph, config, monkeypatch):
     def recording(state, cfg, rng, stats):
         v = original(state, cfg, rng, stats)
         reason = v.cut_reason or v.solution_kind
-        digest.update(f"{state.sol.cursor} {v.kind.name} {reason and reason.name}\n".encode())
+        digest.update(f"{state.cursor} {v.kind.name} {reason and reason.name}\n".encode())
         return v
 
-    original_cut = SearchState.one_child_cut
-
-    def recording_cut(state):
-        v = original_cut(state)
+    def recording_push(state, bit):
+        v = _push(state, bit)
         if v is not None:
-            digest.update(f"{state.sol.cursor + 1} CUT {v.cut_reason.name}\n".encode())
+            digest.update(f"{state.cursor + 1} CUT {v.cut_reason.name}\n".encode())
         return v
 
     monkeypatch.setattr(SearchState, "classify", recording)
-    monkeypatch.setattr(SearchState, "one_child_cut", recording_cut)
+    monkeypatch.setattr(SearchState, "push", recording_push)
     res = solve_block(_TREE_GRAPHS[graph](), SearchConfig(**_TREE_CONFIGS[config]))
     assert res.verdict is Verdict.ONE_PLANAR
     assert digest.hexdigest() == PINNED_ORDERS[graph, config]
