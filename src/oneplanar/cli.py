@@ -12,8 +12,6 @@ import os
 import re
 import sys
 import time
-from concurrent.futures import ProcessPoolExecutor
-from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, fields, replace
 
 from .embedding import (
@@ -336,6 +334,9 @@ def _bench_one(task) -> InstanceRecord | None:
 
 def _bench_isolated(task) -> InstanceRecord | None:
     """Run one task in a worker of its own; a dead worker gives an Error row."""
+    from concurrent.futures import ProcessPoolExecutor
+    from concurrent.futures.process import BrokenProcessPool
+
     with ProcessPoolExecutor(max_workers=1) as pool:
         try:
             return pool.submit(_bench_one, task).result()
@@ -350,8 +351,13 @@ def _bench_pool(tasks: list, workers: int) -> list[InstanceRecord | None]:
     A worker that dies (signal, out of memory, os._exit) breaks the pool and
     every task still in it.  Those tasks are run again one by one, each in
     a worker of its own, so only the task that kills its worker becomes an
-    Error row.
+    Error row.  The pool modules are imported here, not with the package,
+    because loading multiprocessing costs every sequential run memory and
+    start-up time.
     """
+    from concurrent.futures import ProcessPoolExecutor
+    from concurrent.futures.process import BrokenProcessPool
+
     with ProcessPoolExecutor(max_workers=workers) as pool:
         futures = [pool.submit(_bench_one, t) for t in tasks]
     results = []

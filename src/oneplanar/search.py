@@ -21,6 +21,18 @@ The other two are decided when the node is classified:
     crossings its unsaturated edges could still add fall short holds no
     solution (capacity cut, counted as a nonplanar cut).
 
+One more rule skips branches that a symmetry maps onto earlier ones.
+Swapping two twins (vertices with the same open or the same closed
+neighbourhood) is an automorphism, and the universe names each pair's
+orbit under these swaps by the orbit's first position (see
+:mod:`~oneplanar.pairs`).  The 1-child of pair d is never pushed when
+its orbit opens before the path's first crossing, or before d when the
+path has none.  This is sound: in any drawing, a twin permutation maps a
+crossing of its earliest orbit onto that orbit's first pair, and the
+image is a drawing whose crossings all lie in that orbit or later ones,
+with the first pair as its first crossing, so the rule keeps it.  The
+cuts above read the whole universe and so stay sound under the rule.
+
 Exhausting the tree without a solution proves the graph has no such
 drawing, provided the universe was not restricted.
 """
@@ -363,12 +375,16 @@ def backtrack(
     the search goes after a leaf.  A 1-sibling that
     :meth:`SearchState.push` refuses as a DEC or KEC cut is counted, as a
     node and a cut, on the way back up; it is a leaf that `classify`
-    never sees.
+    never sees.  A 1-sibling whose pair's orbit opens before the path's
+    first crossing (before the pair itself on a path without crossings)
+    is skipped without a push and counts as nothing (see the module
+    docstring).
     """
     stats.used_backtracking = True
     rng = random.Random(cfg.rng_seed)
     state = SearchState(g, universe, cfg.enable_kite_pruning)
-    bits, k = state.bits, universe.k
+    bits, k, orbit = state.bits, universe.k, universe.orbit
+    first = 0  # position of the path's first crossing, read while it has one
 
     while True:
         if deadline is not None and time.monotonic() >= deadline:
@@ -389,15 +405,21 @@ def backtrack(
             cert = OnePlanarEmbedding(g, v.crossings, RotationSystem(v.star_rotation))
             return Verdict.ONE_PLANAR, cert
         # a leaf: back up past the 1s, whose subtrees are done, and take the
-        # 1-sibling of the deepest 0 unless push refuses it as a cut leaf
+        # 1-sibling of the deepest 0 unless its pair lies in an orbit before
+        # the path's first crossing or push refuses it as a cut leaf
         while True:
             while state.cursor and bits[state.cursor - 1]:
                 state.pop()
             if not state.cursor:
                 break
             state.pop()
+            d = state.cursor
+            lowest = first if state.crossings else d
+            if orbit[d] < lowest:
+                continue
             cut = state.push(1)
             if cut is None:
+                first = lowest
                 break
             stats.nodes_visited += 1
             if cut is _CUT_DEC:

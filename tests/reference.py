@@ -8,9 +8,19 @@ recomputes its answer from the prefix alone.
 
 from __future__ import annotations
 
+import dataclasses
+
 from oneplanar.graph import Graph
-from oneplanar.pairs import PairUniverse
+from oneplanar.pairs import PairUniverse, build_universe
 from oneplanar.search import CutReason
+
+
+def canonical_universe(g: Graph) -> PairUniverse:
+    """The full universe with every pair its own orbit: `backtrack` on it
+    is the search without twin-orbit branching, which visits every
+    branch."""
+    u = build_universe(g)
+    return dataclasses.replace(u, orbit=tuple(range(u.k)))
 
 
 def edge_mask(edges) -> int:

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import concurrent.futures
 import hashlib
 import multiprocessing
 import os
@@ -17,6 +18,7 @@ import oneplanar.cli as cli_module
 import oneplanar.embedding as embedding_module
 import oneplanar.graph as graph_module
 import oneplanar.planarity as planarity_module
+import oneplanar.search as search_module
 
 from conftest import (
     chain_graph,
@@ -47,6 +49,7 @@ from oneplanar.embedding import (
 )
 from oneplanar.graph import GraphError, build_graph
 from oneplanar.search import SearchConfig
+from reference import canonical_universe
 
 
 def k7_without(*dropped):
@@ -282,9 +285,8 @@ class TestPipeline:
         assert calls == {"planarize": 1, "build_graph": 0}
         assert parsed == emb and record.verdict == "OnePlanar"
 
-    def test_certificates_match_recorded_digest(self):
-        # Recorded when every block built and checked a certificate of its
-        # own before the merge; the single merge must give the same bytes.
+    @staticmethod
+    def certificate_digest() -> str:
         # No search certificate here has a dummy to dissolve; the hand-made
         # blocks in test_embedding cover that path.
         corpus = [
@@ -304,7 +306,21 @@ class TestPipeline:
             digest.update(f"{name} {record.verdict}\n".encode())
             if emb is not None:
                 digest.update(serialize_embedding(emb).encode())
-        assert digest.hexdigest() == (
+        return digest.hexdigest()
+
+    def test_certificates_match_recorded_digest(self):
+        # Re-recorded with twin-orbit branching, which changes the
+        # certificates of K6 and K6+K5 and of no other graph here.
+        assert self.certificate_digest() == (
+            "1907813b7758aab90b2f6cb0fde6337b132c25c975c1d0207796b402c83f3cb2"
+        )
+
+    def test_canonical_certificates_match_recorded_digest(self, monkeypatch):
+        # Recorded with the canonical search when every block built and
+        # checked a certificate of its own before the merge; the single
+        # merge must give the same bytes.
+        monkeypatch.setattr(search_module, "build_universe", canonical_universe)
+        assert self.certificate_digest() == (
             "908659eb8d28fc7063cd532ad38a0efc8f48bf1c16ae026b1396c02105d693c7"
         )
 
@@ -439,6 +455,19 @@ class TestBench:
         assert merged == [6]
         assert [(r.name, r.crossings) for r in kept.records] == [("k6.txt", 3)]
 
+    def test_package_import_leaves_process_pools_unloaded(self):
+        # bench imports the pool modules when it starts workers; a plain
+        # import of the package must not pay for multiprocessing
+        src = os.path.dirname(os.path.dirname(cli_module.__file__))
+        code = ("import sys, oneplanar; print(sorted(m for m in sys.modules "
+                "if m in ('multiprocessing', 'concurrent.futures.process')))")
+        done = subprocess.run(
+            [sys.executable, "-c", code],
+            capture_output=True, text=True, env={**os.environ, "PYTHONPATH": src}, timeout=120,
+        )
+        assert done.returncode == 0, done.stderr
+        assert done.stdout.strip() == "[]"
+
     def test_worker_counts_agree(self, tmp_path):
         write_corpus(tmp_path)
         one = bench([str(tmp_path)], SearchConfig(), workers=1)
@@ -469,7 +498,7 @@ class TestBench:
                 fut.set_result(fn(*args))
                 return fut
 
-        monkeypatch.setattr(cli_module, "ProcessPoolExecutor", RecordingPool)
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
         many = bench([str(tmp_path)], SearchConfig(), workers=64)
         assert pools == [3]
         assert [r.name for r in many.records] == ["c5.txt", "k4.txt", "k5.txt"]

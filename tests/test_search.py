@@ -40,6 +40,7 @@ from oneplanar.search import (
 )
 from oneplanar.search import test_block as solve_block
 from reference import (
+    canonical_universe,
     crossing_counts,
     decided_pairs,
     edge_mask,
@@ -341,15 +342,26 @@ class TestBacktrack:
         # Padded K7: verdict comes from exhausting the full universe.
         g = complete_graph(7)
         stats = SearchStats()
-        verdict, cert = backtrack(g, build_universe(g), quiet_cfg(), stats)
+        verdict, cert = backtrack(g, canonical_universe(g), quiet_cfg(), stats)
         assert verdict is Verdict.NOT_ONE_PLANAR and cert is None
         assert stats.nodes_visited == 45_275
 
+    def test_twin_orbits_exhaust_with_fewer_nodes(self):
+        # K7's vertices are all twins, so its pairs form one orbit: every
+        # crossing set is explored only with the first pair crossed
+        g = complete_graph(7)
+        assert set(build_universe(g).orbit) == {0}
+        stats = SearchStats()
+        verdict, cert = backtrack(g, build_universe(g), quiet_cfg(), stats)
+        assert verdict is Verdict.NOT_ONE_PLANAR and cert is None
+        assert stats.nodes_visited == 1_628
+
     def test_deadline_returns_unknown(self):
+        # the canonical search, since the twin orbits decide K7 in 1,628 nodes
         g = complete_graph(7)
         stats = SearchStats()
         verdict, cert = backtrack(
-            g, build_universe(g), quiet_cfg(), stats, deadline=time.monotonic() + 0.05
+            g, canonical_universe(g), quiet_cfg(), stats, deadline=time.monotonic() + 0.05
         )
         assert verdict is Verdict.UNKNOWN and cert is None
 
@@ -748,9 +760,11 @@ class TestCapacityCut:
 
     @pytest.mark.parametrize("graph", ["K4,4", "random12", "scale6"])
     def test_inert_below_the_bound(self, monkeypatch, graph):
-        # m <= 3n - 6: a drawing may need no crossing, so nothing is cut
+        # m <= 3n - 6: a drawing may need no crossing, so nothing is cut;
+        # the canonical search, where K4,4 runs more than 2000 nodes
         g = _TREE_GRAPHS[graph]() if graph in _TREE_GRAPHS else scale_instance(6)
         assert g.m <= 3 * g.n - 6
+        monkeypatch.setattr(search_module, "build_universe", canonical_universe)
         original = SearchState.classify
         cuts = 0
 
@@ -767,38 +781,6 @@ class TestCapacityCut:
         assert cuts == 0
 
 
-# planarity_calls of test_block under the default config, recorded before
-# the edge count answered queries without an LR run; K6's with the
-# capacity cut, which changes its tree
-PINNED_CALLS = {"K6": 56, "K4,4": 2546, "random12": 679}
-
-
-@pytest.mark.parametrize("graph", sorted(PINNED_CALLS))
-def test_planarity_calls_are_pinned(graph):
-    res = solve_block(_TREE_GRAPHS[graph](), SearchConfig())
-    assert res.stats.planarity_calls == PINNED_CALLS[graph]
-
-
-# Node and cut counts of test_block at the commit before the search state
-# was made incremental: (nodes, cuts_dec, cuts_kec, cuts_nonplanar,
-# sol_satur, sol_compl).  Equal counts under every completion probability
-# show that no random draw moved.  K6 has m > 3n - 6, so the capacity cut
-# changes its tree: its counts are recorded with the cut.  K4,4 and
-# random12 are below the bound and keep theirs.
-PINNED_TREES = {
-    ("K6", "default"): (326, 32, 66, 47, 1, 0),
-    ("K6", "p=0"): (326, 32, 66, 47, 1, 0),
-    ("K6", "p=1"): (326, 32, 66, 47, 1, 0),
-    ("K6", "no kite"): (2118, 407, 0, 634, 0, 1),
-    ("K4,4", "default"): (15624, 3648, 3174, 964, 1, 0),
-    ("K4,4", "p=0"): (15624, 3648, 3174, 964, 1, 0),
-    ("K4,4", "p=1"): (15624, 3648, 3174, 964, 1, 0),
-    ("K4,4", "no kite"): (63440, 17972, 0, 13722, 0, 1),
-    ("random12", "default"): (2245, 430, 275, 351, 0, 1),
-    ("random12", "p=0"): (2262, 430, 275, 351, 1, 0),
-    ("random12", "p=1"): (2244, 430, 275, 351, 0, 1),
-    ("random12", "no kite"): (3630, 787, 0, 962, 0, 1),
-}
 _TREE_GRAPHS = {
     "K6": lambda: complete_graph(6),
     "K4,4": lambda: complete_bipartite(4, 4),
@@ -815,36 +797,98 @@ _TREE_CONFIGS = {
 }
 
 
-@pytest.mark.parametrize("graph,config", sorted(PINNED_TREES))
-def test_search_tree_is_pinned(graph, config):
-    res = solve_block(_TREE_GRAPHS[graph](), SearchConfig(**_TREE_CONFIGS[config]))
+def solve_tree_graph(graph, config, monkeypatch, canonical: bool):
+    """test_block on a `_TREE_GRAPHS` graph; `canonical` swaps its full
+    universe for `canonical_universe`, the search without twin orbits."""
+    if canonical:
+        monkeypatch.setattr(search_module, "build_universe", canonical_universe)
+    return solve_block(_TREE_GRAPHS[graph](), SearchConfig(**_TREE_CONFIGS[config]))
+
+
+# random12 has no twins: its orbits are the identity, so the search with
+# twin orbits keeps its canonical pins
+def _from_random12(pins: dict) -> dict:
+    return {key: pin for key, pin in pins.items() if key[0] == "random12"}
+
+
+# planarity_calls of the canonical test_block under the default config,
+# recorded before the edge count answered queries without an LR run; K6's
+# with the capacity cut, which changes its tree
+PINNED_CALLS = {"K6": 56, "K4,4": 2546, "random12": 679}
+# the same under twin-orbit branching
+PRUNED_CALLS = {"K6": 24, "K4,4": 194, "random12": PINNED_CALLS["random12"]}
+
+
+@pytest.mark.parametrize("graph", sorted(PINNED_CALLS))
+def test_planarity_calls_are_pinned(graph, monkeypatch):
+    res = solve_tree_graph(graph, "default", monkeypatch, canonical=True)
+    assert res.stats.planarity_calls == PINNED_CALLS[graph]
+
+
+@pytest.mark.parametrize("graph", sorted(PRUNED_CALLS))
+def test_pruned_planarity_calls_are_pinned(graph, monkeypatch):
+    res = solve_tree_graph(graph, "default", monkeypatch, canonical=False)
+    assert res.stats.planarity_calls == PRUNED_CALLS[graph]
+
+
+def tree_counts(res) -> tuple[int, ...]:
     s = res.stats
-    assert res.verdict is Verdict.ONE_PLANAR
-    assert s.used_skew_pass is (graph == "random12")
-    got = (s.nodes_visited, s.cuts_dec, s.cuts_kec, s.cuts_nonplanar, s.sol_satur, s.sol_compl)
-    assert got == PINNED_TREES[graph, config]
+    return (s.nodes_visited, s.cuts_dec, s.cuts_kec, s.cuts_nonplanar, s.sol_satur, s.sol_compl)
 
 
-# sha256 over the "cursor kind reason" line of every node test_block
-# classifies, in visiting order, recorded with the search that kept an
-# explicit stack of siblings still to visit.  A 1-child that push refuses
-# is hashed as the line its classification gave.  K6's
-# digests are recorded with the capacity cut, which changes its tree.
-PINNED_ORDERS = {
-    ("K6", "default"): "e576dd8d42afaee10c2094ba3d0f9b99498d4061a130deedee985bfae08d8858",
-    ("K6", "p=0.5"): "e576dd8d42afaee10c2094ba3d0f9b99498d4061a130deedee985bfae08d8858",
-    ("K6", "p=0"): "e576dd8d42afaee10c2094ba3d0f9b99498d4061a130deedee985bfae08d8858",
-    ("K4,4", "default"): "74580db65aaaf60d822a303250ff2106145a14d1d35935ec603229c44dc2c2ee",
-    ("K4,4", "p=0.5"): "74580db65aaaf60d822a303250ff2106145a14d1d35935ec603229c44dc2c2ee",
-    ("K4,4", "p=0"): "74580db65aaaf60d822a303250ff2106145a14d1d35935ec603229c44dc2c2ee",
-    ("random12", "default"): "224f7c1b18bbf77f62c0a773605125ef66f9549865736e5c4e5b05b08107144c",
-    ("random12", "p=0.5"): "224f7c1b18bbf77f62c0a773605125ef66f9549865736e5c4e5b05b08107144c",
-    ("random12", "p=0"): "8a271f6688494ee7362bb126608feaf8fa21246ca204297779ca86718d77a07d",
+# Node and cut counts of the canonical test_block at the commit before the
+# search state was made incremental: (nodes, cuts_dec, cuts_kec,
+# cuts_nonplanar, sol_satur, sol_compl).  Equal counts under every
+# completion probability show that no random draw moved.  K6 has
+# m > 3n - 6, so the capacity cut changes its tree: its counts are
+# recorded with the cut.  K4,4 and random12 are below the bound and keep
+# theirs.
+PINNED_TREES = {
+    ("K6", "default"): (326, 32, 66, 47, 1, 0),
+    ("K6", "p=0"): (326, 32, 66, 47, 1, 0),
+    ("K6", "p=1"): (326, 32, 66, 47, 1, 0),
+    ("K6", "no kite"): (2118, 407, 0, 634, 0, 1),
+    ("K4,4", "default"): (15624, 3648, 3174, 964, 1, 0),
+    ("K4,4", "p=0"): (15624, 3648, 3174, 964, 1, 0),
+    ("K4,4", "p=1"): (15624, 3648, 3174, 964, 1, 0),
+    ("K4,4", "no kite"): (63440, 17972, 0, 13722, 0, 1),
+    ("random12", "default"): (2245, 430, 275, 351, 0, 1),
+    ("random12", "p=0"): (2262, 430, 275, 351, 1, 0),
+    ("random12", "p=1"): (2244, 430, 275, 351, 0, 1),
+    ("random12", "no kite"): (3630, 787, 0, 962, 0, 1),
 }
+# the same under twin-orbit branching, recorded when it was introduced
+PRUNED_TREES = {
+    ("K6", "default"): (120, 5, 8, 8, 1, 0),
+    ("K6", "p=0"): (120, 5, 8, 8, 1, 0),
+    ("K6", "p=1"): (120, 5, 8, 8, 1, 0),
+    ("K6", "no kite"): (240, 35, 0, 46, 0, 1),
+    ("K4,4", "default"): (793, 132, 139, 61, 1, 0),
+    ("K4,4", "p=0"): (793, 132, 139, 61, 1, 0),
+    ("K4,4", "p=1"): (793, 132, 139, 61, 1, 0),
+    ("K4,4", "no kite"): (3111, 739, 0, 752, 0, 1),
+} | _from_random12(PINNED_TREES)
 
 
-@pytest.mark.parametrize("graph,config", sorted(PINNED_ORDERS))
-def test_search_order_is_pinned(graph, config, monkeypatch):
+@pytest.mark.parametrize("graph,config", sorted(PINNED_TREES))
+def test_search_tree_is_pinned(graph, config, monkeypatch):
+    res = solve_tree_graph(graph, config, monkeypatch, canonical=True)
+    assert res.verdict is Verdict.ONE_PLANAR
+    assert res.stats.used_skew_pass is (graph == "random12")
+    assert tree_counts(res) == PINNED_TREES[graph, config]
+
+
+@pytest.mark.parametrize("graph,config", sorted(PRUNED_TREES))
+def test_pruned_search_tree_is_pinned(graph, config, monkeypatch):
+    res = solve_tree_graph(graph, config, monkeypatch, canonical=False)
+    assert res.verdict is Verdict.ONE_PLANAR
+    assert tree_counts(res) == PRUNED_TREES[graph, config]
+
+
+def order_digest(graph, config, monkeypatch, canonical: bool) -> str:
+    """sha256 over the "cursor kind reason" line of every node test_block
+    classifies, in visiting order.  A 1-child that push refuses is hashed
+    as the line its classification gave."""
     original = SearchState.classify
     digest = hashlib.sha256()
 
@@ -862,9 +906,45 @@ def test_search_order_is_pinned(graph, config, monkeypatch):
 
     monkeypatch.setattr(SearchState, "classify", recording)
     monkeypatch.setattr(SearchState, "push", recording_push)
-    res = solve_block(_TREE_GRAPHS[graph](), SearchConfig(**_TREE_CONFIGS[config]))
+    res = solve_tree_graph(graph, config, monkeypatch, canonical)
     assert res.verdict is Verdict.ONE_PLANAR
-    assert digest.hexdigest() == PINNED_ORDERS[graph, config]
+    return digest.hexdigest()
+
+
+# Digests of the canonical search, recorded with the search that kept an
+# explicit stack of siblings still to visit.  K6's digests are recorded
+# with the capacity cut, which changes its tree.
+PINNED_ORDERS = {
+    ("K6", "default"): "e576dd8d42afaee10c2094ba3d0f9b99498d4061a130deedee985bfae08d8858",
+    ("K6", "p=0.5"): "e576dd8d42afaee10c2094ba3d0f9b99498d4061a130deedee985bfae08d8858",
+    ("K6", "p=0"): "e576dd8d42afaee10c2094ba3d0f9b99498d4061a130deedee985bfae08d8858",
+    ("K4,4", "default"): "74580db65aaaf60d822a303250ff2106145a14d1d35935ec603229c44dc2c2ee",
+    ("K4,4", "p=0.5"): "74580db65aaaf60d822a303250ff2106145a14d1d35935ec603229c44dc2c2ee",
+    ("K4,4", "p=0"): "74580db65aaaf60d822a303250ff2106145a14d1d35935ec603229c44dc2c2ee",
+    ("random12", "default"): "224f7c1b18bbf77f62c0a773605125ef66f9549865736e5c4e5b05b08107144c",
+    ("random12", "p=0.5"): "224f7c1b18bbf77f62c0a773605125ef66f9549865736e5c4e5b05b08107144c",
+    ("random12", "p=0"): "8a271f6688494ee7362bb126608feaf8fa21246ca204297779ca86718d77a07d",
+}
+# the same under twin-orbit branching, recorded when it was introduced
+PRUNED_ORDERS = {
+    ("K6", "default"): "6ce29d88f4337d62eba56312896a212b623719e8ff209b0dcf0182194eb37a2b",
+    ("K6", "p=0.5"): "6ce29d88f4337d62eba56312896a212b623719e8ff209b0dcf0182194eb37a2b",
+    ("K6", "p=0"): "6ce29d88f4337d62eba56312896a212b623719e8ff209b0dcf0182194eb37a2b",
+    ("K4,4", "default"): "642f88b8eac0f80fbf37a8a1fdbbf12b7378585f0df5492360f205997262d421",
+    ("K4,4", "p=0.5"): "642f88b8eac0f80fbf37a8a1fdbbf12b7378585f0df5492360f205997262d421",
+    ("K4,4", "p=0"): "642f88b8eac0f80fbf37a8a1fdbbf12b7378585f0df5492360f205997262d421",
+} | _from_random12(PINNED_ORDERS)
+
+
+@pytest.mark.parametrize("graph,config", sorted(PINNED_ORDERS))
+def test_search_order_is_pinned(graph, config, monkeypatch):
+    assert order_digest(graph, config, monkeypatch, canonical=True) == PINNED_ORDERS[graph, config]
+
+
+@pytest.mark.parametrize("graph,config", sorted(PRUNED_ORDERS))
+def test_pruned_search_order_is_pinned(graph, config, monkeypatch):
+    got = order_digest(graph, config, monkeypatch, canonical=False)
+    assert got == PRUNED_ORDERS[graph, config]
 
 
 class TestSkewSets:
