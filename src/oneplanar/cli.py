@@ -7,12 +7,11 @@ and a small GML subset (graph/node/edge blocks with id, source, target).
 from __future__ import annotations
 
 import argparse
-import math
 import os
 import re
 import sys
 import time
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, fields
 
 from .embedding import (
     OnePlanarEmbedding,
@@ -470,56 +469,50 @@ def bench(
 # ---------------------------------------------------------------------------
 
 
+def _checked(field: str, value):
+    """`value` if SearchConfig, where every search setting is checked,
+    accepts it as `field`; an argparse error otherwise."""
+    try:
+        SearchConfig(**{field: value})
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
+    return value
+
+
 def _parse_duration(text: str) -> float:
     mobj = re.fullmatch(r"(\d+(?:\.\d+)?)([smh]?)", text.strip())
     if not mobj:
         raise argparse.ArgumentTypeError(f"bad duration {text!r} (use 300, 45s, 5m or 3h)")
-    value = float(mobj.group(1))
-    if value == 0:
-        raise argparse.ArgumentTypeError("timeout must be positive")
-    return value * {"": 1.0, "s": 1.0, "m": 60.0, "h": 3600.0}[mobj.group(2)]
+    seconds = float(mobj.group(1)) * {"": 1.0, "s": 1.0, "m": 60.0, "h": 3600.0}[mobj.group(2)]
+    return _checked("time_budget", seconds)
 
 
-def _in_range(kind, lo: float, hi: float = math.inf):
-    """argparse type: a `kind` (int or float) value within [lo, hi]."""
-    def parse(text: str):
-        value = kind(text)
-        if not lo <= value <= hi:
-            raise argparse.ArgumentTypeError(f"expected a value in [{lo}, {hi}], got {text}")
-        return value
+def _skew_size(text: str) -> int:
+    return _checked("skew_set_size", int(text))
 
-    parse.__name__ = kind.__name__  # argparse names it in "invalid int value"
-    return parse
+
+def _positive_int(text: str) -> int:
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"expected an integer >= 1, got {text}")
+    return value
+
+
+# argparse names the type in "invalid int value"
+_skew_size.__name__ = _positive_int.__name__ = "int"
 
 
 def _add_config_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--timeout", type=_parse_duration, default=None,
                    help="search budget per run (e.g. 45s, 5m, 3h)")
-    p.add_argument("--skew-size", type=_in_range(int, 0), default=None,
-                   help="maximum skew set size for the restricted pass")
-    p.add_argument("--completion-prob", type=_in_range(float, 0.0, 1.0), default=None,
-                   help="probability of attempting a zero completion per node")
-    p.add_argument("--seed", type=int, default=None, help="seed for completion draws")
-    p.add_argument("--no-kite", action="store_true", help="disable kite edge pruning")
-    p.add_argument("--no-skew", action="store_true", help="disable the restricted first pass")
+    p.add_argument("--skew-size", type=_skew_size, default=None,
+                   help="maximum skew set size for the restricted pass (0: none)")
     p.add_argument("--format", choices=["auto", "edgelist", "gml"], default="auto")
 
 
 def _config_from_args(args) -> SearchConfig:
-    cfg = SearchConfig()
-    if args.timeout is not None:
-        cfg = replace(cfg, time_budget=args.timeout)
-    if args.skew_size is not None:
-        cfg = replace(cfg, skew_set_size=args.skew_size)
-    if args.completion_prob is not None:
-        cfg = replace(cfg, completion_probability=args.completion_prob)
-    if args.seed is not None:
-        cfg = replace(cfg, rng_seed=args.seed)
-    if args.no_kite:
-        cfg = replace(cfg, enable_kite_pruning=False)
-    if args.no_skew:
-        cfg = replace(cfg, skew_set_size=0)
-    return cfg
+    given = {"time_budget": args.timeout, "skew_set_size": args.skew_size}
+    return SearchConfig(**{field: v for field, v in given.items() if v is not None})
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -541,7 +534,7 @@ def main(argv: list[str] | None = None) -> int:
     p_bench.add_argument("paths", nargs="+")
     _add_config_flags(p_bench)
     p_bench.add_argument("--out", metavar="PATH", help="write CSV here instead of stdout")
-    p_bench.add_argument("--workers", type=_in_range(int, 1), default=None,
+    p_bench.add_argument("--workers", type=_positive_int, default=None,
                          help="process count (default: ONEPLANAR_THREADS or 1)")
     p_bench.add_argument("--skip-planar", action="store_true",
                          help="drop instances that are plain planar from the report")

@@ -21,6 +21,11 @@ The other two are decided when the node is classified:
     crossings its unsaturated edges could still add fall short holds no
     solution (capacity cut, counted as a nonplanar cut).
 
+A node that passes them and is not saturated tries its zero completion:
+its crossings with every other edge uncrossed, a solution if that star
+graph is planar.  Every such node tries it, so the tree depends on the
+graph and the universe alone.
+
 One more rule skips branches that a symmetry maps onto earlier ones.
 Swapping two twins (vertices with the same open or the same closed
 neighbourhood) is an automorphism, and the universe names each pair's
@@ -39,7 +44,6 @@ drawing, provided the universe was not restricted.
 
 from __future__ import annotations
 
-import random
 import time
 from dataclasses import dataclass
 from enum import Enum
@@ -89,13 +93,19 @@ class UniverseTooLargeError(ValueError):
 
 @dataclass
 class SearchConfig:
-    """Search settings; ``skew_set_size`` 0 turns the restricted pass off."""
+    """Search settings: the largest skew set the restricted pass tries (0
+    turns that pass off) and the time budget of a run, in seconds.  Both
+    are checked here, and a bad value raises ValueError."""
 
     skew_set_size: int = 1
-    completion_probability: float = 0.8
-    rng_seed: int = 0
     time_budget: float = 3 * 3600.0
-    enable_kite_pruning: bool = True
+
+    def __post_init__(self) -> None:
+        size = self.skew_set_size
+        if isinstance(size, bool) or not isinstance(size, int) or size < 0:
+            raise ValueError(f"skew_set_size must be an integer >= 0, got {size!r}")
+        if not self.time_budget > 0:  # NaN fails this too
+            raise ValueError(f"time_budget must be positive, got {self.time_budget!r}")
 
 
 @dataclass
@@ -171,8 +181,7 @@ class SearchState:
     * ``cornered[d]``: (c) every universe partner it has is crossed, so
       any further crossing would cross that partner twice (a pair decided
       0 does not count);
-    * ``kites[d]``: (d) it is a kite edge of a crossing (0 without kite
-      pruning).
+    * ``kites[d]``: (d) it is a kite edge of a crossing.
 
     All rules read the active universe, so a restricted universe saturates
     edges a full one would keep open.  `push` writes depth d + 1 from
@@ -198,7 +207,7 @@ class SearchState:
     every crossing below the node pairs two free edges (capacity cut).
     """
 
-    def __init__(self, g: Graph, universe: PairUniverse, kite_pruning: bool) -> None:
+    def __init__(self, g: Graph, universe: PairUniverse) -> None:
         self.g = g
         self.universe = universe
         k, pairs = universe.k, universe.pairs
@@ -216,16 +225,15 @@ class SearchState:
         # kite mask of each pair: the edges of g joining an end of one of
         # its edges to an end of the other
         self._pair_kites = [0] * k
-        if kite_pruning:
-            edges, between = g.edges, g.edge_between
-            for i, (a, b) in enumerate(pairs):
-                u1, v1 = edges[a]
-                u2, v2 = edges[b]
-                mask = 0
-                for e in (between(u1, u2), between(u1, v2), between(v1, u2), between(v1, v2)):
-                    if e is not None:
-                        mask |= 1 << e
-                self._pair_kites[i] = mask
+        edges, between = g.edges, g.edge_between
+        for i, (a, b) in enumerate(pairs):
+            u1, v1 = edges[a]
+            u2, v2 = edges[b]
+            mask = 0
+            for e in (between(u1, u2), between(u1, v2), between(v1, u2), between(v1, v2)):
+                if e is not None:
+                    mask |= 1 << e
+            self._pair_kites[i] = mask
         # closed[d]: edges in no pair, plus those whose last pair is before d
         last = [0] * (k + 1)
         for e, occ in enumerate(universe.edge_pairs):
@@ -290,9 +298,7 @@ class SearchState:
         d = self.cursor
         return self.crossed[d] | self.kites[d] | self.cornered[d] | self.closed[d]
 
-    def classify(
-        self, cfg: SearchConfig, rng: random.Random, stats: SearchStats
-    ) -> NodeVerdict:
+    def classify(self, stats: SearchStats) -> NodeVerdict:
         """Classify the node at the cursor as a solution, a nonplanar cut
         or a node to extend.
 
@@ -301,8 +307,7 @@ class SearchState:
         come from here.  Order of checks: saturation of the whole graph;
         then, for a node that is not saturated, the capacity bound,
         planarity of the saturated subgraph's star graph, and finally the
-        optional zero-completion attempt.  The random draw happens only if
-        that last step is actually reached.
+        zero completion, which every such node tries.
         """
         g, d = self.g, self.cursor
         sat = self.saturated()
@@ -328,8 +333,6 @@ class SearchState:
                 if not is_planar_edges(*star_edge_list(g, self.crossings, keep=sat)):
                     return _CUT_NONPLANAR
             self._planar_sat[d] = sat
-            if not (cfg.completion_probability > 0 and rng.random() < cfg.completion_probability):
-                return _CNT
             # complete with all zeros: same crossings, full edge set
             kind = SolutionKind.COMPLETION
         else:
@@ -368,7 +371,8 @@ def backtrack(
     exhaustion proves NotOnePlanar; exhausting a restricted universe or
     hitting the deadline yields Unknown.
     The deadline is read before every node that `classify` sees, the
-    root included.
+    root included.  ``cfg`` is not read; it keeps ``stats`` the fourth
+    positional parameter, where the benchmark's tracing hook reads it.
 
     The path is the stack: every 0 on it still has its 1-sibling to
     visit and every 1 has none, so the decided prefix alone says where
@@ -381,15 +385,14 @@ def backtrack(
     docstring).
     """
     stats.used_backtracking = True
-    rng = random.Random(cfg.rng_seed)
-    state = SearchState(g, universe, cfg.enable_kite_pruning)
+    state = SearchState(g, universe)
     bits, k, orbit = state.bits, universe.k, universe.orbit
     first = 0  # position of the path's first crossing, read while it has one
 
     while True:
         if deadline is not None and time.monotonic() >= deadline:
             return Verdict.UNKNOWN, None
-        v = state.classify(cfg, rng, stats)
+        v = state.classify(stats)
         stats.nodes_visited += 1
         if v is _CNT:
             if state.cursor < k:

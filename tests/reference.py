@@ -3,7 +3,9 @@ masks of :class:`~oneplanar.search.SearchState`.
 
 A prefix is the list of bits decided so far over a pair universe, 1 for a
 pair that crosses; its length is the cursor.  Every function here
-recomputes its answer from the prefix alone.
+recomputes its answer from the prefix alone.  `without_kites` is a test
+fake of the search with the kite rule taken out, which the reference
+models with ``kite=False``.
 """
 
 from __future__ import annotations
@@ -12,7 +14,7 @@ import dataclasses
 
 from oneplanar.graph import Graph
 from oneplanar.pairs import PairUniverse, build_universe
-from oneplanar.search import CutReason
+from oneplanar.search import CutReason, SearchState
 
 
 def canonical_universe(g: Graph) -> PairUniverse:
@@ -21,6 +23,19 @@ def canonical_universe(g: Graph) -> PairUniverse:
     branch."""
     u = build_universe(g)
     return dataclasses.replace(u, orbit=tuple(range(u.k)))
+
+
+def without_kites(mp) -> None:
+    """Patch, through the monkeypatch `mp`, every SearchState built from
+    now on to have no kite masks: no KEC cut and no kite edge saturated.
+    The other rules then also run on the paths the KEC cut would refuse."""
+    init = SearchState.__init__
+
+    def init_without_kites(state, g, universe):
+        init(state, g, universe)
+        state._pair_kites = [0] * universe.k
+
+    mp.setattr(SearchState, "__init__", init_without_kites)
 
 
 def edge_mask(edges) -> int:

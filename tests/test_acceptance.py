@@ -15,6 +15,7 @@ import time
 
 import pytest
 
+import oneplanar.search as search_module
 from conftest import (
     all_labeled_connected_graphs,
     complete_bipartite,
@@ -45,7 +46,13 @@ from oneplanar.search import (
     oracle_is_one_planar,
 )
 from oneplanar.search import test_block as solve_block
-from reference import crossed_edges, edge_mask, saturated_edges
+from reference import (
+    canonical_universe,
+    crossed_edges,
+    edge_mask,
+    saturated_edges,
+    without_kites,
+)
 
 
 def _report(capsys, ok: bool, line: str) -> None:
@@ -99,22 +106,24 @@ def test_dense_graphs_rejected_without_search(capsys):
             f"nodes, worst {worst_ms:.2f}ms")
 
 
-# every combination of kite pruning and completion attempts
-ORACLE_COMBOS = [
-    SearchConfig(enable_kite_pruning=kite, completion_probability=prob)
-    for kite in (True, False)
-    for prob in (0.8, 0.0)
-]
+# the search with and without its kite masks (without_kites) and with and
+# without twin orbits (canonical_universe)
+ORACLE_SEARCHES = list(itertools.product(("kites", "no kites"), ("orbits", "canonical")))
 
 
 def _oracle_disagreements(graphs: list[Graph], max_k: int = 20) -> int:
-    """Runs under ORACLE_COMBOS whose verdict is Unknown or differs from
+    """Runs of ORACLE_SEARCHES whose verdict is Unknown or differs from
     the exhaustive oracle's; certificates go to COLLECTED."""
     disagreements = 0
     for g in graphs:
         want = oracle_is_one_planar(g, max_k)
-        for cfg in ORACLE_COMBOS:
-            res = solve_block(g, cfg)
+        for kites, orbits in ORACLE_SEARCHES:
+            with pytest.MonkeyPatch.context() as mp:
+                if kites == "no kites":
+                    without_kites(mp)
+                if orbits == "canonical":
+                    mp.setattr(search_module, "build_universe", canonical_universe)
+                res = solve_block(g, SearchConfig())
             got = res.verdict
             if got is Verdict.UNKNOWN or (got is Verdict.ONE_PLANAR) != want:
                 disagreements += 1
@@ -131,8 +140,8 @@ def test_verdicts_match_exhaustive_oracle(capsys):
     ok = disagreements == 0 and dt < 300.0
     _report(capsys, ok,
             f"search agrees with exhaustive enumeration on {len(graphs)} "
-            f"graphs x {len(ORACLE_COMBOS)} option sets "
-            f"({len(graphs) * len(ORACLE_COMBOS)} runs, "
+            f"graphs x {len(ORACLE_SEARCHES)} searches "
+            f"({len(graphs) * len(ORACLE_SEARCHES)} runs, "
             f"{disagreements} disagreements, {dt:.0f}s)")
 
 
@@ -157,8 +166,8 @@ def test_verdicts_match_oracle_above_the_euler_bound(capsys):
     ok = disagreements == 0
     _report(capsys, ok,
             f"search agrees with exhaustive enumeration on {len(graphs)} "
-            f"graphs K6 minus at most 2 edges x {len(ORACLE_COMBOS)} option sets "
-            f"({len(graphs) * len(ORACLE_COMBOS)} runs, "
+            f"graphs K6 minus at most 2 edges x {len(ORACLE_SEARCHES)} searches "
+            f"({len(graphs) * len(ORACLE_SEARCHES)} runs, "
             f"{disagreements} disagreements, {dt:.0f}s)")
 
 
@@ -258,11 +267,12 @@ def _valid_full_assignments(g: Graph, universe, limit: int) -> list[list[int]]:
     return sols
 
 
-def test_saturated_edges_never_change_status(capsys):
+def test_saturated_edges_never_change_status(capsys, monkeypatch):
     """Across >=1000 (prefix, edge, solution) triples, an edge saturated at
     the prefix is crossed in a full valid extension iff it is crossed in
     the prefix already.  The search state replaying each prefix refuses
     no push and saturates the same edges as the reference."""
+    without_kites(monkeypatch)  # the reference saturates no kite edge here
     rng = random.Random(1009)
     triples = violations = mismatches = 0
     while triples < 1000:
@@ -281,7 +291,7 @@ def test_saturated_edges_never_change_status(capsys):
                     triples += 1
                     if (e in pref_crossed) != (e in full_crossed):
                         violations += 1
-                state = SearchState(g, u, kite_pruning=False)
+                state = SearchState(g, u)
                 pushed = all(state.push(bit) is None for bit in bits[:j])
                 if not pushed or state.saturated() != edge_mask(saturated):
                     mismatches += 1

@@ -201,8 +201,9 @@ class TestPipeline:
         assert record.nodes == 0 and record.backtracked is False
 
     def test_unknown_from_expired_budget(self):
+        # a budget of 1 ns has run out before the first block is searched
         g = glue_at_vertex(complete_graph(6), complete_graph(6))
-        record, emb = run_pipeline(g, SearchConfig(time_budget=0.0))
+        record, emb = run_pipeline(g, SearchConfig(time_budget=1e-9))
         assert record.verdict == "Unknown" and emb is None
 
     @pytest.mark.parametrize("name", sorted(_METAMORPHIC_BASES))
@@ -213,8 +214,13 @@ class TestPipeline:
         rng.shuffle(perm)
         shuffled = list(g.edges)
         rng.shuffle(shuffled)
+        # sorted, so edge ids, pair order and the search move with the
+        # labels; only a complete graph maps onto its own edge list
+        relabelled = build_graph(g.n, sorted(tuple(sorted((perm[u], perm[v])))
+                                             for u, v in g.edges))
+        assert (relabelled.edges == g.edges) is (g.m == g.n * (g.n - 1) // 2)
         variants = {
-            "relabelled": build_graph(g.n, [(perm[u], perm[v]) for u, v in g.edges]),
+            "relabelled": relabelled,
             "reordered": build_graph(g.n, shuffled),
             "pendant grid": glue_at_vertex(g, grid_graph(3, 3)),
             "pendant first": glue_at_vertex(cycle_graph(5), g),
@@ -642,27 +648,33 @@ class TestMain:
         assert main(["bench", files["grid.txt"]]) == 0
         assert capsys.readouterr().out.splitlines()[0] == CSV_HEADER
 
-    def test_flags_reach_search(self, tmp_path, capsys):
-        f = tmp_path / "k5.txt"
-        f.write_text("".join(f"{u} {v}\n" for u, v in complete_graph(5).edges))
-        assert main(["check", str(f), "--no-skew", "--no-kite",
-                     "--completion-prob", "0", "--timeout", "45s", "--seed", "9"]) == 0
-        assert "OnePlanar" in capsys.readouterr().out
-
-    def test_no_skew_wins_over_skew_size(self, tmp_path, monkeypatch):
+    def test_flags_reach_search(self, tmp_path, capsys, monkeypatch):
         f = tmp_path / "k5.txt"
         f.write_text("".join(f"{u} {v}\n" for u, v in complete_graph(5).edges))
         seen = []
 
         def recording(g, cfg, name="instance"):
-            seen.append(cfg.skew_set_size)
+            seen.append(cfg)
             return run_pipeline(g, cfg, name)
 
         monkeypatch.setattr(cli_module, "run_pipeline", recording)
+        assert main(["check", str(f), "--skew-size", "0", "--timeout", "45s"]) == 0
+        assert "OnePlanar" in capsys.readouterr().out
         assert main(["check", str(f), "--skew-size", "2"]) == 0
-        assert main(["check", str(f), "--skew-size", "2", "--no-skew"]) == 0
-        assert main(["check", str(f), "--no-skew", "--skew-size", "2"]) == 0
-        assert seen == [2, 0, 0]
+        assert seen == [SearchConfig(skew_set_size=0, time_budget=45.0),
+                        SearchConfig(skew_set_size=2)]
+
+    @pytest.mark.parametrize("flags", [
+        ["--completion-prob", "0.5"], ["--seed", "3"], ["--no-kite"], ["--no-skew"],
+    ], ids=lambda flags: flags[0])
+    def test_removed_flag_exits_two(self, flags, tmp_path, capsys):
+        f = tmp_path / "k4.txt"
+        f.write_text("".join(f"{u} {v}\n" for u, v in complete_graph(4).edges))
+        with pytest.raises(SystemExit) as exc:
+            main(["check", str(f)] + flags)
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert "unrecognized arguments" in err and flags[0] in err
 
     def test_python_dash_m_runs_main(self, tmp_path):
         f = tmp_path / "k5.txt"
@@ -680,13 +692,15 @@ class TestMain:
         "flags",
         [
             ["check", "--skew-size", "-1"],
+            ["check", "--skew-size", "1.5"],
+            # no longer a flag, so any value is refused
             ["check", "--completion-prob", "1.5"],
             ["check", "--completion-prob", "-0.1"],
             ["check", "--completion-prob", "nan"],
             ["check", "--timeout", "0"],
             ["bench", "--workers", "0"],
         ],
-        ids=["skew-negative", "prob-above-one", "prob-negative", "prob-nan",
+        ids=["skew-negative", "skew-not-integer", "prob-above-one", "prob-negative", "prob-nan",
              "timeout-zero", "workers-zero"],
     )
     def test_bad_flag_exits_two(self, flags, tmp_path, capsys):

@@ -5,6 +5,7 @@ from __future__ import annotations
 import itertools
 import random
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -12,7 +13,14 @@ from conftest import complete_graph, cycle_graph, random_connected_graph
 from oneplanar.graph import build_graph
 from oneplanar.pairs import build_restricted_universe, build_universe
 from oneplanar.search import SearchState
-from reference import crossed_edges, crossing_counts, decided_pairs, edge_mask, saturated_edges
+from reference import (
+    crossed_edges,
+    crossing_counts,
+    decided_pairs,
+    edge_mask,
+    saturated_edges,
+    without_kites,
+)
 
 # K5 edge ids are lexicographic: (0,1)=0 (0,2)=1 (0,3)=2 (0,4)=3 (1,2)=4
 # (1,3)=5 (1,4)=6 (2,3)=7 (2,4)=8 (3,4)=9.  Its 15 independent pairs,
@@ -84,7 +92,7 @@ class TestRestrictedUniverse:
 class TestDecidedPrefix:
     def test_push_pop_roundtrip(self):
         g = complete_graph(4)
-        state = SearchState(g, build_universe(g), kite_pruning=True)
+        state = SearchState(g, build_universe(g))
         assert state.push(1) is None and state.push(0) is None
         assert state.cursor == 2 and state.bits[:2] == [1, 0]
         assert state.crossings == [(0, 5)]
@@ -184,6 +192,8 @@ def test_saturated_status_survives_valid_extension(data):
     saturated = saturated_edges(u, bits[:j])
     for e in saturated:
         assert (e in now) == (e in later)
-    state = SearchState(g, u, kite_pruning=False)
+    with pytest.MonkeyPatch.context() as mp:
+        without_kites(mp)  # the reference saturates no kite edge here
+        state = SearchState(g, u)
     assert all(state.push(bit) is None for bit in bits[:j])
     assert state.saturated() == edge_mask(saturated)

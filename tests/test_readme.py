@@ -2,11 +2,12 @@
 
 from __future__ import annotations
 
+import argparse
 import re
 from pathlib import Path
 
 from conftest import complete_graph
-from oneplanar.cli import run_pipeline
+from oneplanar.cli import _add_config_flags, run_pipeline
 from oneplanar.embedding import serialize_embedding
 from oneplanar.search import SearchConfig
 
@@ -34,3 +35,12 @@ def test_certificate_format_example_matches_k5():
     lines = iter(serialize_embedding(emb).splitlines())
     # every line shown appears, in the order shown
     assert all(any(line == got for got in lines) for line in shown)
+
+
+def test_shared_flags_paragraph_names_every_config_flag():
+    # the flags the paragraph names are exactly those check and bench share
+    parser = argparse.ArgumentParser(add_help=False)
+    _add_config_flags(parser)
+    defined = {flag for action in parser._actions for flag in action.option_strings}
+    paragraph = README[README.index("\nShared flags:"):].split("\n\n")[0]
+    assert set(re.findall(r"`(--[a-z-]+)", paragraph)) == defined

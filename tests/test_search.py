@@ -2,7 +2,9 @@
 
 from __future__ import annotations
 
+import dataclasses
 import hashlib
+import itertools
 import random
 import time
 
@@ -47,30 +49,30 @@ from reference import (
     find_kite_edges,
     prefix_cut,
     saturated_edges,
+    without_kites,
 )
-
-
-def quiet_cfg(**kw) -> SearchConfig:
-    """Deterministic config: completion only when explicitly enabled."""
-    base = dict(completion_probability=0.0, rng_seed=0)
-    base.update(kw)
-    return SearchConfig(**base)
-
 
 # the unpatched methods, for tests that wrap them on the class
 _push, _classify = SearchState.push, SearchState.classify
 
 
-def replay(g, universe, bits, cfg, rng, stats=None) -> NodeVerdict:
+def replay(g, universe, bits, stats=None) -> NodeVerdict:
     """The verdict of the node a bit prefix reaches: the cut of its first
     push that is refused, or else the classification of the node after
     the last bit."""
-    state = SearchState(g, universe, cfg.enable_kite_pruning)
+    state = SearchState(g, universe)
     for bit in bits:
         cut = _push(state, bit)
         if cut is not None:
             return cut
-    return _classify(state, cfg, rng, SearchStats() if stats is None else stats)
+    return _classify(state, SearchStats() if stats is None else stats)
+
+
+def fail_full_queries(monkeypatch) -> None:
+    """Make every full star graph query fail: no zero completion and no
+    saturated node is a solution, so a search runs to exhaustion and its
+    open nodes are the ones the saturated-subgraph query lets through."""
+    monkeypatch.setattr(search_module, "rotation_edges", lambda n, edges: None)
 
 
 class TestKites:
@@ -96,15 +98,18 @@ class TestKites:
 class TestVerifyNode:
     """Verdicts of single nodes, reached by replaying a bit prefix."""
 
-    def test_root_continues_without_completion(self):
+    def test_root_continues_without_completion(self, monkeypatch):
+        # K4's root passes its saturated-subgraph query; with its zero
+        # completion failing, it is a node to extend
+        fail_full_queries(monkeypatch)
         g = complete_graph(4)
-        v = replay(g, build_universe(g), [], quiet_cfg(), random.Random(0))
+        v = replay(g, build_universe(g), [])
         assert v.kind is NodeKind.CNT
 
     def test_double_crossing_cut(self):
         g = complete_graph(5)
         # (0,7) and (0,8) cross edge 0
-        v = replay(g, build_universe(g), [1, 1], quiet_cfg(), random.Random(0))
+        v = replay(g, build_universe(g), [1, 1])
         assert v.kind is NodeKind.CUT
         assert v.cut_reason is CutReason.DOUBLE_EDGE_CROSSING
 
@@ -114,24 +119,25 @@ class TestVerifyNode:
         bits = [0] * 9
         bits[2] = 1  # pair (0,9)
         bits[8] = 1  # pair (2,8)
-        v = replay(g, build_universe(g), bits, quiet_cfg(), random.Random(0))
+        v = replay(g, build_universe(g), bits)
         assert v.kind is NodeKind.CUT
         assert v.cut_reason is CutReason.KITE_EDGE_CROSSING
 
-    def test_kite_cut_needs_kite_pruning(self):
+    def test_kite_cut_needs_kite_pruning(self, monkeypatch):
+        # the KEC cut comes from the kite masks alone
+        without_kites(monkeypatch)
         g = complete_graph(5)
         bits = [0] * 9
         bits[2] = 1
         bits[8] = 1
-        cfg = quiet_cfg(enable_kite_pruning=False)
-        v = replay(g, build_universe(g), bits, cfg, random.Random(0))
+        v = replay(g, build_universe(g), bits)
         assert v.cut_reason is not CutReason.KITE_EDGE_CROSSING
 
     def test_saturated_nonplanar_cut(self):
         g = complete_graph(5)
         u = build_universe(g)
         # no crossings at all: K5 itself
-        v = replay(g, u, [0] * u.k, quiet_cfg(), random.Random(0))
+        v = replay(g, u, [0] * u.k)
         assert v.kind is NodeKind.CUT
         assert v.cut_reason is CutReason.NONPLANAR_INDUCED
 
@@ -140,7 +146,7 @@ class TestVerifyNode:
         u = build_universe(g)
         bits = [0] * u.k
         bits[2] = 1  # only (0,9)
-        v = replay(g, u, bits, quiet_cfg(), random.Random(0))
+        v = replay(g, u, bits)
         assert v.kind is NodeKind.SOL
         assert v.solution_kind is SolutionKind.SATURATION
         assert v.crossings == ((0, 9),)
@@ -151,47 +157,61 @@ class TestVerifyNode:
         # everything after a single decision.
         g = complete_graph(5)
         u = build_restricted_universe(g, [0])
-        v = replay(g, u, [1], quiet_cfg(), random.Random(0))
+        v = replay(g, u, [1])
         assert v.kind is NodeKind.SOL
         assert v.solution_kind is SolutionKind.SATURATION
 
-    def test_completion_draw_uses_seeded_rng(self):
-        # random.Random(0).random() = 0.844... > 0.8: no draw, node continues.
-        # random.Random(1).random() = 0.134... < 0.8: completion fires on a
-        # planar graph and certifies the all-zeros extension.
+    def test_root_completion_certifies_planar_graph(self):
+        # the root of a planar graph completes with all zeros to a drawing
+        # without crossings
         g = complete_graph(4)
-        u = build_universe(g)
-        cfg = quiet_cfg(completion_probability=0.8)
-        v0 = replay(g, u, [], cfg, random.Random(0))
-        assert v0.kind is NodeKind.CNT
-        v1 = replay(g, u, [], cfg, random.Random(1))
-        assert v1.kind is NodeKind.SOL
-        assert v1.solution_kind is SolutionKind.COMPLETION
-        assert v1.crossings == ()
+        v = replay(g, build_universe(g), [])
+        assert v.kind is NodeKind.SOL
+        assert v.solution_kind is SolutionKind.COMPLETION
+        assert v.crossings == ()
 
     def test_completion_failure_continues(self):
         # K5 with nothing crossed completes to a nonplanar drawing, so the
-        # node survives even though the coin said try.
+        # node survives its zero completion
         g = complete_graph(5)
-        v = replay(g, build_universe(g), [], quiet_cfg(completion_probability=1.0),
-                   random.Random(0))
+        v = replay(g, build_universe(g), [])
         assert v.kind is NodeKind.CNT
 
-    def test_no_rng_consumed_before_completion_step(self):
-        # A cut node must not touch the PRNG stream.
-        g = complete_graph(5)
-        rng = random.Random(7)
-        before = rng.getstate()
-        replay(g, build_universe(g), [1, 1], quiet_cfg(completion_probability=0.8), rng)
-        assert rng.getstate() == before
+    def test_cut_nodes_try_no_completion(self, monkeypatch):
+        # the zero completion comes after every cut: a node that is cut
+        # before it is saturated asks no full star graph query
+        runs = 0
+
+        def counting(n, edges):
+            nonlocal runs
+            runs += 1
+            return rotation_edges(n, edges)
+
+        cut_open = 0
+
+        def checking(state, stats):
+            nonlocal cut_open
+            before = runs
+            v = _classify(state, stats)
+            if v.kind is NodeKind.CUT and state.saturated() != (1 << state.g.m) - 1:
+                cut_open += 1
+                assert runs == before
+            return v
+
+        monkeypatch.setattr(search_module, "rotation_edges", counting)
+        monkeypatch.setattr(SearchState, "classify", checking)
+        g = complete_graph(6)
+        verdict, _ = backtrack(g, canonical_universe(g), SearchConfig(), SearchStats())
+        assert verdict is Verdict.ONE_PLANAR
+        assert cut_open > 0 and runs > 0
 
     def test_stats_track_planarity_calls(self):
         g = complete_graph(5)
         u = build_universe(g)
         stats = SearchStats()
-        replay(g, u, [1, 1], quiet_cfg(), random.Random(0), stats)
+        replay(g, u, [1, 1], stats)
         assert stats.planarity_calls == 0  # cut before any planarity work
-        replay(g, u, [0] * u.k, quiet_cfg(), random.Random(0), stats)
+        replay(g, u, [0] * u.k, stats)
         assert stats.planarity_calls == 1
 
     def test_cut_is_monotone_under_extension(self, rng: random.Random):
@@ -200,12 +220,11 @@ class TestVerifyNode:
         # reference finds a doubled or crossed kite edge in both.
         g = complete_graph(5)
         u = build_universe(g)
-        cfg = quiet_cfg()
         found = 0
         while found < 25:
             depth = rng.randrange(1, u.k)
             bits = [rng.randrange(2) for _ in range(depth)]
-            v = replay(g, u, bits, cfg, random.Random(0))
+            v = replay(g, u, bits)
             if v.kind is not NodeKind.CUT:
                 continue
             if v.cut_reason is CutReason.NONPLANAR_INDUCED:
@@ -214,7 +233,7 @@ class TestVerifyNode:
             assert prefix_cut(g, u, bits, kite=True) is not None
             for _ in range(4):
                 ext = bits + [rng.randrange(2) for _ in range(u.k - depth)]
-                ve = replay(g, u, ext, cfg, random.Random(0))
+                ve = replay(g, u, ext)
                 assert ve.kind is NodeKind.CUT
                 assert prefix_cut(g, u, ext, kite=True) is not None
 
@@ -266,10 +285,11 @@ def _planarized_edges(g: Graph, chosen):
 
 
 class TestKiteFreeSearchNeverCutsViable:
-    """With kite pruning off, a cut prefix truly has no workable extension."""
+    """With the kite masks taken out, a cut prefix truly has no workable
+    extension."""
 
-    def test_on_small_graphs(self, rng: random.Random):
-        cfg = quiet_cfg(enable_kite_pruning=False)
+    def test_on_small_graphs(self, monkeypatch, rng: random.Random):
+        without_kites(monkeypatch)
         checked = 0
         while checked < 60:
             g = random_connected_graph(5, rng.randrange(5, 9), rng)
@@ -278,7 +298,7 @@ class TestKiteFreeSearchNeverCutsViable:
                 continue
             depth = rng.randrange(1, u.k + 1)
             bits = [rng.randrange(2) for _ in range(depth)]
-            v = replay(g, u, bits, cfg, random.Random(0))
+            v = replay(g, u, bits)
             if v.kind is NodeKind.CUT:
                 checked += 1
                 assert not true_extension_exists(g, u, bits)
@@ -286,15 +306,16 @@ class TestKiteFreeSearchNeverCutsViable:
 
 class TestBacktrack:
     def test_k4_zero_spine(self):
-        # Without completion K4 walks the all-zeros branch to saturation:
-        # root, three zero nodes, solution at full depth.
+        # The root's zero completion is the leaf at the end of the all-zeros
+        # spine: K4 is certified at the root, with one saturated-subgraph
+        # query and one full query, and the spine is never walked.
         g = complete_graph(4)
         stats = SearchStats()
-        verdict, cert = backtrack(g, build_universe(g), quiet_cfg(), stats)
+        verdict, cert = backtrack(g, build_universe(g), SearchConfig(), stats)
         assert verdict is Verdict.ONE_PLANAR
         assert count_crossings(merge_one_block(g, cert)) == 0
-        assert stats.nodes_visited == 4
-        assert stats.sol_satur == 1
+        assert stats.nodes_visited == stats.sol_compl == 1
+        assert stats.planarity_calls == 2
         assert stats.cuts_dec == stats.cuts_kec == stats.cuts_nonplanar == 0
 
     def test_graphs_on_two_vertices_or_fewer(self):
@@ -302,7 +323,7 @@ class TestBacktrack:
         # more only: an edge or a lone vertex is a saturation solution
         for g in (build_graph(1, []), build_graph(2, [(0, 1)])):
             stats = SearchStats()
-            verdict, cert = backtrack(g, build_universe(g), quiet_cfg(), stats)
+            verdict, cert = backtrack(g, build_universe(g), SearchConfig(), stats)
             assert verdict is Verdict.ONE_PLANAR and cert.crossings == ()
             assert stats.nodes_visited == stats.sol_satur == stats.planarity_calls == 1
 
@@ -310,7 +331,7 @@ class TestBacktrack:
         g = complete_graph(5)
         stats = SearchStats()
         verdict, cert = backtrack(
-            g, build_restricted_universe(g, [0]), quiet_cfg(), stats
+            g, build_restricted_universe(g, [0]), SearchConfig(), stats
         )
         assert verdict is Verdict.ONE_PLANAR
         emb = merge_one_block(g, cert)
@@ -322,7 +343,7 @@ class TestBacktrack:
     def test_k5_full_universe(self):
         g = complete_graph(5)
         stats = SearchStats()
-        verdict, cert = backtrack(g, build_universe(g), quiet_cfg(), stats)
+        verdict, cert = backtrack(g, build_universe(g), SearchConfig(), stats)
         assert verdict is Verdict.ONE_PLANAR
         emb = merge_one_block(g, cert)
         assert validate(g, emb)
@@ -334,7 +355,7 @@ class TestBacktrack:
         g = complete_graph(6)
         u = build_restricted_universe(g, [0])
         stats = SearchStats()
-        verdict, cert = backtrack(g, u, quiet_cfg(), stats)
+        verdict, cert = backtrack(g, u, SearchConfig(), stats)
         assert verdict is Verdict.UNKNOWN and cert is None
         assert stats.cuts_dec > 0 or stats.cuts_nonplanar > 0
 
@@ -342,7 +363,7 @@ class TestBacktrack:
         # Padded K7: verdict comes from exhausting the full universe.
         g = complete_graph(7)
         stats = SearchStats()
-        verdict, cert = backtrack(g, canonical_universe(g), quiet_cfg(), stats)
+        verdict, cert = backtrack(g, canonical_universe(g), SearchConfig(), stats)
         assert verdict is Verdict.NOT_ONE_PLANAR and cert is None
         assert stats.nodes_visited == 45_275
 
@@ -352,7 +373,7 @@ class TestBacktrack:
         g = complete_graph(7)
         assert set(build_universe(g).orbit) == {0}
         stats = SearchStats()
-        verdict, cert = backtrack(g, build_universe(g), quiet_cfg(), stats)
+        verdict, cert = backtrack(g, build_universe(g), SearchConfig(), stats)
         assert verdict is Verdict.NOT_ONE_PLANAR and cert is None
         assert stats.nodes_visited == 1_628
 
@@ -361,13 +382,13 @@ class TestBacktrack:
         g = complete_graph(7)
         stats = SearchStats()
         verdict, cert = backtrack(
-            g, canonical_universe(g), quiet_cfg(), stats, deadline=time.monotonic() + 0.05
+            g, canonical_universe(g), SearchConfig(), stats, deadline=time.monotonic() + 0.05
         )
         assert verdict is Verdict.UNKNOWN and cert is None
 
     def test_deterministic_stats(self):
         g = complete_graph(6)
-        cfg = SearchConfig(rng_seed=42)
+        cfg = SearchConfig()
         runs = []
         for _ in range(2):
             stats = SearchStats()
@@ -377,21 +398,6 @@ class TestBacktrack:
                          stats.cuts_dec, stats.cuts_kec, stats.cuts_nonplanar,
                          stats.sol_satur, stats.sol_compl))
         assert runs[0] == runs[1]
-
-    def test_seed_steers_completion(self):
-        # Seed 0 opens with 0.844 (> 0.8, no try), then 0.758 at the next
-        # node: K4 completes there.  Seed 1 opens with 0.134 and completes
-        # at the root.  Node counts pin the draw-per-reached-node contract.
-        g = complete_graph(4)
-        u = build_universe(g)
-        by_seed = {}
-        for seed in (0, 1):
-            stats = SearchStats()
-            verdict, cert = backtrack(g, u, SearchConfig(rng_seed=seed), stats)
-            assert verdict is Verdict.ONE_PLANAR
-            assert count_crossings(merge_one_block(g, cert)) == 0
-            by_seed[seed] = (stats.nodes_visited, stats.sol_compl)
-        assert by_seed == {0: (2, 1), 1: (1, 1)}
 
 
 class _Enough(Exception):
@@ -437,16 +443,15 @@ class TestSearchState:
     @pytest.mark.parametrize("restricted", [False, True], ids=["full", "restricted"])
     @pytest.mark.parametrize("kite", [True, False], ids=["kite", "nokite"])
     def test_matches_reference_at_every_node(self, monkeypatch, g, restricted, kite):
+        if not kite:
+            without_kites(monkeypatch)
         seen = []
 
-        def checking(state, cfg, rng, stats):
+        def checking(state, stats):
             assert_state_matches_reference(state, g, kite)
-            replay_rng = random.Random()
-            replay_rng.setstate(rng.getstate())
-            want = replay(g, state.universe, state.bits[: state.cursor], cfg, replay_rng)
-            got = _classify(state, cfg, rng, stats)
+            want = replay(g, state.universe, state.bits[: state.cursor])
+            got = _classify(state, stats)
             assert got == want
-            assert rng.getstate() == replay_rng.getstate()
             seen.append(got.kind)
             if len(seen) >= self.MAX_NODES:
                 raise _Enough
@@ -457,9 +462,8 @@ class TestSearchState:
             u = build_restricted_universe(g, find_skew_set(g, 1) or [0, 1])
         else:
             u = build_universe(g)
-        cfg = SearchConfig(enable_kite_pruning=kite, completion_probability=0.5, rng_seed=3)
         try:
-            backtrack(g, u, cfg, SearchStats())
+            backtrack(g, u, SearchConfig(), SearchStats())
         except _Enough:
             pass
         assert NodeKind.CNT in seen
@@ -475,9 +479,11 @@ class TestSearchState:
             (k44, build_universe(k44)),
             (k6, build_restricted_universe(k6, find_skew_set(k6, 3))),
         ]
-        for g, u in cases:
-            for kite in (True, False):
-                state = SearchState(g, u, kite_pruning=kite)
+        for (g, u), kite in itertools.product(cases, (True, False)):
+            with pytest.MonkeyPatch.context() as mp:
+                if not kite:
+                    without_kites(mp)
+                state = SearchState(g, u)
                 assert_state_matches_reference(state, g, kite)
                 refused = {CutReason.DOUBLE_EDGE_CROSSING: 0, CutReason.KITE_EDGE_CROSSING: 0}
                 for _ in range(600):
@@ -541,7 +547,8 @@ class TestPrePushCut:
     @pytest.mark.parametrize("kite", [True, False], ids=["kite", "nokite"])
     def test_matches_replayed_classification(self, monkeypatch, graph, restricted, kite):
         g = _CUT_GRAPHS[graph]()
-        cfg = SearchConfig(enable_kite_pruning=kite)
+        if not kite:
+            without_kites(monkeypatch)
         cuts = {CutReason.DOUBLE_EDGE_CROSSING: 0, CutReason.KITE_EDGE_CROSSING: 0}
         classified = 0
 
@@ -553,19 +560,19 @@ class TestPrePushCut:
                 cuts[v.cut_reason] += 1
             return v
 
-        def counting_classify(state, cfg, rng, stats):
+        def counting_classify(state, stats):
             nonlocal classified
             classified += 1
             if classified > self.MAX_NODES.get(graph, 10**9):
                 raise _Enough
-            return _classify(state, cfg, rng, stats)
+            return _classify(state, stats)
 
         monkeypatch.setattr(SearchState, "push", checking_push)
         monkeypatch.setattr(SearchState, "classify", counting_classify)
         u = build_restricted_universe(g, [0, 1]) if restricted else build_universe(g)
         stats = SearchStats()
         try:
-            backtrack(g, u, cfg, stats)
+            backtrack(g, u, SearchConfig(), stats)
         except _Enough:
             pass
         else:
@@ -604,10 +611,10 @@ class TestCountAnswers:
         settled = {"saturated": 0, "full": 0}
         classified = 0
 
-        def checking(state, cfg, rng, stats):
+        def checking(state, stats):
             nonlocal classified
             asked, ran = stats.planarity_calls, runs
-            v = original(state, cfg, rng, stats)
+            v = original(state, stats)
             unrun = (stats.planarity_calls - asked) - (runs - ran)
             assert unrun in (0, 1)
             if unrun:
@@ -724,13 +731,15 @@ class TestCapacityCut:
     def test_cut_subtrees_hold_no_drawing(self, monkeypatch, graph, universe, kite):
         g = {"K6": lambda: complete_graph(6), "K7-2match": k7_minus_2match,
              "K7-e": k7_minus_edge}[graph]()
+        if not kite:
+            without_kites(monkeypatch)
         original = SearchState.classify
         classified = cuts = checked = 0
 
-        def checking(state, cfg, rng, stats):
+        def checking(state, stats):
             nonlocal classified, cuts, checked
             asked = stats.planarity_calls
-            v = original(state, cfg, rng, stats)
+            v = original(state, stats)
             cut = is_capacity_cut(v, state, asked, stats)
             assert cut is capacity_cut_by_reference(state, g, kite)
             if cut:
@@ -751,7 +760,7 @@ class TestCapacityCut:
         else:
             u = build_restricted_universe(g, find_skew_set(g, 3))
         try:
-            backtrack(g, u, SearchConfig(enable_kite_pruning=kite), SearchStats())
+            backtrack(g, u, SearchConfig(), SearchStats())
         except _Enough:
             pass
         assert checked > 0
@@ -768,10 +777,10 @@ class TestCapacityCut:
         original = SearchState.classify
         cuts = 0
 
-        def counting(state, cfg, rng, stats):
+        def counting(state, stats):
             nonlocal cuts
             asked = stats.planarity_calls
-            v = original(state, cfg, rng, stats)
+            v = original(state, stats)
             cuts += is_capacity_cut(v, state, asked, stats)
             return v
 
@@ -788,21 +797,17 @@ _TREE_GRAPHS = {
     # full pass finds the drawing
     "random12": lambda: random_connected_graph(12, 22, random.Random(30)),
 }
-_TREE_CONFIGS = {
-    "default": {},
-    "p=0": {"completion_probability": 0.0},
-    "p=0.5": {"completion_probability": 0.5},
-    "p=1": {"completion_probability": 1.0},
-    "no kite": {"enable_kite_pruning": False},
-}
 
 
 def solve_tree_graph(graph, config, monkeypatch, canonical: bool):
     """test_block on a `_TREE_GRAPHS` graph; `canonical` swaps its full
-    universe for `canonical_universe`, the search without twin orbits."""
+    universe for `canonical_universe`, the search without twin orbits, and
+    the config "no kite" takes the kite masks out (`without_kites`)."""
     if canonical:
         monkeypatch.setattr(search_module, "build_universe", canonical_universe)
-    return solve_block(_TREE_GRAPHS[graph](), SearchConfig(**_TREE_CONFIGS[config]))
+    if config == "no kite":
+        without_kites(monkeypatch)
+    return solve_block(_TREE_GRAPHS[graph](), SearchConfig())
 
 
 # random12 has no twins: its orbits are the identity, so the search with
@@ -811,10 +816,10 @@ def _from_random12(pins: dict) -> dict:
     return {key: pin for key, pin in pins.items() if key[0] == "random12"}
 
 
-# planarity_calls of the canonical test_block under the default config,
-# recorded before the edge count answered queries without an LR run; K6's
-# with the capacity cut, which changes its tree
-PINNED_CALLS = {"K6": 56, "K4,4": 2546, "random12": 679}
+# planarity_calls of the canonical test_block with the zero completion
+# tried at every open node; K6's with the capacity cut, which changes its
+# tree
+PINNED_CALLS = {"K6": 56, "K4,4": 2549, "random12": 680}
 # the same under twin-orbit branching
 PRUNED_CALLS = {"K6": 24, "K4,4": 194, "random12": PINNED_CALLS["random12"]}
 
@@ -838,34 +843,25 @@ def tree_counts(res) -> tuple[int, ...]:
 
 # Node and cut counts of the canonical test_block at the commit before the
 # search state was made incremental: (nodes, cuts_dec, cuts_kec,
-# cuts_nonplanar, sol_satur, sol_compl).  Equal counts under every
-# completion probability show that no random draw moved.  K6 has
-# m > 3n - 6, so the capacity cut changes its tree: its counts are
-# recorded with the cut.  K4,4 and random12 are below the bound and keep
-# theirs.
+# cuts_nonplanar, sol_satur, sol_compl), recorded there with the zero
+# completion tried at a node with probability 1, as the search now tries
+# it at every node.  K6 has m > 3n - 6, so the capacity cut changes its
+# tree: its counts are recorded with the cut.  K4,4 and random12 are below
+# the bound and keep theirs.  The "no kite" counts were recorded with kite
+# pruning switched off, which `without_kites` reproduces.
 PINNED_TREES = {
     ("K6", "default"): (326, 32, 66, 47, 1, 0),
-    ("K6", "p=0"): (326, 32, 66, 47, 1, 0),
-    ("K6", "p=1"): (326, 32, 66, 47, 1, 0),
     ("K6", "no kite"): (2118, 407, 0, 634, 0, 1),
     ("K4,4", "default"): (15624, 3648, 3174, 964, 1, 0),
-    ("K4,4", "p=0"): (15624, 3648, 3174, 964, 1, 0),
-    ("K4,4", "p=1"): (15624, 3648, 3174, 964, 1, 0),
     ("K4,4", "no kite"): (63440, 17972, 0, 13722, 0, 1),
-    ("random12", "default"): (2245, 430, 275, 351, 0, 1),
-    ("random12", "p=0"): (2262, 430, 275, 351, 1, 0),
-    ("random12", "p=1"): (2244, 430, 275, 351, 0, 1),
+    ("random12", "default"): (2244, 430, 275, 351, 0, 1),
     ("random12", "no kite"): (3630, 787, 0, 962, 0, 1),
 }
 # the same under twin-orbit branching, recorded when it was introduced
 PRUNED_TREES = {
     ("K6", "default"): (120, 5, 8, 8, 1, 0),
-    ("K6", "p=0"): (120, 5, 8, 8, 1, 0),
-    ("K6", "p=1"): (120, 5, 8, 8, 1, 0),
     ("K6", "no kite"): (240, 35, 0, 46, 0, 1),
     ("K4,4", "default"): (793, 132, 139, 61, 1, 0),
-    ("K4,4", "p=0"): (793, 132, 139, 61, 1, 0),
-    ("K4,4", "p=1"): (793, 132, 139, 61, 1, 0),
     ("K4,4", "no kite"): (3111, 739, 0, 752, 0, 1),
 } | _from_random12(PINNED_TREES)
 
@@ -892,8 +888,8 @@ def order_digest(graph, config, monkeypatch, canonical: bool) -> str:
     original = SearchState.classify
     digest = hashlib.sha256()
 
-    def recording(state, cfg, rng, stats):
-        v = original(state, cfg, rng, stats)
+    def recording(state, stats):
+        v = original(state, stats)
         reason = v.cut_reason or v.solution_kind
         digest.update(f"{state.cursor} {v.kind.name} {reason and reason.name}\n".encode())
         return v
@@ -911,28 +907,19 @@ def order_digest(graph, config, monkeypatch, canonical: bool) -> str:
     return digest.hexdigest()
 
 
-# Digests of the canonical search, recorded with the search that kept an
-# explicit stack of siblings still to visit.  K6's digests are recorded
-# with the capacity cut, which changes its tree.
+# Digests of the canonical search.  K6's and K4,4's were recorded with the
+# search that kept an explicit stack of siblings still to visit, K6's with
+# the capacity cut, which changes its tree; random12's when the zero
+# completion came to be tried at every open node.
 PINNED_ORDERS = {
     ("K6", "default"): "e576dd8d42afaee10c2094ba3d0f9b99498d4061a130deedee985bfae08d8858",
-    ("K6", "p=0.5"): "e576dd8d42afaee10c2094ba3d0f9b99498d4061a130deedee985bfae08d8858",
-    ("K6", "p=0"): "e576dd8d42afaee10c2094ba3d0f9b99498d4061a130deedee985bfae08d8858",
     ("K4,4", "default"): "74580db65aaaf60d822a303250ff2106145a14d1d35935ec603229c44dc2c2ee",
-    ("K4,4", "p=0.5"): "74580db65aaaf60d822a303250ff2106145a14d1d35935ec603229c44dc2c2ee",
-    ("K4,4", "p=0"): "74580db65aaaf60d822a303250ff2106145a14d1d35935ec603229c44dc2c2ee",
-    ("random12", "default"): "224f7c1b18bbf77f62c0a773605125ef66f9549865736e5c4e5b05b08107144c",
-    ("random12", "p=0.5"): "224f7c1b18bbf77f62c0a773605125ef66f9549865736e5c4e5b05b08107144c",
-    ("random12", "p=0"): "8a271f6688494ee7362bb126608feaf8fa21246ca204297779ca86718d77a07d",
+    ("random12", "default"): "ee8b90829f2fb1bf229d5d04840159565866bd824aab6460aeaf45773ac9bb9c",
 }
 # the same under twin-orbit branching, recorded when it was introduced
 PRUNED_ORDERS = {
     ("K6", "default"): "6ce29d88f4337d62eba56312896a212b623719e8ff209b0dcf0182194eb37a2b",
-    ("K6", "p=0.5"): "6ce29d88f4337d62eba56312896a212b623719e8ff209b0dcf0182194eb37a2b",
-    ("K6", "p=0"): "6ce29d88f4337d62eba56312896a212b623719e8ff209b0dcf0182194eb37a2b",
     ("K4,4", "default"): "642f88b8eac0f80fbf37a8a1fdbbf12b7378585f0df5492360f205997262d421",
-    ("K4,4", "p=0.5"): "642f88b8eac0f80fbf37a8a1fdbbf12b7378585f0df5492360f205997262d421",
-    ("K4,4", "p=0"): "642f88b8eac0f80fbf37a8a1fdbbf12b7378585f0df5492360f205997262d421",
 } | _from_random12(PINNED_ORDERS)
 
 
@@ -999,6 +986,35 @@ class TestSkewSets:
             calls.clear()
             assert solve_block(g, SearchConfig()).stats.used_skew_pass
             assert calls and g.m not in calls
+
+
+class TestSearchConfig:
+    def test_fields(self):
+        assert [f.name for f in dataclasses.fields(SearchConfig)] == [
+            "skew_set_size", "time_budget"]
+
+    @pytest.mark.parametrize("field,value", [
+        ("skew_set_size", -1),
+        ("skew_set_size", 1.0),
+        ("skew_set_size", "2"),
+        ("skew_set_size", True),
+        ("time_budget", 0),
+        ("time_budget", -1.0),
+        ("time_budget", float("nan")),
+    ])
+    def test_bad_value_raises(self, field, value):
+        with pytest.raises(ValueError, match=field):
+            SearchConfig(**{field: value})
+        with pytest.raises(ValueError, match=field):
+            dataclasses.replace(SearchConfig(), **{field: value})
+
+    @pytest.mark.parametrize("field,value", [
+        ("completion_probability", 0.5), ("rng_seed", 3), ("enable_kite_pruning", False),
+    ])
+    def test_removed_setting_raises(self, field, value):
+        # an old script fails loudly instead of being silently ignored
+        with pytest.raises(TypeError, match=field):
+            SearchConfig(**{field: value})
 
 
 class TestOracle:
@@ -1093,16 +1109,13 @@ class TestBlockDriver:
         assert res.verdict is Verdict.UNKNOWN and res.certificate is None
         assert len(calls) <= 1
 
-    def test_option_combos_agree_on_verdicts(self, rng: random.Random):
+    def test_kite_masks_leave_verdicts_unchanged(self, rng: random.Random):
         for _ in range(12):
             g = random_connected_graph(6, rng.randrange(6, 13), rng)
-            verdicts = set()
-            for kite in (True, False):
-                for prob in (0.0, 0.8):
-                    cfg = SearchConfig(
-                        enable_kite_pruning=kite, completion_probability=prob
-                    )
-                    verdicts.add(solve_block(g, cfg).verdict)
+            verdicts = {solve_block(g, SearchConfig()).verdict}
+            with pytest.MonkeyPatch.context() as mp:
+                without_kites(mp)
+                verdicts.add(solve_block(g, SearchConfig()).verdict)
             assert len(verdicts) == 1
 
     def test_agrees_with_oracle(self, rng: random.Random):

@@ -23,7 +23,7 @@ from oneplanar.pairs import build_restricted_universe, build_universe, twin_clas
 from oneplanar.search import SearchConfig, SearchState, SearchStats, Verdict, backtrack
 from oneplanar.search import test_block as solve_block
 from reference import canonical_universe
-from test_search import scale_instance
+from test_search import fail_full_queries, scale_instance
 
 
 def complete_minus(n: int, dropped) -> Graph:
@@ -150,17 +150,21 @@ class TestOrbits:
 
 
 def classified_prefixes(g: Graph, universe) -> tuple[list[tuple[int, ...]], SearchStats]:
+    """The prefix of every node the search classifies, in order, with every
+    full star graph query failing, so that no node is a solution and the
+    search exhausts the universe."""
     prefixes = []
     original = SearchState.classify
 
-    def recording(state, cfg, rng, stats):
+    def recording(state, stats):
         prefixes.append(tuple(state.bits[: state.cursor]))
-        return original(state, cfg, rng, stats)
+        return original(state, stats)
 
     stats = SearchStats()
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(SearchState, "classify", recording)
-        backtrack(g, universe, SearchConfig(completion_probability=0.0), stats)
+        fail_full_queries(mp)
+        assert backtrack(g, universe, SearchConfig(), stats)[0] is Verdict.NOT_ONE_PLANAR
     return prefixes, stats
 
 
@@ -174,19 +178,15 @@ def keeps_rule(orbit, prefix) -> bool:
 class TestRule:
     @pytest.mark.parametrize("name", ["K6", "K4,4", "K7-2match", "K7-e"])
     def test_pruned_tree_is_the_canonical_tree_minus_skipped_branches(self, name):
-        # Without completion draws the trees differ only by the rule: the
-        # pruned search classifies, in the same order, the nodes of the
-        # canonical search whose prefix keeps it, until either finds a
-        # solution; a skipped 1-child is neither a node nor a cut
+        # Run to exhaustion, the trees differ only by the rule: the pruned
+        # search classifies, in the same order, the nodes of the canonical
+        # search whose prefix keeps it; a skipped 1-child is neither a node
+        # nor a cut
         g = _SMALL_GRAPHS[name]()
         u = build_universe(g)
         pruned, stats = classified_prefixes(g, u)
         canonical, _ = classified_prefixes(g, canonical_universe(g))
-        kept = [p for p in canonical if keeps_rule(u.orbit, p)]
-        common = min(len(pruned), len(kept))
-        assert pruned[:common] == kept[:common]
-        if name == "K7-e":  # both exhaust the universe
-            assert pruned == kept
+        assert pruned == [p for p in canonical if keeps_rule(u.orbit, p)]
         assert len(pruned) < len(canonical)
         assert stats.nodes_visited == len(pruned) + stats.cuts_dec + stats.cuts_kec
 
