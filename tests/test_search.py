@@ -802,7 +802,10 @@ _TREE_GRAPHS = {
 def solve_tree_graph(graph, config, monkeypatch, canonical: bool):
     """test_block on a `_TREE_GRAPHS` graph; `canonical` swaps its full
     universe for `canonical_universe`, the search without twin orbits, and
-    the config "no kite" takes the kite masks out (`without_kites`)."""
+    the config "no kite" takes the kite masks out (`without_kites`).  The
+    config "p=1" names the zero completion tried at a node with
+    probability 1; the search now always tries it, so "p=1" runs the
+    default search and keeps the pins recorded under that name."""
     if canonical:
         monkeypatch.setattr(search_module, "build_universe", canonical_universe)
     if config == "no kite":
@@ -851,17 +854,22 @@ def tree_counts(res) -> tuple[int, ...]:
 # pruning switched off, which `without_kites` reproduces.
 PINNED_TREES = {
     ("K6", "default"): (326, 32, 66, 47, 1, 0),
+    ("K6", "p=1"): (326, 32, 66, 47, 1, 0),
     ("K6", "no kite"): (2118, 407, 0, 634, 0, 1),
     ("K4,4", "default"): (15624, 3648, 3174, 964, 1, 0),
+    ("K4,4", "p=1"): (15624, 3648, 3174, 964, 1, 0),
     ("K4,4", "no kite"): (63440, 17972, 0, 13722, 0, 1),
     ("random12", "default"): (2244, 430, 275, 351, 0, 1),
+    ("random12", "p=1"): (2244, 430, 275, 351, 0, 1),
     ("random12", "no kite"): (3630, 787, 0, 962, 0, 1),
 }
 # the same under twin-orbit branching, recorded when it was introduced
 PRUNED_TREES = {
     ("K6", "default"): (120, 5, 8, 8, 1, 0),
+    ("K6", "p=1"): (120, 5, 8, 8, 1, 0),
     ("K6", "no kite"): (240, 35, 0, 46, 0, 1),
     ("K4,4", "default"): (793, 132, 139, 61, 1, 0),
+    ("K4,4", "p=1"): (793, 132, 139, 61, 1, 0),
     ("K4,4", "no kite"): (3111, 739, 0, 752, 0, 1),
 } | _from_random12(PINNED_TREES)
 
