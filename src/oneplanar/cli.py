@@ -368,18 +368,23 @@ def _bench_pool(tasks: list, workers: int) -> list[InstanceRecord | None]:
     return results
 
 
+def _checked_workers(workers) -> int:
+    """`workers` if it is a worker count `bench` accepts, an int >= 1 and
+    not a bool; ValueError otherwise."""
+    if isinstance(workers, bool) or not isinstance(workers, int) or workers < 1:
+        raise ValueError(f"workers must be an integer >= 1, got {workers!r}")
+    return workers
+
+
 def _env_workers() -> int:
     """Worker count from ONEPLANAR_THREADS; 1 when it is unset or empty."""
     text = os.environ.get("ONEPLANAR_THREADS", "")
     if not text:
         return 1
     try:
-        workers = int(text)
+        return _checked_workers(int(text))
     except ValueError:
-        workers = 0
-    if workers < 1:
-        raise ValueError(f"ONEPLANAR_THREADS must be a positive integer, got {text!r}")
-    return workers
+        raise ValueError(f"ONEPLANAR_THREADS must be an integer >= 1, got {text!r}") from None
 
 
 def _bucket(n: int) -> tuple[int, int]:
@@ -428,9 +433,9 @@ def bench(
     report is reproducible run to run (timing columns aside).  A file
     that fails to parse or crashes, or whose worker process dies, becomes
     a verdict=Error row.  `workers` defaults to ONEPLANAR_THREADS (or 1);
-    a value there that is not a positive integer raises ValueError.  No
-    more workers than files are started; a single one runs in the calling
-    process.
+    a worker count, given or from there, that is not an integer >= 1
+    raises ValueError.  No more workers than files are started; a single
+    one runs in the calling process.
     """
     files: list[str] = []
     for p in paths:
@@ -444,8 +449,7 @@ def bench(
             files.append(p)
     files.sort(key=os.path.basename)
 
-    if workers is None:
-        workers = _env_workers()
+    workers = _env_workers() if workers is None else _checked_workers(workers)
 
     tasks = [(path, fmt, cfg, skip_planar) for path in files]
     # a process pool starts all its workers at the first submit
@@ -491,15 +495,16 @@ def _skew_size(text: str) -> int:
     return _checked("skew_set_size", int(text))
 
 
-def _positive_int(text: str) -> int:
+def _workers(text: str) -> int:
     value = int(text)
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"expected an integer >= 1, got {text}")
-    return value
+    try:
+        return _checked_workers(value)
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
 
 
 # argparse names the type in "invalid int value"
-_skew_size.__name__ = _positive_int.__name__ = "int"
+_skew_size.__name__ = _workers.__name__ = "int"
 
 
 def _add_config_flags(p: argparse.ArgumentParser) -> None:
@@ -534,7 +539,7 @@ def main(argv: list[str] | None = None) -> int:
     p_bench.add_argument("paths", nargs="+")
     _add_config_flags(p_bench)
     p_bench.add_argument("--out", metavar="PATH", help="write CSV here instead of stdout")
-    p_bench.add_argument("--workers", type=_positive_int, default=None,
+    p_bench.add_argument("--workers", type=_workers, default=None,
                          help="process count (default: ONEPLANAR_THREADS or 1)")
     p_bench.add_argument("--skip-planar", action="store_true",
                          help="drop instances that are plain planar from the report")

@@ -112,10 +112,10 @@ class SearchConfig:
 class SearchStats:
     """Counters of one search, or of several merged.
 
-    ``planarity_calls`` counts the planarity queries the current search
-    path had not already answered (see :class:`SearchState`), whether the
-    LR test or the edge count settles them.  A repeated query is skipped
-    and not counted; a capacity cut asks none.
+    ``planarity_calls`` counts the planarity queries `classify` asks,
+    whether the LR test or the edge count settles them.  A node below a 0
+    asks neither query its parent has answered (see
+    :meth:`SearchState.classify`); a capacity cut asks none.
     """
 
     nodes_visited: int = 0
@@ -167,36 +167,31 @@ class BlockResult:
 
 class SearchState:
     """One search path: its decided prefix and everything a node's
-    classification reads from it, as one edge mask per depth.
+    classification reads from it, as edge masks.
 
     ``bits[:cursor]`` are the decided bits, 1 for a pair that crosses,
     and ``crossings`` lists the crossing pairs in universe order.  Bit e
     of a mask stands for edge e.  An edge is saturated, its crossing
     status fixed below the node, once one of these holds; for the node at
-    depth d (d pairs decided) the state holds one mask per rule:
+    depth d (d pairs decided) with c crossings the state holds one mask
+    per rule:
 
-    * ``crossed[d]``: (a) it is in some crossing pair;
+    * ``crossed[c]``: (a) it is in some crossing pair;
     * ``closed[d]``: (b) it has no pair at position d or later; this
       depends on the universe only;
-    * ``cornered[d]``: (c) every universe partner it has is crossed, so
+    * ``cornered[c]``: (c) every universe partner it has is crossed, so
       any further crossing would cross that partner twice (a pair decided
       0 does not count);
-    * ``kites[d]``: (d) it is a kite edge of a crossing.
+    * ``kites[c]``: (d) it is a kite edge of a crossing.
 
-    All rules read the active universe, so a restricted universe saturates
-    edges a full one would keep open.  `push` writes depth d + 1 from
-    depth d and `pop` moves the cursor back, so nothing is undone.  `push`
-    alone decides DEC and KEC cuts: it refuses a 1 that would cross an
-    edge twice or cross a kite edge, so no path holds either.
-
-    Two facts about the path are kept per depth and only set by `classify`:
-
-    * ``_planar_sat[d]``: the saturated mask whose star graph the node at
-      depth d proved planar, or -1.  A bit-0 push changes no crossing, so
-      a child with the same saturated mask asks the query its parent
-      answered.
-    * ``_nonplanar_full[d]``: the full star graph of the node's crossing set
-      is nonplanar.  A bit-0 push inherits it, a bit-1 push clears it.
+    Rules (a), (c) and (d) change only when a pair crosses, so their masks
+    are indexed by the number of crossings on the path, at most m // 2.
+    A 0 `push` writes its bit and moves the cursor, a 1 writes crossing
+    slot c + 1 from slot c, and `pop` moves the cursor back, so nothing is
+    undone.  All rules read the active universe, so a restricted universe
+    saturates edges a full one would keep open.  `push` alone decides DEC
+    and KEC cuts: it refuses a 1 that would cross an edge twice or cross
+    a kite edge, so no path holds either.
 
     The star graph of a drawing with c crossings has n + c vertices and
     m + 2c edges, so it can only be planar if c >= ``_need`` = m - 3n + 6.
@@ -243,11 +238,9 @@ class SearchState:
         # fewest crossings of a planar star graph; on n <= 2 every graph is
         # planar and no crossing fits
         self._need = g.m - (3 * g.n - 6) if g.n > 2 else 0
-        self.crossed = [0] * (k + 1)
-        self.kites = [0] * (k + 1)
-        self.cornered = [0] * (k + 1)
-        self._planar_sat = [-1] * (k + 1)
-        self._nonplanar_full = [False] * (k + 1)
+        self.crossed = [0] * (g.m // 2 + 1)
+        self.kites = [0] * (g.m // 2 + 1)
+        self.cornered = [0] * (g.m // 2 + 1)
 
     def push(self, bit: int) -> NodeVerdict | None:
         """Decide the pair at the cursor: 1 crosses it, 0 does not.
@@ -258,33 +251,30 @@ class SearchState:
         the state untouched; every other push returns None.
         """
         d = self.cursor
-        if bit:
-            a, b = pair = self.universe.pairs[d]
-            ab = 1 << a | 1 << b
-            if self.crossed[d] & ab:
-                return _CUT_DEC
-            crossed = self.crossed[d] | ab
-            kites = self.kites[d] | self._pair_kites[d]
-            if crossed & kites:
-                return _CUT_KEC
-        self.bits[d] = bit
-        self.cursor = d + 1
-        self._planar_sat[d + 1] = -1
-        self._nonplanar_full[d + 1] = self._nonplanar_full[d] and not bit
         if not bit:
-            self.crossed[d + 1] = self.crossed[d]
-            self.kites[d + 1] = self.kites[d]
-            self.cornered[d + 1] = self.cornered[d]
+            self.bits[d] = 0
+            self.cursor = d + 1
             return None
+        a, b = pair = self.universe.pairs[d]
+        ab = 1 << a | 1 << b
+        c = len(self.crossings)
+        if self.crossed[c] & ab:
+            return _CUT_DEC
+        crossed = self.crossed[c] | ab
+        kites = self.kites[c] | self._pair_kites[d]
+        if crossed & kites:
+            return _CUT_KEC
+        self.bits[d] = 1
+        self.cursor = d + 1
         self.crossings.append(pair)
-        self.crossed[d + 1] = crossed
-        self.kites[d + 1] = kites
-        cornered = self.cornered[d]
+        self.crossed[c + 1] = crossed
+        self.kites[c + 1] = kites
+        cornered = self.cornered[c]
         partner_mask = self._partner_mask
         for f in self._partners[a] + self._partners[b]:
             if not partner_mask[f] & ~crossed:
                 cornered |= 1 << f
-        self.cornered[d + 1] = cornered
+        self.cornered[c + 1] = cornered
         return None
 
     def pop(self) -> None:
@@ -295,27 +285,34 @@ class SearchState:
 
     def saturated(self) -> int:
         """Mask of the saturated edges at the cursor."""
-        d = self.cursor
-        return self.crossed[d] | self.kites[d] | self.cornered[d] | self.closed[d]
+        c = len(self.crossings)
+        return self.crossed[c] | self.kites[c] | self.cornered[c] | self.closed[self.cursor]
 
     def classify(self, stats: SearchStats) -> NodeVerdict:
         """Classify the node at the cursor as a solution, a nonplanar cut
         or a node to extend.
 
-        Precondition: the path was built by `push`, so no edge on it is
-        crossed twice and no kite edge is crossed; DEC and KEC cuts never
-        come from here.  Order of checks: saturation of the whole graph;
-        then, for a node that is not saturated, the capacity bound,
-        planarity of the saturated subgraph's star graph, and finally the
-        zero completion, which every such node tries.
+        Precondition: every proper ancestor of the node was classified
+        CNT, as on every node `backtrack` visits, and the path was built
+        by `push`, so no edge on it is crossed twice and no kite edge is
+        crossed; DEC and KEC cuts never come from here.  Order of checks:
+        saturation of the whole graph; then, for a node that is not
+        saturated, the capacity bound, planarity of the saturated
+        subgraph's star graph, and finally the zero completion, which
+        every such node tries.  Below a 0 the parent had the same
+        crossings, so it found their full star graph nonplanar, and it
+        found its saturated subgraph's star graph planar: neither query is
+        asked again.  Nothing on the state is written.
         """
-        g, d = self.g, self.cursor
-        sat = self.saturated()
+        g, d, c = self.g, self.cursor, len(self.crossings)
+        fixed = self.crossed[c] | self.kites[c] | self.cornered[c]
+        sat = fixed | self.closed[d]
+        below_zero = d > 0 and not self.bits[d - 1]
         if sat != self._all_edges:
             # capacity cut: a crossing below this node pairs two free edges,
             # unsaturated ones with an unsaturated universe partner, each
             # used once; count them until they cover the crossings missing
-            missing = 2 * (self._need - len(self.crossings))
+            missing = 2 * (self._need - c)
             if missing > 0:
                 unsat = self._all_edges ^ sat
                 rest, partner_mask = unsat, self._partner_mask
@@ -326,39 +323,35 @@ class SearchState:
                     rest ^= low
                 if missing:
                     return _CUT_NONPLANAR
-            # after a bit-0 push with no new saturated edge the parent, a
-            # CNT node, has already found this very query planar
-            if not (d and not self.bits[d - 1] and self._planar_sat[d - 1] == sat):
+            # below a 0 that saturates no new edge, the parent asked this
+            if not (below_zero and fixed | self.closed[d - 1] == sat):
                 stats.planarity_calls += 1
                 if not is_planar_edges(*star_edge_list(g, self.crossings, keep=sat)):
                     return _CUT_NONPLANAR
-            self._planar_sat[d] = sat
             # complete with all zeros: same crossings, full edge set
-            kind = SolutionKind.COMPLETION
+            kind, dead_end = SolutionKind.COMPLETION, _CNT
         else:
             # the saturated subgraph is the whole graph: the planarity call
             # below decides between a saturation solution and a dead end
-            kind = SolutionKind.SATURATION
+            kind, dead_end = SolutionKind.SATURATION, _CUT_NONPLANAR
 
-        if not self._nonplanar_full[d]:
-            stats.planarity_calls += 1
-            too_dense = len(self.crossings) < self._need
-            rot = None if too_dense else rotation_edges(*star_edge_list(g, self.crossings))
-            if rot is not None:
-                return NodeVerdict(
-                    NodeKind.SOL,
-                    solution_kind=kind,
-                    crossings=tuple(self.crossings),
-                    star_rotation=tuple(tuple(r) for r in rot),
-                )
-            self._nonplanar_full[d] = True
-        return _CUT_NONPLANAR if kind is SolutionKind.SATURATION else _CNT
+        if below_zero:  # the parent found these crossings' star graph nonplanar
+            return dead_end
+        stats.planarity_calls += 1
+        rot = None if c < self._need else rotation_edges(*star_edge_list(g, self.crossings))
+        if rot is None:
+            return dead_end
+        return NodeVerdict(
+            NodeKind.SOL,
+            solution_kind=kind,
+            crossings=tuple(self.crossings),
+            star_rotation=tuple(tuple(r) for r in rot),
+        )
 
 
 def backtrack(
     g: Graph,
     universe: PairUniverse,
-    cfg: SearchConfig,
     stats: SearchStats,
     deadline: float | None = None,
 ) -> tuple[Verdict, OnePlanarEmbedding | None]:
@@ -371,8 +364,7 @@ def backtrack(
     exhaustion proves NotOnePlanar; exhausting a restricted universe or
     hitting the deadline yields Unknown.
     The deadline is read before every node that `classify` sees, the
-    root included.  ``cfg`` is not read; it keeps ``stats`` the fourth
-    positional parameter, where the benchmark's tracing hook reads it.
+    root included.
 
     The path is the stack: every 0 on it still has its 1-sibling to
     visit and every 1 has none, so the decided prefix alone says where
@@ -509,13 +501,13 @@ def test_block(
         if skew:
             stats.used_skew_pass = True
             restricted = build_restricted_universe(g, skew)
-            verdict, cert = backtrack(g, restricted, cfg, stats, deadline)
+            verdict, cert = backtrack(g, restricted, stats=stats, deadline=deadline)
             if verdict is Verdict.ONE_PLANAR:
                 return BlockResult(verdict, cert, stats)
             if time.monotonic() >= deadline:
                 return BlockResult(Verdict.UNKNOWN, None, stats)
 
-    verdict, cert = backtrack(g, build_universe(g), cfg, stats, deadline)
+    verdict, cert = backtrack(g, build_universe(g), stats=stats, deadline=deadline)
     if verdict is Verdict.NOT_ONE_PLANAR and g.n < 7:
         raise RuntimeError("internal error: graphs on fewer than 7 vertices always have a drawing")
     return BlockResult(verdict, cert, stats)

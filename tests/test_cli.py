@@ -480,6 +480,13 @@ class TestBench:
         two = bench([str(tmp_path)], SearchConfig(), workers=2)
         assert strip_times(one.csv) == strip_times(two.csv)
 
+    @pytest.mark.parametrize("workers", [0, -3, True, 2.0, "2"])
+    def test_bad_worker_count_raises(self, workers, tmp_path):
+        # bench is the one check of a worker count: it runs nothing here
+        (tmp_path / "k4.txt").write_text("".join(f"{u} {v}\n" for u, v in complete_graph(4).edges))
+        with pytest.raises(ValueError, match="workers must be an integer >= 1"):
+            bench([str(tmp_path)], SearchConfig(), workers=workers)
+
     def test_workers_capped_at_file_count(self, tmp_path, monkeypatch):
         # A fork pool starts all of its workers at the first submit, so a
         # pool wider than the batch forks idle processes.  The recording

@@ -43,6 +43,8 @@ from oneplanar.search import (
 from oneplanar.search import test_block as solve_block
 from reference import (
     canonical_universe,
+    capacity_short,
+    classify_prefix,
     crossing_counts,
     decided_pairs,
     edge_mask,
@@ -59,7 +61,10 @@ _push, _classify = SearchState.push, SearchState.classify
 def replay(g, universe, bits, stats=None) -> NodeVerdict:
     """The verdict of the node a bit prefix reaches: the cut of its first
     push that is refused, or else the classification of the node after
-    the last bit."""
+    the last bit.  That classification holds when the prefix is empty,
+    ends with a 1, or ends with a 0 below a node the search would extend
+    (see :meth:`SearchState.classify`); `classify_prefix` classifies any
+    prefix."""
     state = SearchState(g, universe)
     for bit in bits:
         cut = _push(state, bit)
@@ -146,7 +151,8 @@ class TestVerifyNode:
         u = build_universe(g)
         bits = [0] * u.k
         bits[2] = 1  # only (0,9)
-        v = replay(g, u, bits)
+        # the path passes through the solution the search finds at depth 3
+        v = classify_prefix(g, u, bits)
         assert v.kind is NodeKind.SOL
         assert v.solution_kind is SolutionKind.SATURATION
         assert v.crossings == ((0, 9),)
@@ -201,7 +207,7 @@ class TestVerifyNode:
         monkeypatch.setattr(search_module, "rotation_edges", counting)
         monkeypatch.setattr(SearchState, "classify", checking)
         g = complete_graph(6)
-        verdict, _ = backtrack(g, canonical_universe(g), SearchConfig(), SearchStats())
+        verdict, _ = backtrack(g, canonical_universe(g), SearchStats())
         assert verdict is Verdict.ONE_PLANAR
         assert cut_open > 0 and runs > 0
 
@@ -211,7 +217,7 @@ class TestVerifyNode:
         stats = SearchStats()
         replay(g, u, [1, 1], stats)
         assert stats.planarity_calls == 0  # cut before any planarity work
-        replay(g, u, [0] * u.k, stats)
+        classify_prefix(g, u, [0] * u.k, stats=stats)
         assert stats.planarity_calls == 1
 
     def test_cut_is_monotone_under_extension(self, rng: random.Random):
@@ -298,7 +304,7 @@ class TestKiteFreeSearchNeverCutsViable:
                 continue
             depth = rng.randrange(1, u.k + 1)
             bits = [rng.randrange(2) for _ in range(depth)]
-            v = replay(g, u, bits)
+            v = classify_prefix(g, u, bits, kite=False)
             if v.kind is NodeKind.CUT:
                 checked += 1
                 assert not true_extension_exists(g, u, bits)
@@ -311,7 +317,7 @@ class TestBacktrack:
         # query and one full query, and the spine is never walked.
         g = complete_graph(4)
         stats = SearchStats()
-        verdict, cert = backtrack(g, build_universe(g), SearchConfig(), stats)
+        verdict, cert = backtrack(g, build_universe(g), stats)
         assert verdict is Verdict.ONE_PLANAR
         assert count_crossings(merge_one_block(g, cert)) == 0
         assert stats.nodes_visited == stats.sol_compl == 1
@@ -323,16 +329,14 @@ class TestBacktrack:
         # more only: an edge or a lone vertex is a saturation solution
         for g in (build_graph(1, []), build_graph(2, [(0, 1)])):
             stats = SearchStats()
-            verdict, cert = backtrack(g, build_universe(g), SearchConfig(), stats)
+            verdict, cert = backtrack(g, build_universe(g), stats)
             assert verdict is Verdict.ONE_PLANAR and cert.crossings == ()
             assert stats.nodes_visited == stats.sol_satur == stats.planarity_calls == 1
 
     def test_k5_restricted(self):
         g = complete_graph(5)
         stats = SearchStats()
-        verdict, cert = backtrack(
-            g, build_restricted_universe(g, [0]), SearchConfig(), stats
-        )
+        verdict, cert = backtrack(g, build_restricted_universe(g, [0]), stats)
         assert verdict is Verdict.ONE_PLANAR
         emb = merge_one_block(g, cert)
         assert count_crossings(emb) == 1
@@ -343,7 +347,7 @@ class TestBacktrack:
     def test_k5_full_universe(self):
         g = complete_graph(5)
         stats = SearchStats()
-        verdict, cert = backtrack(g, build_universe(g), SearchConfig(), stats)
+        verdict, cert = backtrack(g, build_universe(g), stats)
         assert verdict is Verdict.ONE_PLANAR
         emb = merge_one_block(g, cert)
         assert validate(g, emb)
@@ -355,7 +359,7 @@ class TestBacktrack:
         g = complete_graph(6)
         u = build_restricted_universe(g, [0])
         stats = SearchStats()
-        verdict, cert = backtrack(g, u, SearchConfig(), stats)
+        verdict, cert = backtrack(g, u, stats)
         assert verdict is Verdict.UNKNOWN and cert is None
         assert stats.cuts_dec > 0 or stats.cuts_nonplanar > 0
 
@@ -363,7 +367,7 @@ class TestBacktrack:
         # Padded K7: verdict comes from exhausting the full universe.
         g = complete_graph(7)
         stats = SearchStats()
-        verdict, cert = backtrack(g, canonical_universe(g), SearchConfig(), stats)
+        verdict, cert = backtrack(g, canonical_universe(g), stats)
         assert verdict is Verdict.NOT_ONE_PLANAR and cert is None
         assert stats.nodes_visited == 45_275
 
@@ -373,7 +377,7 @@ class TestBacktrack:
         g = complete_graph(7)
         assert set(build_universe(g).orbit) == {0}
         stats = SearchStats()
-        verdict, cert = backtrack(g, build_universe(g), SearchConfig(), stats)
+        verdict, cert = backtrack(g, build_universe(g), stats)
         assert verdict is Verdict.NOT_ONE_PLANAR and cert is None
         assert stats.nodes_visited == 1_628
 
@@ -382,17 +386,16 @@ class TestBacktrack:
         g = complete_graph(7)
         stats = SearchStats()
         verdict, cert = backtrack(
-            g, canonical_universe(g), SearchConfig(), stats, deadline=time.monotonic() + 0.05
+            g, canonical_universe(g), stats, deadline=time.monotonic() + 0.05
         )
         assert verdict is Verdict.UNKNOWN and cert is None
 
     def test_deterministic_stats(self):
         g = complete_graph(6)
-        cfg = SearchConfig()
         runs = []
         for _ in range(2):
             stats = SearchStats()
-            verdict, cert = backtrack(g, build_universe(g), cfg, stats)
+            verdict, cert = backtrack(g, build_universe(g), stats)
             text = serialize_embedding(merge_one_block(g, cert))
             runs.append((verdict, text, stats.nodes_visited,
                          stats.cuts_dec, stats.cuts_kec, stats.cuts_nonplanar,
@@ -417,25 +420,31 @@ def _state_differential_cases():
 
 
 def assert_state_matches_reference(state: SearchState, g, kite: bool) -> None:
-    """Every mask at the cursor equals what the reference functions compute
-    from the decided prefix alone, and the prefix crosses no edge twice
-    and (with kites) no kite edge."""
-    u, bits, d = state.universe, state.bits[: state.cursor], state.cursor
+    """Every mask of the node at the cursor, at its crossing count, equals
+    what the reference functions compute from the decided prefix alone,
+    and the prefix crosses no edge twice and (with kites) no kite edge."""
+    u, bits, c = state.universe, state.bits[: state.cursor], len(state.crossings)
     pairs = decided_pairs(u, bits)
     counts = crossing_counts(u, bits)
     kites = find_kite_edges(g, pairs) if kite else set()
     assert prefix_cut(g, u, bits, kite) is None
     assert state.crossings == pairs
-    assert state.crossed[d] == edge_mask(e for e, c in enumerate(counts) if c)
-    assert state.kites[d] == edge_mask(kites)
+    assert state.crossed[c] == edge_mask(e for e, n in enumerate(counts) if n)
+    assert state.kites[c] == edge_mask(kites)
     assert state.saturated() == edge_mask(saturated_edges(u, bits, kites))
-    assert state.crossed[d] & state.kites[d] == edge_mask(e for e in kites if counts[e]) == 0
+    assert state.crossed[c] & state.kites[c] == edge_mask(e for e in kites if counts[e]) == 0
+
+
+def snapshot(state: SearchState) -> dict:
+    """Every attribute of the state, its lists copied."""
+    return {name: list(v) if isinstance(v, list) else v for name, v in vars(state).items()}
 
 
 class TestSearchState:
     """The masks push writes match the from-scratch reference functions at
-    every node, and every node's verdict matches the one classified from a
-    replayed prefix, which carries no path facts."""
+    every node, and every node's verdict matches the one `classify_prefix`
+    works out from the prefix alone, asking every query; `classify` writes
+    nothing on the state."""
 
     MAX_NODES = 800
 
@@ -449,8 +458,10 @@ class TestSearchState:
 
         def checking(state, stats):
             assert_state_matches_reference(state, g, kite)
-            want = replay(g, state.universe, state.bits[: state.cursor])
+            want = classify_prefix(g, state.universe, state.bits[: state.cursor], kite)
+            before = snapshot(state)
             got = _classify(state, stats)
+            assert snapshot(state) == before
             assert got == want
             seen.append(got.kind)
             if len(seen) >= self.MAX_NODES:
@@ -463,7 +474,7 @@ class TestSearchState:
         else:
             u = build_universe(g)
         try:
-            backtrack(g, u, SearchConfig(), SearchStats())
+            backtrack(g, u, SearchStats())
         except _Enough:
             pass
         assert NodeKind.CNT in seen
@@ -501,6 +512,10 @@ class TestSearchState:
                             assert state.cursor == d
                             assert before == (state.bits, state.crossings, state.crossed,
                                               state.kites, state.cornered)
+                        elif not bit:
+                            # an accepted 0 changes no crossing and no mask
+                            assert before[1:] == (state.crossings, state.crossed,
+                                                  state.kites, state.cornered)
                     else:
                         state.pop()
                     assert_state_matches_reference(state, g, kite)
@@ -516,7 +531,7 @@ class TestSearchState:
         # search ran one LR test per node before), and none is run again.
         g = complete_graph(6)
         stats = SearchStats()
-        verdict, _ = backtrack(g, build_universe(g), SearchConfig(), stats)
+        verdict, _ = backtrack(g, build_universe(g), stats)
         assert verdict is Verdict.ONE_PLANAR
         assert stats.planarity_calls < stats.nodes_visited / 2
 
@@ -572,7 +587,7 @@ class TestPrePushCut:
         u = build_restricted_universe(g, [0, 1]) if restricted else build_universe(g)
         stats = SearchStats()
         try:
-            backtrack(g, u, SearchConfig(), stats)
+            backtrack(g, u, stats)
         except _Enough:
             pass
         else:
@@ -653,14 +668,7 @@ def capacity_cut_by_reference(state: SearchState, g: Graph, kite: bool) -> bool:
     if prefix_cut(g, u, bits, kite) is not None:
         return False
     sat = saturated_edges(u, bits, find_kite_edges(g, pairs) if kite else set())
-    if len(sat) == g.m:
-        return False
-    partners: list[set[int]] = [set() for _ in range(g.m)]
-    for a, b in u.pairs:
-        partners[a].add(b)
-        partners[b].add(a)
-    free = [e for e in range(g.m) if e not in sat and partners[e] - sat]
-    return len(pairs) + len(free) // 2 < g.m - (3 * g.n - 6)
+    return len(sat) < g.m and capacity_short(g, u, sat, len(pairs))
 
 
 def dec_free_extensions(u, bits):
@@ -760,7 +768,7 @@ class TestCapacityCut:
         else:
             u = build_restricted_universe(g, find_skew_set(g, 3))
         try:
-            backtrack(g, u, SearchConfig(), SearchStats())
+            backtrack(g, u, SearchStats())
         except _Enough:
             pass
         assert checked > 0
@@ -1062,6 +1070,21 @@ class TestBlockDriver:
         assert count_crossings(emb) == 3
         assert res.stats.used_skew_pass is False
         assert validate(complete_graph(6), emb)
+
+    def test_passes_stats_to_backtrack_by_keyword(self, monkeypatch):
+        # perfbench's span hook on backtrack reads `stats` by keyword, or
+        # else at position 3, which backtrack no longer has
+        calls = []
+        original = search_module.backtrack
+
+        def recording(*args, **kwargs):
+            calls.append(kwargs)
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(search_module, "backtrack", recording)
+        res = solve_block(_TREE_GRAPHS["random12"](), SearchConfig())
+        assert res.stats.used_skew_pass and len(calls) == 2  # restricted, then full
+        assert all(kwargs["stats"] is res.stats for kwargs in calls)
 
     def test_density_rejection_instant(self):
         for n in (7, 8, 9):

@@ -164,7 +164,7 @@ def classified_prefixes(g: Graph, universe) -> tuple[list[tuple[int, ...]], Sear
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(SearchState, "classify", recording)
         fail_full_queries(mp)
-        assert backtrack(g, universe, SearchConfig(), stats)[0] is Verdict.NOT_ONE_PLANAR
+        assert backtrack(g, universe, stats)[0] is Verdict.NOT_ONE_PLANAR
     return prefixes, stats
 
 
