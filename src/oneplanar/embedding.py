@@ -131,9 +131,11 @@ def planarize(g: Graph, crossings) -> Graph:
 
     The pairs are checked as in :func:`_checked_pairs` and each is taken
     as (smaller id, larger id); the star graph follows
-    :func:`star_edge_list`, which keeps everything deterministic.
+    :func:`star_edge_list`, which keeps everything deterministic.  Without
+    crossings the star graph is g itself, and none is built.
     """
-    return build_graph(*star_edge_list(g, _checked_pairs(g, crossings)))
+    pairs = _checked_pairs(g, crossings)
+    return build_graph(*star_edge_list(g, pairs)) if pairs else g
 
 
 def _alternating(dummy_rows, halves: int) -> list[bool]:

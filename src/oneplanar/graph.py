@@ -139,7 +139,8 @@ def biconnected_components(g: Graph) -> BlockDecomposition:
 
     Bridges become single-edge blocks.  Isolated vertices belong to no
     block.  Works on disconnected graphs; the block tree is then a forest.
-    Blocks are ordered by their smallest original edge id.
+    Blocks are ordered by their smallest original edge id.  A block that
+    holds every vertex and edge of g has g itself as its graph.
     """
     n = g.n
     visited = [False] * n
@@ -194,6 +195,9 @@ def biconnected_components(g: Graph) -> BlockDecomposition:
     raw_blocks.sort(key=min)
     blocks: list[Block] = []
     for comp in raw_blocks:
+        if len(comp) == g.m and all(g.incidence):  # g is biconnected
+            blocks.append(Block(g, tuple(range(n)), tuple(range(g.m))))
+            continue
         comp_sorted = sorted(comp)
         verts = sorted({u for e in comp_sorted for u in g.edges[e]})
         vmap = {u: i for i, u in enumerate(verts)}

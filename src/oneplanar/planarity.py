@@ -23,6 +23,14 @@ rotation are a function of the edge list alone.
 Two entry points exist on purpose: :func:`is_planar_edges` runs only the
 orientation and testing phases, while :func:`rotation_edges` additionally
 runs the embedding phase and returns per-vertex clockwise rotations.
+
+Both refuse a simple graph with more than 3n - 6 edges (n > 2) without
+running a phase.  :func:`is_planar_edges` also answers a graph with fewer
+than 9 edges or fewer than 6 vertices by that count alone: by Kuratowski's
+theorem every nonplanar graph contains a subdivision of K5 or K3,3, so it
+has at least 9 edges, and on 5 vertices it is K5 itself, whose 10 edges
+the count rejects.  :func:`rotation_edges` has no such shortcut, since
+it must return a rotation.
 """
 
 from __future__ import annotations
@@ -321,7 +329,15 @@ def _run(n: int, edges, want_embedding: bool) -> list[list[int]] | None:
 
 
 def is_planar_edges(n: int, edges) -> bool:
-    """Planarity of the simple graph given as an edge list (no embedding)."""
+    """Planarity of the simple graph given as an edge list (no embedding).
+
+    Below 9 edges or 6 vertices no graph holds a subdivision of K5 or
+    K3,3 other than K5 itself, so the 3n - 6 count settles it without the
+    left-right test.
+    """
+    m = len(edges)
+    if m < 9 or n < 6:
+        return n <= 2 or m <= 3 * n - 6
     return _run(n, edges, want_embedding=False) is not None
 
 

@@ -113,7 +113,9 @@ class SearchStats:
     """Counters of one search, or of several merged.
 
     ``planarity_calls`` counts the planarity queries `classify` asks,
-    whether the LR test or the edge count settles them.  A node below a 0
+    whether the LR test or the edge count settles them; the count also
+    settles, inside :func:`~oneplanar.planarity.is_planar_edges`, every
+    query on fewer than 9 edges or 6 vertices.  A node below a 0
     asks neither query its parent has answered (see
     :meth:`SearchState.classify`); a capacity cut asks none.
     """

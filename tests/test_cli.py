@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import concurrent.futures
+import dataclasses
 import hashlib
 import multiprocessing
 import os
@@ -290,6 +291,46 @@ class TestPipeline:
         # reads darts through the star layout and builds no graph at all
         assert calls == {"planarize": 1, "build_graph": 0}
         assert parsed == emb and record.verdict == "OnePlanar"
+
+    # Recorded before the certify path stopped building a block graph or a
+    # star graph equal to g: the record of each input (time aside) and a
+    # sha256 of its serialized certificate.
+    CERTIFY_PINS = {
+        "chain-K5.txt": ((81, 200, 20, 20, 100, 20, 20),
+                         "076b398f121173a449a5f41407dd47fb31abdf9eead6015c1cc71cbb54425f9c"),
+        "chain-K33.gml": ((101, 180, 20, 20, 120, 20, 20),
+                          "309f5decfd5ba785207eb6ca48e26df7db31c1b1b3d4ecd21c5aa85911709306"),
+        "chain-mixed.txt": ((89, 192, 20, 20, 108, 20, 20),
+                            "f1def3d8a4735c084fd2bf3b6f4083b004391e6132eda392a9b1ef1fee1aa2a7"),
+        "grid16.gml": ((256, 480, 1, 0, 0, 0, 0),
+                       "95e366d22c49508e337eb9e58189378746c4c6cf897fc3bfe4047cf7d5747e00"),
+    }
+
+    @pytest.mark.parametrize("name", sorted(CERTIFY_PINS))
+    def test_certify_path_is_pinned(self, name, tmp_path):
+        rng = random.Random(15)
+        g = {
+            "chain-K5.txt": lambda: chain_graph([complete_graph(5)] * 20),
+            "chain-K33.gml": lambda: chain_graph([complete_bipartite(3, 3)] * 20),
+            "chain-mixed.txt": lambda: chain_graph(
+                [rng.choice((complete_graph(5), complete_bipartite(3, 3))) for _ in range(20)]),
+            "grid16.gml": lambda: grid_graph(16, 16),
+        }[name]()
+        path = tmp_path / name
+        if name.endswith(".gml"):  # node ids 1, 4, 7, ... map back to 0, 1, 2, ...
+            parts = ["graph ["] + [f"node [ id {3 * v + 1} ]" for v in range(g.n)]
+            parts += [f"edge [ source {3 * u + 1} target {3 * v + 1} ]" for u, v in g.edges]
+            path.write_text("\n".join(parts + ["]"]) + "\n")
+        else:
+            path.write_text("".join(f"{u} {v}\n" for u, v in g.edges))
+        record, emb = run_pipeline(parse_graph_file(str(path)), SearchConfig(), name=name)
+        (n, m, blocks, crossings, nodes, cuts, satur), digest = self.CERTIFY_PINS[name]
+        assert dataclasses.replace(record, time_ms=0.0) == InstanceRecord(
+            name, n=n, m=m, density=m / n, blocks=blocks, verdict="OnePlanar",
+            crossings=crossings, backtracked=nodes > 0, nodes=nodes,
+            cuts_nonplanar=cuts, sol_satur=satur,
+        )
+        assert hashlib.sha256(serialize_embedding(emb).encode()).hexdigest() == digest
 
     @staticmethod
     def certificate_digest() -> str:

@@ -6,6 +6,7 @@ import dataclasses
 
 import pytest
 
+import oneplanar.embedding as embedding_module
 from conftest import complete_graph, glue_at_vertex, merge_one_block
 from oneplanar.embedding import (
     AdjacentPairError,
@@ -63,6 +64,18 @@ class TestPlanarize:
         g = complete_graph(4)
         star = planarize(g, [])
         assert star == g and star.edges == g.edges
+
+    def test_no_crossings_builds_no_graph(self, monkeypatch):
+        # the star graph of a crossing-free certificate is g itself
+        def refuse(*args):
+            raise AssertionError("built a graph")
+
+        monkeypatch.setattr(embedding_module, "build_graph", refuse)
+        g = complete_graph(4)
+        assert planarize(g, ()) is g
+        assert validate(g, OnePlanarEmbedding(g, (), star_rotation(g)))
+        with pytest.raises(AssertionError, match="built a graph"):
+            planarize(g, [(0, 5)])
 
     def test_edge_crossed_twice_rejected(self):
         with pytest.raises(EdgeCrossedTwiceError):

@@ -11,6 +11,7 @@ from conftest import (
     complete_graph,
     cycle_graph,
     glue_at_vertex,
+    grid_graph,
     path_graph,
     random_connected_graph,
 )
@@ -114,6 +115,25 @@ class TestBiconnected:
         dec = biconnected_components(g)
         assert len(dec.blocks) == 2
         assert dec.cut_vertices == ()
+
+    @pytest.mark.parametrize("g", [cycle_graph(5), complete_graph(5), grid_graph(4, 6)],
+                             ids=["c5", "k5", "grid"])
+    def test_biconnected_graph_is_its_own_block(self, g):
+        dec = biconnected_components(g)
+        assert len(dec.blocks) == 1 and dec.blocks[0].graph is g
+        assert dec.blocks[0].vertex_map == tuple(range(g.n))
+        assert dec.blocks[0].edge_map == tuple(range(g.m))
+
+    def test_block_graph_is_not_g_with_an_isolated_vertex(self):
+        g = build_graph(6, list(cycle_graph(5).edges))
+        dec = biconnected_components(g)
+        assert len(dec.blocks) == 1 and dec.blocks[0].graph is not g
+        assert dec.blocks[0].graph == cycle_graph(5)
+
+    def test_block_graph_is_not_g_with_two_blocks(self):
+        g = glue_at_vertex(complete_graph(4), cycle_graph(4))
+        dec = biconnected_components(g)
+        assert len(dec.blocks) == 2 and all(b.graph is not g for b in dec.blocks)
 
     def test_block_tree_links(self):
         g = build_graph(5, [(0, 1), (1, 2), (0, 2), (2, 3), (3, 4), (2, 4)])

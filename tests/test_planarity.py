@@ -120,6 +120,39 @@ class TestAgainstNetworkx:
             assert is_planar_edges(n, edges) == nx.check_planarity(h, False)[0]
 
 
+class TestSizeRule:
+    """`is_planar_edges` answers a graph with fewer than 9 edges or fewer
+    than 6 vertices by the 3n - 6 count alone; `rotation_edges` always runs
+    the left-right test and is the reference here."""
+
+    def test_every_graph_on_at_most_six_vertices(self):
+        seen = {True: 0, False: 0}
+        for n in range(7):
+            pairs = list(itertools.combinations(range(n), 2))
+            for mask in range(1 << len(pairs)):
+                edges = [uv for i, uv in enumerate(pairs) if mask >> i & 1]
+                want = rotation_edges(n, edges) is not None
+                assert is_planar_edges(n, edges) is want, (n, edges)
+                seen[want] += 1
+        assert seen == {True: 33170, False: 698}, seen  # as networkx counts them
+
+    @pytest.mark.parametrize("g", [complete_bipartite(3, 3), complete_graph(5)],
+                             ids=["k33", "k5"])
+    @pytest.mark.parametrize("shift", [0, 2], ids=["isolated last", "isolated first"])
+    def test_kuratowski_graphs_with_isolated_vertices(self, g: Graph, shift: int):
+        # K3,3 on 8 vertices (m 9) and K5 on 7 (m 10) pass the count
+        edges = [(u + shift, v + shift) for u, v in g.edges]
+        assert not is_planar_edges(g.n + 2, edges)
+        assert rotation_edges(g.n + 2, edges) is None
+
+    def test_sparse_graphs_against_networkx(self, rng: random.Random):
+        for _ in range(400):
+            n = rng.randrange(1, 21)
+            pairs = list(itertools.combinations(range(n), 2))
+            edges = rng.sample(pairs, rng.randrange(min(8, len(pairs)) + 1))
+            assert is_planar_edges(n, edges) is nx_planar(n, edges), (n, edges)
+
+
 class TestEmbeddings:
     def test_rotation_covers_incidence(self):
         g = complete_graph(4)

@@ -11,6 +11,7 @@ import time
 import networkx as nx
 import pytest
 
+import oneplanar.planarity as planarity_module
 import oneplanar.search as search_module
 from conftest import (
     complete_bipartite,
@@ -1085,6 +1086,27 @@ class TestBlockDriver:
         res = solve_block(_TREE_GRAPHS["random12"](), SearchConfig())
         assert res.stats.used_skew_pass and len(calls) == 2  # restricted, then full
         assert all(kwargs["stats"] is res.stats for kwargs in calls)
+
+    @pytest.mark.parametrize("graph,kernel_runs,nodes,calls",
+                             [("K5", 1, 5, 6), ("K3,3", 3, 6, 7)])
+    def test_small_blocks_run_the_lr_kernel_rarely(self, monkeypatch, graph, kernel_runs,
+                                                  nodes, calls):
+        # Every query on fewer than 9 edges or 6 vertices is answered by the
+        # edge count; the kernel runs for rotations and larger star graphs.
+        g = {"K5": complete_graph(5), "K3,3": complete_bipartite(3, 3)}[graph]
+        runs = 0
+        orient = planarity_module._orient
+
+        def counting(*args):
+            nonlocal runs
+            runs += 1
+            return orient(*args)
+
+        monkeypatch.setattr(planarity_module, "_orient", counting)
+        res = solve_block(g, SearchConfig())
+        assert res.verdict is Verdict.ONE_PLANAR
+        assert (runs, res.stats.nodes_visited, res.stats.planarity_calls) == (
+            kernel_runs, nodes, calls)
 
     def test_density_rejection_instant(self):
         for n in (7, 8, 9):
