@@ -473,26 +473,18 @@ def bench(
 # ---------------------------------------------------------------------------
 
 
-def _checked(field: str, value):
-    """`value` if SearchConfig, where every search setting is checked,
-    accepts it as `field`; an argparse error otherwise."""
-    try:
-        SearchConfig(**{field: value})
-    except ValueError as exc:
-        raise argparse.ArgumentTypeError(str(exc)) from None
-    return value
-
-
 def _parse_duration(text: str) -> float:
+    """A duration in seconds that SearchConfig, where the budget is
+    checked, accepts; an argparse error otherwise."""
     mobj = re.fullmatch(r"(\d+(?:\.\d+)?)([smh]?)", text.strip())
     if not mobj:
         raise argparse.ArgumentTypeError(f"bad duration {text!r} (use 300, 45s, 5m or 3h)")
     seconds = float(mobj.group(1)) * {"": 1.0, "s": 1.0, "m": 60.0, "h": 3600.0}[mobj.group(2)]
-    return _checked("time_budget", seconds)
-
-
-def _skew_size(text: str) -> int:
-    return _checked("skew_set_size", int(text))
+    try:
+        SearchConfig(time_budget=seconds)
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
+    return seconds
 
 
 def _workers(text: str) -> int:
@@ -504,20 +496,17 @@ def _workers(text: str) -> int:
 
 
 # argparse names the type in "invalid int value"
-_skew_size.__name__ = _workers.__name__ = "int"
+_workers.__name__ = "int"
 
 
 def _add_config_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--timeout", type=_parse_duration, default=None,
                    help="search budget per run (e.g. 45s, 5m, 3h)")
-    p.add_argument("--skew-size", type=_skew_size, default=None,
-                   help="maximum skew set size for the restricted pass (0: none)")
     p.add_argument("--format", choices=["auto", "edgelist", "gml"], default="auto")
 
 
 def _config_from_args(args) -> SearchConfig:
-    given = {"time_budget": args.timeout, "skew_set_size": args.skew_size}
-    return SearchConfig(**{field: v for field, v in given.items() if v is not None})
+    return SearchConfig() if args.timeout is None else SearchConfig(time_budget=args.timeout)
 
 
 def main(argv: list[str] | None = None) -> int:

@@ -6,7 +6,7 @@ kept in lexicographic order of their (smaller id, larger id) tuple; the
 search walks this order left to right, so a partial assignment is just a
 prefix of decided bits (see :class:`~oneplanar.search.SearchState`).
 
-The full universe also gives each pair its orbit under swaps of twin
+The universe also gives each pair its orbit under swaps of twin
 vertices (see `twin_classes`).  The four endpoints of an independent pair
 are distinct, so two pairs lie in one orbit exactly when their edges have
 the same endpoint classes.
@@ -25,14 +25,12 @@ class PairUniverse:
 
     ``edge_pairs[e]`` holds the positions (ascending) of the pairs that
     contain edge e; it has one entry list per graph edge, possibly empty.
-    ``restricted`` marks universes limited to pairs meeting a skew set.
     ``orbit[i]`` is the position of the first pair in pair i's orbit under
-    twin swaps; a restricted universe gets the identity, ``range(k)``.
+    twin swaps.
     """
 
     pairs: tuple[tuple[int, int], ...]
     edge_pairs: tuple[tuple[int, ...], ...]
-    restricted: bool
     orbit: tuple[int, ...]
 
     @property
@@ -42,21 +40,6 @@ class PairUniverse:
     @property
     def m(self) -> int:
         return len(self.edge_pairs)
-
-
-def _index_pairs(
-    m: int, pairs: list[tuple[int, int]], restricted: bool, orbit: list[int]
-) -> PairUniverse:
-    occ: list[list[int]] = [[] for _ in range(m)]
-    for i, (e, f) in enumerate(pairs):
-        occ[e].append(i)
-        occ[f].append(i)
-    return PairUniverse(
-        pairs=tuple(pairs),
-        edge_pairs=tuple(tuple(o) for o in occ),
-        restricted=restricted,
-        orbit=tuple(orbit),
-    )
 
 
 def twin_classes(g: Graph) -> list[int]:
@@ -95,16 +78,10 @@ def build_universe(g: Graph) -> PairUniverse:
         first.setdefault(tuple(sorted((ends[e], ends[f]))), i)
         for i, (e, f) in enumerate(pairs)
     ]
-    return _index_pairs(g.m, pairs, restricted=False, orbit=orbit)
-
-
-def build_restricted_universe(g: Graph, skew_edges) -> PairUniverse:
-    """Independent pairs containing at least one skew edge, same order."""
-    skew = set(skew_edges)
-    pairs = [
-        (e, f)
-        for e in range(g.m)
-        for f in range(e + 1, g.m)
-        if (e in skew or f in skew) and not g.adjacent_edges(e, f)
-    ]
-    return _index_pairs(g.m, pairs, restricted=True, orbit=list(range(len(pairs))))
+    occ: list[list[int]] = [[] for _ in range(g.m)]
+    for i, (e, f) in enumerate(pairs):
+        occ[e].append(i)
+        occ[f].append(i)
+    return PairUniverse(
+        pairs=tuple(pairs), edge_pairs=tuple(tuple(o) for o in occ), orbit=tuple(orbit)
+    )

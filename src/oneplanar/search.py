@@ -39,7 +39,7 @@ with the first pair as its first crossing, so the rule keeps it.  The
 cuts above read the whole universe and so stay sound under the rule.
 
 Exhausting the tree without a solution proves the graph has no such
-drawing, provided the universe was not restricted.
+drawing.
 """
 
 from __future__ import annotations
@@ -52,7 +52,7 @@ from operator import or_
 
 from .embedding import OnePlanarEmbedding, star_edge_list
 from .graph import Graph
-from .pairs import PairUniverse, build_restricted_universe, build_universe
+from .pairs import PairUniverse, build_universe
 from .planarity import (
     RotationSystem,
     is_planar_edges,
@@ -93,17 +93,12 @@ class UniverseTooLargeError(ValueError):
 
 @dataclass
 class SearchConfig:
-    """Search settings: the largest skew set the restricted pass tries (0
-    turns that pass off) and the time budget of a run, in seconds.  Both
-    are checked here, and a bad value raises ValueError."""
+    """Search settings: the time budget of a run, in seconds.  It is
+    checked here, and a bad value raises ValueError."""
 
-    skew_set_size: int = 1
     time_budget: float = 3 * 3600.0
 
     def __post_init__(self) -> None:
-        size = self.skew_set_size
-        if isinstance(size, bool) or not isinstance(size, int) or size < 0:
-            raise ValueError(f"skew_set_size must be an integer >= 0, got {size!r}")
         if not self.time_budget > 0:  # NaN fails this too
             raise ValueError(f"time_budget must be positive, got {self.time_budget!r}")
 
@@ -190,10 +185,9 @@ class SearchState:
     are indexed by the number of crossings on the path, at most m // 2.
     A 0 `push` writes its bit and moves the cursor, a 1 writes crossing
     slot c + 1 from slot c, and `pop` moves the cursor back, so nothing is
-    undone.  All rules read the active universe, so a restricted universe
-    saturates edges a full one would keep open.  `push` alone decides DEC
-    and KEC cuts: it refuses a 1 that would cross an edge twice or cross
-    a kite edge, so no path holds either.
+    undone.  `push` alone decides DEC and KEC cuts: it refuses a 1 that
+    would cross an edge twice or cross a kite edge, so no path holds
+    either.
 
     The star graph of a drawing with c crossings has n + c vertices and
     m + 2c edges, so it can only be planar if c >= ``_need`` = m - 3n + 6.
@@ -362,11 +356,9 @@ def backtrack(
     Returns OnePlanar on the first solution node, with a
     :class:`OnePlanarEmbedding` of g from that node's crossing set and star
     rotation (not checked here; merge_blocks builds the certificate of the
-    whole graph and validates it).  Full
-    exhaustion proves NotOnePlanar; exhausting a restricted universe or
-    hitting the deadline yields Unknown.
-    The deadline is read before every node that `classify` sees, the
-    root included.
+    whole graph and validates it).  Exhaustion proves NotOnePlanar;
+    hitting the deadline yields Unknown.  The deadline is read before
+    every node that `classify` sees, the root included.
 
     The path is the stack: every 0 on it still has its 1-sibling to
     visit and every 1 has none, so the decided prefix alone says where
@@ -424,44 +416,19 @@ def backtrack(
             else:
                 stats.cuts_kec += 1
         if not state.cursor:
-            break
-
-    if universe.restricted:
-        return Verdict.UNKNOWN, None
-    return Verdict.NOT_ONE_PLANAR, None
+            return Verdict.NOT_ONE_PLANAR, None
 
 
-def find_skew_set(
-    g: Graph, size: int, deadline: float | None = None, *, nonplanar: bool = False
-) -> list[int] | None:
-    """Lexicographically first set of at most `size` edges whose removal
-    leaves a planar graph, or None if no such set exists.  Raises
-    TimeoutError once `deadline` (a time.monotonic() value) passes.
-    `nonplanar=True` says the caller has already found g nonplanar, which
-    skips the whole-graph test."""
-    if not nonplanar and is_planar_edges(g.n, g.edges):
-        return []
-
-    def rest(exclude: list[int]):
-        drop = set(exclude)
-        return [uv for e, uv in enumerate(g.edges) if e not in drop]
-
-    def recurse(start: int, chosen: list[int], budget: int) -> list[int] | None:
-        if budget == 0:
-            return None
-        for e in range(start, g.m):
-            if deadline is not None and time.monotonic() >= deadline:
-                raise TimeoutError("deadline passed during the skew set search")
-            chosen.append(e)
-            if is_planar_edges(g.n, rest(chosen)):
-                return list(chosen)
-            deeper = recurse(e + 1, chosen, budget - 1)
-            if deeper is not None:
-                return deeper
-            chosen.pop()
-        return None
-
-    return recurse(0, [], size)
+def find_skew_set(g: Graph, deadline: float | None = None) -> int | None:
+    """The first edge whose removal leaves the nonplanar graph g planar, or
+    None if there is none.  Raises TimeoutError once `deadline` (a
+    time.monotonic() value) passes."""
+    for e in range(g.m):
+        if deadline is not None and time.monotonic() >= deadline:
+            raise TimeoutError("deadline passed during the skew edge search")
+        if is_planar_edges(g.n, g.edges[:e] + g.edges[e + 1 :]):
+            return e
+    return None
 
 
 def test_block(
@@ -473,9 +440,19 @@ def test_block(
 
     Pipeline: planar graphs are certified directly; blocks on fewer than
     7 vertices always have a drawing, found by search; a nonplanar block
-    with more than 4n - 8 edges is too dense for any drawing; otherwise
-    a restricted pass over pairs meeting a skew set runs first and the
-    unrestricted search settles whatever is left open.
+    with more than 4n - 8 edges is too dense for any drawing; otherwise,
+    when removing one edge e leaves the block planar (e is a skew edge),
+    each crossing of e with one other edge is tried first, and the
+    search settles whatever is left open.
+
+    The skew pass tries each crossing (e, f) of e with an edge f
+    independent of it, f from the last edge to the first, and returns the
+    first whose star graph is planar.  Each try counts as a node, a
+    planarity call, and a saturation solution or a nonplanar cut.  This
+    order gives the drawing a 0-first search over the pairs holding e
+    finds first: its all-zero path ends where g minus e and the partners
+    still ahead turns nonplanar, and a crossing with one of those partners
+    has no planar star graph either.
 
     A positive verdict carries a :class:`OnePlanarEmbedding` of g: no
     crossings and the planarity test's rotation for a planar block, else
@@ -495,19 +472,26 @@ def test_block(
     if g.n >= 7 and g.m > 4 * g.n - 8:
         return BlockResult(Verdict.NOT_ONE_PLANAR, None, stats)
 
-    if cfg.skew_set_size > 0:
-        try:
-            skew = find_skew_set(g, cfg.skew_set_size, deadline, nonplanar=True)
-        except TimeoutError:
-            return BlockResult(Verdict.UNKNOWN, None, stats)
-        if skew:
-            stats.used_skew_pass = True
-            restricted = build_restricted_universe(g, skew)
-            verdict, cert = backtrack(g, restricted, stats=stats, deadline=deadline)
-            if verdict is Verdict.ONE_PLANAR:
-                return BlockResult(verdict, cert, stats)
+    try:
+        e = find_skew_set(g, deadline)
+    except TimeoutError:
+        return BlockResult(Verdict.UNKNOWN, None, stats)
+    if e is not None:
+        stats.used_skew_pass = stats.used_backtracking = True
+        for f in reversed(range(g.m)):
+            if g.adjacent_edges(e, f):  # e itself included
+                continue
             if time.monotonic() >= deadline:
                 return BlockResult(Verdict.UNKNOWN, None, stats)
+            pair = (min(e, f), max(e, f))
+            stats.nodes_visited += 1
+            stats.planarity_calls += 1
+            rot = rotation_edges(*star_edge_list(g, [pair]))
+            if rot is not None:
+                stats.sol_satur += 1
+                cert = OnePlanarEmbedding(g, (pair,), RotationSystem.from_lists(rot))
+                return BlockResult(Verdict.ONE_PLANAR, cert, stats)
+            stats.cuts_nonplanar += 1
 
     verdict, cert = backtrack(g, build_universe(g), stats=stats, deadline=deadline)
     if verdict is Verdict.NOT_ONE_PLANAR and g.n < 7:

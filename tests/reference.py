@@ -34,6 +34,22 @@ def canonical_universe(g: Graph) -> PairUniverse:
     return dataclasses.replace(u, orbit=tuple(range(u.k)))
 
 
+def restricted_universe(g: Graph, edges) -> PairUniverse:
+    """The pairs of g's universe that hold an edge of `edges`, in universe
+    order, each its own orbit.  For one skew edge e, `backtrack` over it
+    finds a drawing exactly when `test_block`'s skew pass does, and the
+    same one.  Most edges lie in no pair here, so rules (b) and (c)
+    saturate them from the root on."""
+    u = build_universe(g)
+    keep = set(edges)
+    pairs = tuple(p for p in u.pairs if keep.intersection(p))
+    edge_pairs = [[] for _ in range(g.m)]
+    for i, (e, f) in enumerate(pairs):
+        edge_pairs[e].append(i)
+        edge_pairs[f].append(i)
+    return PairUniverse(pairs, tuple(map(tuple, edge_pairs)), tuple(range(len(pairs))))
+
+
 def without_kites(mp) -> None:
     """Patch, through the monkeypatch `mp`, every SearchState built from
     now on to have no kite masks: no KEC cut and no kite edge saturated.
@@ -100,8 +116,8 @@ def saturated_edges(u: PairUniverse, bits, kites=frozenset()) -> set[int]:
       (d) it is in `kites`, the kite edges of the crossings so far.
 
     Pairs decided to 0 do not help with (c): the partner must actually be
-    crossed.  All conditions read the active universe, so restricted
-    universes saturate edges that full universes would keep open.
+    crossed.  All conditions read the universe `u`, so one that leaves out
+    pairs (`restricted_universe`) saturates edges the full one keeps open.
     """
     cursor = len(bits)
     crossed = crossed_edges(u, bits)

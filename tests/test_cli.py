@@ -294,13 +294,16 @@ class TestPipeline:
 
     # Recorded before the certify path stopped building a block graph or a
     # star graph equal to g: the record of each input (time aside) and a
-    # sha256 of its serialized certificate.
+    # sha256 of its serialized certificate.  The chains' node and cut counts
+    # were re-recorded when the skew pass became a loop, which decides each
+    # K5 or K3,3 block with one try (100, 120 and 108 nodes and 20 cuts
+    # before); their digests did not move.
     CERTIFY_PINS = {
-        "chain-K5.txt": ((81, 200, 20, 20, 100, 20, 20),
+        "chain-K5.txt": ((81, 200, 20, 20, 20, 0, 20),
                          "076b398f121173a449a5f41407dd47fb31abdf9eead6015c1cc71cbb54425f9c"),
-        "chain-K33.gml": ((101, 180, 20, 20, 120, 20, 20),
+        "chain-K33.gml": ((101, 180, 20, 20, 20, 0, 20),
                           "309f5decfd5ba785207eb6ca48e26df7db31c1b1b3d4ecd21c5aa85911709306"),
-        "chain-mixed.txt": ((89, 192, 20, 20, 108, 20, 20),
+        "chain-mixed.txt": ((89, 192, 20, 20, 20, 0, 20),
                             "f1def3d8a4735c084fd2bf3b6f4083b004391e6132eda392a9b1ef1fee1aa2a7"),
         "grid16.gml": ((256, 480, 1, 0, 0, 0, 0),
                        "95e366d22c49508e337eb9e58189378746c4c6cf897fc3bfe4047cf7d5747e00"),
@@ -706,14 +709,14 @@ class TestMain:
             return run_pipeline(g, cfg, name)
 
         monkeypatch.setattr(cli_module, "run_pipeline", recording)
-        assert main(["check", str(f), "--skew-size", "0", "--timeout", "45s"]) == 0
+        assert main(["check", str(f), "--timeout", "45s"]) == 0
         assert "OnePlanar" in capsys.readouterr().out
-        assert main(["check", str(f), "--skew-size", "2"]) == 0
-        assert seen == [SearchConfig(skew_set_size=0, time_budget=45.0),
-                        SearchConfig(skew_set_size=2)]
+        assert main(["check", str(f)]) == 0
+        assert seen == [SearchConfig(time_budget=45.0), SearchConfig()]
 
     @pytest.mark.parametrize("flags", [
         ["--completion-prob", "0.5"], ["--seed", "3"], ["--no-kite"], ["--no-skew"],
+        ["--skew-size", "1"],
     ], ids=lambda flags: flags[0])
     def test_removed_flag_exits_two(self, flags, tmp_path, capsys):
         f = tmp_path / "k4.txt"
@@ -739,9 +742,9 @@ class TestMain:
     @pytest.mark.parametrize(
         "flags",
         [
+            # no longer flags, so any value is refused
             ["check", "--skew-size", "-1"],
             ["check", "--skew-size", "1.5"],
-            # no longer a flag, so any value is refused
             ["check", "--completion-prob", "1.5"],
             ["check", "--completion-prob", "-0.1"],
             ["check", "--completion-prob", "nan"],

@@ -11,13 +11,14 @@ from hypothesis import strategies as st
 
 from conftest import complete_graph, cycle_graph, random_connected_graph
 from oneplanar.graph import build_graph
-from oneplanar.pairs import build_restricted_universe, build_universe
+from oneplanar.pairs import build_universe
 from oneplanar.search import SearchState
 from reference import (
     crossed_edges,
     crossing_counts,
     decided_pairs,
     edge_mask,
+    restricted_universe,
     saturated_edges,
     without_kites,
 )
@@ -66,28 +67,6 @@ class TestBuildUniverse:
         for i, (e, f) in enumerate(u.pairs):
             assert i in u.edge_pairs[e] and i in u.edge_pairs[f]
 
-    def test_not_restricted_flag(self):
-        assert build_universe(complete_graph(4)).restricted is False
-
-
-class TestRestrictedUniverse:
-    def test_k5_single_skew_edge(self):
-        u = build_restricted_universe(complete_graph(5), [0])
-        assert u.pairs == ((0, 7), (0, 8), (0, 9))
-        assert u.restricted is True
-
-    def test_k4_single_skew_edge(self):
-        u = build_restricted_universe(complete_graph(4), [0])
-        assert u.pairs == ((0, 5),)
-
-    def test_subsequence_of_full_order(self):
-        g = complete_graph(6)
-        full = build_universe(g).pairs
-        sub = build_restricted_universe(g, [2, 9]).pairs
-        it = iter(full)
-        assert all(p in it for p in sub)
-        assert set(sub) == {p for p in full if 2 in p or 9 in p}
-
 
 class TestDecidedPrefix:
     def test_push_pop_roundtrip(self):
@@ -118,16 +97,17 @@ class TestSaturation:
         assert saturated_edges(build_universe(complete_graph(4)), [1]) == {0, 5}
 
     def test_restricted_saturates_uncovered_edges(self):
-        u = build_restricted_universe(complete_graph(5), [0])
+        u = restricted_universe(complete_graph(5), [0])
+        assert u.pairs == ((0, 7), (0, 8), (0, 9))
         assert saturated_edges(u, []) == {1, 2, 3, 4, 5, 6}
 
     def test_passed_occurrence_saturates(self):
-        u = build_restricted_universe(complete_graph(5), [0])
+        u = restricted_universe(complete_graph(5), [0])
         # Pair (0,7) is behind the cursor, so edge 7 can never cross now.
         assert saturated_edges(u, [0]) == {1, 2, 3, 4, 5, 6, 7}
 
     def test_exhausted_partners_saturate(self):
-        u = build_restricted_universe(complete_graph(5), [0])
+        u = restricted_universe(complete_graph(5), [0])
         # Edges 8 and 9 only cross edge 0, which is taken: everything fixed.
         assert saturated_edges(u, [1]) == set(range(10))
 

@@ -1,4 +1,4 @@
-"""Node verification, backtracking search, skew restriction, block driver."""
+"""Node verification, backtracking search, skew pass, block driver."""
 
 from __future__ import annotations
 
@@ -7,6 +7,7 @@ import hashlib
 import itertools
 import random
 import time
+from types import SimpleNamespace
 
 import networkx as nx
 import pytest
@@ -24,8 +25,8 @@ from conftest import (
     random_connected_graph,
 )
 from oneplanar.embedding import count_crossings, serialize_embedding, star_edge_list, validate
-from oneplanar.graph import Graph, build_graph
-from oneplanar.pairs import build_restricted_universe, build_universe
+from oneplanar.graph import Graph, biconnected_components, build_graph
+from oneplanar.pairs import build_universe
 from oneplanar.planarity import is_planar_edges, rotation_edges
 from oneplanar.search import (
     CutReason,
@@ -51,6 +52,7 @@ from reference import (
     edge_mask,
     find_kite_edges,
     prefix_cut,
+    restricted_universe,
     saturated_edges,
     without_kites,
 )
@@ -163,7 +165,7 @@ class TestVerifyNode:
         # In the K5 universe restricted to edge 0, one crossing saturates
         # everything after a single decision.
         g = complete_graph(5)
-        u = build_restricted_universe(g, [0])
+        u = restricted_universe(g, [0])
         v = replay(g, u, [1])
         assert v.kind is NodeKind.SOL
         assert v.solution_kind is SolutionKind.SATURATION
@@ -335,9 +337,11 @@ class TestBacktrack:
             assert stats.nodes_visited == stats.sol_satur == stats.planarity_calls == 1
 
     def test_k5_restricted(self):
+        # the tree over the pairs that hold K5's skew edge, 0: five nodes
+        # where the skew pass makes one try for the same drawing
         g = complete_graph(5)
         stats = SearchStats()
-        verdict, cert = backtrack(g, build_restricted_universe(g, [0]), stats)
+        verdict, cert = backtrack(g, restricted_universe(g, [0]), stats)
         assert verdict is Verdict.ONE_PLANAR
         emb = merge_one_block(g, cert)
         assert count_crossings(emb) == 1
@@ -353,16 +357,6 @@ class TestBacktrack:
         emb = merge_one_block(g, cert)
         assert validate(g, emb)
         assert count_crossings(emb) == 1
-
-    def test_restricted_exhaustion_is_unknown(self):
-        # All restricted pairs share edge 0, so at most one can cross and
-        # K6 stays nonplanar: exhaustion proves nothing beyond the subset.
-        g = complete_graph(6)
-        u = build_restricted_universe(g, [0])
-        stats = SearchStats()
-        verdict, cert = backtrack(g, u, stats)
-        assert verdict is Verdict.UNKNOWN and cert is None
-        assert stats.cuts_dec > 0 or stats.cuts_nonplanar > 0
 
     def test_full_exhaustion_is_negative(self):
         # Padded K7: verdict comes from exhausting the full universe.
@@ -402,6 +396,11 @@ class TestBacktrack:
                          stats.cuts_dec, stats.cuts_kec, stats.cuts_nonplanar,
                          stats.sol_satur, stats.sol_compl))
         assert runs[0] == runs[1]
+
+
+# the first three edges of K6 in lexicographic order whose removal leaves
+# it planar: (0, 1), (0, 2) and (1, 3)
+K6_SKEW_SET = (0, 1, 6)
 
 
 class _Enough(Exception):
@@ -471,7 +470,8 @@ class TestSearchState:
 
         monkeypatch.setattr(SearchState, "classify", checking)
         if restricted:
-            u = build_restricted_universe(g, find_skew_set(g, 1) or [0, 1])
+            e = find_skew_set(g)
+            u = restricted_universe(g, [0, 1] if e is None else [e])
         else:
             u = build_universe(g)
         try:
@@ -489,7 +489,7 @@ class TestSearchState:
         k44 = complete_bipartite(4, 4)
         cases = [
             (k44, build_universe(k44)),
-            (k6, build_restricted_universe(k6, find_skew_set(k6, 3))),
+            (k6, restricted_universe(k6, K6_SKEW_SET)),
         ]
         for (g, u), kite in itertools.product(cases, (True, False)):
             with pytest.MonkeyPatch.context() as mp:
@@ -585,7 +585,7 @@ class TestPrePushCut:
 
         monkeypatch.setattr(SearchState, "push", checking_push)
         monkeypatch.setattr(SearchState, "classify", counting_classify)
-        u = build_restricted_universe(g, [0, 1]) if restricted else build_universe(g)
+        u = restricted_universe(g, [0, 1]) if restricted else build_universe(g)
         stats = SearchStats()
         try:
             backtrack(g, u, stats)
@@ -731,7 +731,7 @@ class TestCapacityCut:
 
     @pytest.mark.parametrize("graph,universe", [
         ("K6", "full"),
-        # K6 has no single skew edge: restrict to its first skew set
+        # K6 has no single skew edge: restrict to a skew set of three
         ("K6", "skew set"),
         ("K7-2match", "full"),
         ("K7-e", "full"),
@@ -767,7 +767,7 @@ class TestCapacityCut:
         if universe == "full":
             u = build_universe(g)
         else:
-            u = build_restricted_universe(g, find_skew_set(g, 3))
+            u = restricted_universe(g, K6_SKEW_SET)
         try:
             backtrack(g, u, SearchStats())
         except _Enough:
@@ -802,8 +802,8 @@ class TestCapacityCut:
 _TREE_GRAPHS = {
     "K6": lambda: complete_graph(6),
     "K4,4": lambda: complete_bipartite(4, 4),
-    # nonplanar with a skew edge: the restricted pass runs, fails, and the
-    # full pass finds the drawing
+    # nonplanar with a skew edge: no crossing of it has a planar star
+    # graph, and the full search finds the drawing
     "random12": lambda: random_connected_graph(12, 22, random.Random(30)),
 }
 
@@ -830,8 +830,9 @@ def _from_random12(pins: dict) -> dict:
 
 # planarity_calls of the canonical test_block with the zero completion
 # tried at every open node; K6's with the capacity cut, which changes its
-# tree
-PINNED_CALLS = {"K6": 56, "K4,4": 2549, "random12": 680}
+# tree; random12's with the skew pass as a loop over the crossings of its
+# skew edge, 15 tries where the restricted pass asked 31 queries (680 before)
+PINNED_CALLS = {"K6": 56, "K4,4": 2549, "random12": 664}
 # the same under twin-orbit branching
 PRUNED_CALLS = {"K6": 24, "K4,4": 194, "random12": PINNED_CALLS["random12"]}
 
@@ -860,7 +861,10 @@ def tree_counts(res) -> tuple[int, ...]:
 # it at every node.  K6 has m > 3n - 6, so the capacity cut changes its
 # tree: its counts are recorded with the cut.  K4,4 and random12 are below
 # the bound and keep theirs.  The "no kite" counts were recorded with kite
-# pruning switched off, which `without_kites` reproduces.
+# pruning switched off, which `without_kites` reproduces.  random12's
+# were re-recorded when the skew pass became a loop: its restricted pass
+# took 31 nodes and 16 nonplanar cuts, the loop 15 tries, each a nonplanar
+# cut (2244 and 351 before; 3630 and 962 without kites).
 PINNED_TREES = {
     ("K6", "default"): (326, 32, 66, 47, 1, 0),
     ("K6", "p=1"): (326, 32, 66, 47, 1, 0),
@@ -868,9 +872,9 @@ PINNED_TREES = {
     ("K4,4", "default"): (15624, 3648, 3174, 964, 1, 0),
     ("K4,4", "p=1"): (15624, 3648, 3174, 964, 1, 0),
     ("K4,4", "no kite"): (63440, 17972, 0, 13722, 0, 1),
-    ("random12", "default"): (2244, 430, 275, 351, 0, 1),
-    ("random12", "p=1"): (2244, 430, 275, 351, 0, 1),
-    ("random12", "no kite"): (3630, 787, 0, 962, 0, 1),
+    ("random12", "default"): (2228, 430, 275, 350, 0, 1),
+    ("random12", "p=1"): (2228, 430, 275, 350, 0, 1),
+    ("random12", "no kite"): (3614, 787, 0, 961, 0, 1),
 }
 # the same under twin-orbit branching, recorded when it was introduced
 PRUNED_TREES = {
@@ -927,11 +931,13 @@ def order_digest(graph, config, monkeypatch, canonical: bool) -> str:
 # Digests of the canonical search.  K6's and K4,4's were recorded with the
 # search that kept an explicit stack of siblings still to visit, K6's with
 # the capacity cut, which changes its tree; random12's when the zero
-# completion came to be tried at every open node.
+# completion came to be tried at every open node, and again when the skew
+# pass became a loop: the digest is now the full search's part of the old
+# one, since the loop classifies no node.
 PINNED_ORDERS = {
     ("K6", "default"): "e576dd8d42afaee10c2094ba3d0f9b99498d4061a130deedee985bfae08d8858",
     ("K4,4", "default"): "74580db65aaaf60d822a303250ff2106145a14d1d35935ec603229c44dc2c2ee",
-    ("random12", "default"): "ee8b90829f2fb1bf229d5d04840159565866bd824aab6460aeaf45773ac9bb9c",
+    ("random12", "default"): "abd7c18a22de99095672bed9912cdbfa3510676667fb03ea42491501f5211e97",
 }
 # the same under twin-orbit branching, recorded when it was introduced
 PRUNED_ORDERS = {
@@ -952,39 +958,30 @@ def test_pruned_search_order_is_pinned(graph, config, monkeypatch):
 
 
 class TestSkewSets:
-    def test_planar_graph_needs_none(self):
-        assert find_skew_set(grid_graph(3, 3), 1) == []
-
     def test_k5_first_edge(self):
-        assert find_skew_set(complete_graph(5), 1) == [0]
+        assert find_skew_set(complete_graph(5)) == 0
 
     def test_k33_single_edge(self):
-        s = find_skew_set(complete_bipartite(3, 3), 1)
-        assert s is not None and len(s) == 1
         g = complete_bipartite(3, 3)
-        rest = [g.edges[e] for e in range(g.m) if e not in s]
-        assert is_planar_edges(g.n, rest)
+        e = find_skew_set(g)
+        assert e is not None
+        assert is_planar_edges(g.n, [uv for f, uv in enumerate(g.edges) if f != e])
 
     def test_k6_needs_three_removals(self):
-        g = complete_graph(6)
-        assert find_skew_set(g, 1) is None
-        assert find_skew_set(g, 2) is None
-        s = find_skew_set(g, 3)
-        rest = [g.edges[e] for e in range(g.m) if e not in s]
-        assert len(s) == 3 and is_planar_edges(g.n, rest)
+        assert find_skew_set(complete_graph(6)) is None
 
     def test_pair_spanning_two_blocks(self):
-        g = glue_at_vertex(complete_graph(5), complete_graph(5))
-        assert find_skew_set(g, 1) is None
-        assert find_skew_set(g, 2) == [0, 10]
+        assert find_skew_set(glue_at_vertex(complete_graph(5), complete_graph(5))) is None
 
     def test_lexicographically_first(self):
-        # Every single-edge deletion of K5 is planar, so [0] must win.
-        assert find_skew_set(complete_graph(5), 2) == [0]
+        # Every single-edge deletion of K5 is planar, so edge 0 must win.
+        g = complete_graph(5)
+        assert all(is_planar_edges(g.n, g.edges[:e] + g.edges[e + 1 :]) for e in range(g.m))
+        assert find_skew_set(g) == 0
 
     def test_expired_deadline_raises(self):
         with pytest.raises(TimeoutError):
-            find_skew_set(complete_graph(6), 3, deadline=time.monotonic() - 1.0)
+            find_skew_set(complete_graph(6), deadline=time.monotonic() - 1.0)
 
     def test_known_nonplanar_skips_whole_graph_test(self, monkeypatch):
         calls = []
@@ -994,10 +991,8 @@ class TestSkewSets:
             return is_planar_edges(n, edges)
 
         monkeypatch.setattr(search_module, "is_planar_edges", counting)
-        g = complete_graph(5)
-        assert find_skew_set(g, 1, nonplanar=True) == find_skew_set(g, 1) == [0]
-        # the second call starts with the whole graph, the first does not
-        assert calls == [9, 10, 9]
+        assert find_skew_set(complete_graph(5)) == 0
+        assert calls == [9]
         # test_block has found the block nonplanar and must not ask again
         for g in (complete_graph(5), complete_bipartite(3, 3)):
             calls.clear()
@@ -1007,8 +1002,7 @@ class TestSkewSets:
 
 class TestSearchConfig:
     def test_fields(self):
-        assert [f.name for f in dataclasses.fields(SearchConfig)] == [
-            "skew_set_size", "time_budget"]
+        assert [f.name for f in dataclasses.fields(SearchConfig)] == ["time_budget"]
 
     @pytest.mark.parametrize("field,value", [
         ("skew_set_size", -1),
@@ -1020,9 +1014,11 @@ class TestSearchConfig:
         ("time_budget", float("nan")),
     ])
     def test_bad_value_raises(self, field, value):
-        with pytest.raises(ValueError, match=field):
+        # skew_set_size is removed, so every value of it is an unknown keyword
+        error = TypeError if field == "skew_set_size" else ValueError
+        with pytest.raises(error, match=field):
             SearchConfig(**{field: value})
-        with pytest.raises(ValueError, match=field):
+        with pytest.raises(error, match=field):
             dataclasses.replace(SearchConfig(), **{field: value})
 
     @pytest.mark.parametrize("field,value", [
@@ -1062,7 +1058,10 @@ class TestBlockDriver:
         assert res.verdict is Verdict.ONE_PLANAR
         assert count_crossings(merge_one_block(complete_graph(5), res.certificate)) == 1
         assert res.stats.used_skew_pass is True
-        assert res.stats.nodes_visited == 5
+        # K5 minus edge 0 is planar and the first try, edge 0 crossing
+        # edge 9, has a planar star graph
+        assert res.certificate.crossings == ((0, 9),)
+        assert res.stats.nodes_visited == res.stats.sol_satur == 1
 
     def test_k6_needs_full_search(self):
         res = solve_block(complete_graph(6), SearchConfig())
@@ -1074,7 +1073,8 @@ class TestBlockDriver:
 
     def test_passes_stats_to_backtrack_by_keyword(self, monkeypatch):
         # perfbench's span hook on backtrack reads `stats` by keyword, or
-        # else at position 3, which backtrack no longer has
+        # else at position 3, which backtrack no longer has; the skew pass
+        # calls no backtrack, so the full search is the one call
         calls = []
         original = search_module.backtrack
 
@@ -1084,15 +1084,18 @@ class TestBlockDriver:
 
         monkeypatch.setattr(search_module, "backtrack", recording)
         res = solve_block(_TREE_GRAPHS["random12"](), SearchConfig())
-        assert res.stats.used_skew_pass and len(calls) == 2  # restricted, then full
+        assert res.stats.used_skew_pass and len(calls) == 1
         assert all(kwargs["stats"] is res.stats for kwargs in calls)
 
-    @pytest.mark.parametrize("graph,kernel_runs,nodes,calls",
-                             [("K5", 1, 5, 6), ("K3,3", 3, 6, 7)])
-    def test_small_blocks_run_the_lr_kernel_rarely(self, monkeypatch, graph, kernel_runs,
-                                                  nodes, calls):
+    # (kernel runs, nodes, planarity calls); 5, 6 and 6, 7 nodes and calls
+    # before the skew pass became a loop, and 3 kernel runs on K3,3
+    SMALL_BLOCK_PINS = {"K5": (1, 1, 2), "K3,3": (2, 1, 2)}
+
+    @pytest.mark.parametrize("graph", sorted(SMALL_BLOCK_PINS))
+    def test_small_blocks_run_the_lr_kernel_rarely(self, monkeypatch, graph):
         # Every query on fewer than 9 edges or 6 vertices is answered by the
-        # edge count; the kernel runs for rotations and larger star graphs.
+        # edge count; the kernel runs for rotations and larger star graphs:
+        # K5's one try, and K3,3's whole-graph test and one try.
         g = {"K5": complete_graph(5), "K3,3": complete_bipartite(3, 3)}[graph]
         runs = 0
         orient = planarity_module._orient
@@ -1106,7 +1109,7 @@ class TestBlockDriver:
         res = solve_block(g, SearchConfig())
         assert res.verdict is Verdict.ONE_PLANAR
         assert (runs, res.stats.nodes_visited, res.stats.planarity_calls) == (
-            kernel_runs, nodes, calls)
+            self.SMALL_BLOCK_PINS[graph])
 
     def test_density_rejection_instant(self):
         for n in (7, 8, 9):
@@ -1134,21 +1137,21 @@ class TestBlockDriver:
             assert res.verdict is Verdict.ONE_PLANAR
             assert validate(g, merge_one_block(g, res.certificate))
 
-    def test_expired_deadline_yields_unknown(self):
+    def test_expired_deadline_yields_unknown(self, monkeypatch):
         # K6 passes the density gate, so the exhausted clock must stop the
         # backtracking itself and surface as Unknown, not as a negative.
+        # K6 has no skew edge; the skew search is let through here.
+        monkeypatch.setattr(search_module, "find_skew_set", lambda g, deadline: None)
         g = complete_graph(6)
-        res = solve_block(
-            g, SearchConfig(skew_set_size=0), deadline=time.monotonic() - 1.0
-        )
+        res = solve_block(g, SearchConfig(), deadline=time.monotonic() - 1.0)
         assert res.verdict is Verdict.UNKNOWN and res.certificate is None
         # the clock is read before the root: only the whole-graph test ran
         assert res.stats.nodes_visited == 0
         assert res.stats.planarity_calls == 1
 
     def test_expired_deadline_stops_skew_search(self, monkeypatch):
-        # K6 needs three edges removed, so a size-3 skew search tests edge
-        # set after edge set; an expired clock must stop it before the first.
+        # K6 has no skew edge, so the skew search tests all 15 edges; an
+        # expired clock must stop it before the first.
         calls = []
 
         def counting(n, edges):
@@ -1156,11 +1159,32 @@ class TestBlockDriver:
             return is_planar_edges(n, edges)
 
         monkeypatch.setattr(search_module, "is_planar_edges", counting)
-        res = solve_block(
-            complete_graph(6), SearchConfig(skew_set_size=3), deadline=time.monotonic() - 1.0
-        )
+        res = solve_block(complete_graph(6), SearchConfig(), deadline=time.monotonic() - 1.0)
         assert res.verdict is Verdict.UNKNOWN and res.certificate is None
-        assert len(calls) <= 1
+        assert calls == []
+
+    def test_expired_deadline_stops_skew_pass(self, monkeypatch):
+        # random12 has a skew edge none of whose 15 crossings has a planar
+        # star graph.  The clock passes the deadline during the first try:
+        # the block is Unknown, with no certificate and no full search.
+        now = [0.0]
+        tries = []
+
+        def trying(n, edges):
+            tries.append(n)
+            now[0] = 2.0
+            return rotation_edges(n, edges)
+
+        def no_search(*args, **kwargs):
+            raise AssertionError("the full search started")
+
+        monkeypatch.setattr(search_module, "time", SimpleNamespace(monotonic=lambda: now[0]))
+        monkeypatch.setattr(search_module, "rotation_edges", trying)
+        monkeypatch.setattr(search_module, "backtrack", no_search)
+        res = solve_block(_TREE_GRAPHS["random12"](), SearchConfig(), deadline=1.0)
+        assert res.verdict is Verdict.UNKNOWN and res.certificate is None
+        assert res.stats.used_skew_pass
+        assert len(tries) == res.stats.nodes_visited == res.stats.cuts_nonplanar == 1
 
     def test_kite_masks_leave_verdicts_unchanged(self, rng: random.Random):
         for _ in range(12):
@@ -1183,3 +1207,47 @@ class TestBlockDriver:
             res = solve_block(g, SearchConfig())
             assert res.verdict is not Verdict.UNKNOWN
             assert (res.verdict is Verdict.ONE_PLANAR) == want
+
+
+def skew_block_corpus(count: int = 240) -> list[Graph]:
+    """The first `count` nonplanar blocks with a skew edge among the blocks
+    of random_connected_graph draws from Random(16), n from 5 to 9."""
+    rng = random.Random(16)
+    blocks: list[Graph] = []
+    while len(blocks) < count:
+        n = rng.randrange(5, 10)
+        g = random_connected_graph(n, rng.randrange(n + 3, 3 * n - 3), rng)
+        blocks += [b.graph for b in biconnected_components(g).blocks
+                   if not is_planar_edges(b.graph.n, b.graph.edges)
+                   and find_skew_set(b.graph) is not None]
+    return blocks[:count]
+
+
+def test_skew_blocks_match_recorded_digest():
+    # sha256 over the verdict and the merged certificate of every block,
+    # recorded when the skew pass still searched a tree over the pairs
+    # holding the skew edge: the loop must give the same bytes
+    digest = hashlib.sha256()
+    for i, g in enumerate(skew_block_corpus()):
+        res = solve_block(g, SearchConfig())
+        digest.update(f"{i} {res.verdict.value}\n".encode())
+        if res.certificate is not None:
+            digest.update(serialize_embedding(merge_one_block(g, res.certificate)).encode())
+    assert digest.hexdigest() == (
+        "370d15be0472ecf2a1a4e2e514fd6516f584da9b5d06c2d532048d8a52400801"
+    )
+
+
+def test_skew_pass_returns_the_restricted_trees_first_drawing(monkeypatch):
+    # backtrack over the pairs that hold the skew edge finds a drawing
+    # exactly when the skew pass does, and the same one; the full search
+    # after the skew pass is stubbed out
+    monkeypatch.setattr(search_module, "backtrack", lambda *args, **kw: (Verdict.UNKNOWN, None))
+    found = 0
+    blocks = skew_block_corpus()
+    for g in blocks:
+        verdict, cert = backtrack(g, restricted_universe(g, [find_skew_set(g)]), SearchStats())
+        res = solve_block(g, SearchConfig())
+        assert res.certificate == cert
+        found += verdict is Verdict.ONE_PLANAR
+    assert 0 < found < len(blocks)

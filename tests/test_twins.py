@@ -19,7 +19,7 @@ from conftest import complete_bipartite, complete_graph, petersen_graph, random_
 from oneplanar.cli import run_pipeline
 from oneplanar.embedding import validate
 from oneplanar.graph import Graph, biconnected_components, build_graph
-from oneplanar.pairs import build_restricted_universe, build_universe, twin_classes
+from oneplanar.pairs import build_universe, twin_classes
 from oneplanar.search import SearchConfig, SearchState, SearchStats, Verdict, backtrack
 from oneplanar.search import test_block as solve_block
 from reference import canonical_universe
@@ -127,11 +127,6 @@ class TestOrbits:
             n = rng.randrange(4, 9)
             g = random_connected_graph(n, rng.randrange(n, n * (n - 1) // 2 + 1), rng)
             assert list(build_universe(g).orbit) == orbits_by_closure(g)
-
-    def test_restricted_universe_has_identity_orbit(self):
-        g = complete_graph(6)
-        u = build_restricted_universe(g, [0, 1, 2])
-        assert u.orbit == tuple(range(u.k))
 
     @pytest.mark.parametrize("name", ["scale6"] + [f"rand12/{v}" for v in RAND12_VARIANTS])
     def test_benchmark_graphs(self, name):
