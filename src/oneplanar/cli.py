@@ -89,96 +89,104 @@ def _parse_edgelist(text: str, path: str) -> Graph:
     return build_graph(top + 1, edges)
 
 
-_GML_TOKEN = re.compile(r'"[^"]*"|\[|\]|[^\s\[\]]+')
+# a quoted string, a bracket, a bare token, or a comment to the end of the line
+_GML_TOKEN = re.compile(r'"[^"]*"|\[|\]|[^\s\[\]#]+|#.*')
 
 
 def _parse_gml(text: str, path: str) -> Graph:
-    tokens: list[tuple[int, str]] = []
+    """Read the GML subset: the tokens of every line, with their line numbers,
+    then the graph block.  ``#`` starts a comment outside a quoted string."""
+    toks: list[str] = []
+    linenos: list[int] = []
     for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0]
-        for mobj in _GML_TOKEN.finditer(line):
-            tokens.append((lineno, mobj.group(0)))
-    pos = 0
+        found = _GML_TOKEN.findall(raw)
+        if found and found[-1][0] == "#":
+            found.pop()
+        toks += found
+        linenos += [lineno] * len(found)
+    try:
+        return _gml_graph(zip(linenos, toks), path)
+    except StopIteration:
+        raise ParseError(path, linenos[-1] if linenos else 1, "unexpected end of file") from None
 
-    def take() -> tuple[int, str]:
-        nonlocal pos
-        if pos >= len(tokens):
-            last = tokens[-1][0] if tokens else 1
-            raise ParseError(path, last, "unexpected end of file")
-        pos += 1
-        return tokens[pos - 1]
 
-    def skip_value() -> None:
-        lineno, tok = take()
-        if tok == "[":
-            depth = 1
-            while depth:
-                lineno, tok = take()
-                if tok == "[":
-                    depth += 1
-                elif tok == "]":
-                    depth -= 1
-        elif tok == "]":
-            raise ParseError(path, lineno, "unexpected ']'")
+def _gml_skip(tokens, path: str) -> None:
+    """Skip one value: a token, or a bracketed list."""
+    lineno, tok = next(tokens)
+    if tok == "[":
+        depth = 1
+        while depth:
+            lineno, tok = next(tokens)
+            if tok == "[":
+                depth += 1
+            elif tok == "]":
+                depth -= 1
+    elif tok == "]":
+        raise ParseError(path, lineno, "unexpected ']'")
 
-    def parse_int(field: str) -> int:
-        lineno, tok = take()
-        try:
-            return int(tok)
-        except ValueError:
-            raise ParseError(path, lineno, f"{field} must be an integer, got {tok!r}") from None
 
-    lineno, tok = take()
+def _gml_int(tokens, path: str, field: str) -> int:
+    lineno, tok = next(tokens)
+    try:
+        return int(tok)
+    except ValueError:
+        raise ParseError(path, lineno, f"{field} must be an integer, got {tok!r}") from None
+
+
+def _gml_graph(tokens, path: str) -> Graph:
+    """The graph of a (line number, token) iterator; running out of tokens
+    raises StopIteration."""
+    lineno, tok = next(tokens)
     if tok != "graph":
         raise ParseError(path, lineno, f"expected 'graph', got {tok!r}")
-    lineno, tok = take()
+    lineno, tok = next(tokens)
     if tok != "[":
         raise ParseError(path, lineno, "expected '[' after 'graph'")
 
     node_ids: set[int] = set()
     raw_edges: list[tuple[int, int, int]] = []
     while True:
-        lineno, tok = take()
+        lineno, tok = next(tokens)
         if tok == "]":
             break
         if tok == "node":
-            ln, op = take()
+            ln, op = next(tokens)
             if op != "[":
                 raise ParseError(path, ln, "expected '[' after 'node'")
             nid = None
             while True:
-                ln, key = take()
+                ln, key = next(tokens)
                 if key == "]":
                     break
                 if key == "id":
-                    nid = parse_int("node id")
+                    nid = _gml_int(tokens, path, "node id")
                 else:
-                    skip_value()
+                    _gml_skip(tokens, path)
             if nid is None:
                 raise ParseError(path, lineno, "node without id")
             if nid in node_ids:
                 raise ParseError(path, lineno, f"duplicate node id {nid}")
             node_ids.add(nid)
         elif tok == "edge":
-            ln, op = take()
+            ln, op = next(tokens)
             if op != "[":
                 raise ParseError(path, ln, "expected '[' after 'edge'")
             src = dst = None
             while True:
-                ln, key = take()
+                ln, key = next(tokens)
                 if key == "]":
                     break
                 if key == "source":
-                    src = parse_int("source")
+                    src = _gml_int(tokens, path, "source")
                 elif key == "target":
-                    dst = parse_int("target")
+                    dst = _gml_int(tokens, path, "target")
                 else:
-                    skip_value()
+                    _gml_skip(tokens, path)
             if src is None or dst is None:
                 raise ParseError(path, lineno, "edge without source/target")
             raw_edges.append((lineno, src, dst))
         else:
-            skip_value()
+            _gml_skip(tokens, path)
 
     order = {nid: i for i, nid in enumerate(sorted(node_ids))}
     edges = []

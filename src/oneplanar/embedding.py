@@ -281,22 +281,26 @@ def _merge(g: Graph, blocks, certificates: list[OnePlanarEmbedding]) -> OnePlana
 _DART_RE = re.compile(r"^c(\d+)\.(\d+)$")
 
 
+def _star_names(plain: list[int], n_pairs: int) -> list[str]:
+    """The text token of every star id: the edge id of an uncrossed edge,
+    then ``cT.H`` for half H of the T-th pair."""
+    names = list(map(str, plain))
+    names.extend(f"c{t}.{h}" for t in range(n_pairs) for h in range(4))
+    return names
+
+
 def serialize_embedding(emb: OnePlanarEmbedding) -> str:
     """Render a certificate in the three-section text format."""
     g = emb.graph
     plain, _ = _star_ids(g.m, emb.crossings)
-
-    def token(s: int) -> str:
-        if s < len(plain):
-            return str(plain[s])
-        return "c{}.{}".format(*divmod(s - len(plain), 4))
+    name = _star_names(plain, len(emb.crossings)).__getitem__
 
     lines = ["crossings:"]
     for a, b in emb.crossings:
         lines.append(f"{a} {b}")
     lines.append("rotation:")
     for v, row in enumerate(emb.rotation.order):
-        toks = " ".join(token(s) for s in row)
+        toks = " ".join(map(name, row))
         lines.append(f"{v}: {toks}" if toks else f"{v}:")
     lines.append("dummies:")
     for t, (a, b) in enumerate(emb.crossings):
@@ -308,7 +312,11 @@ def parse_embedding(text: str, g: Graph) -> OnePlanarEmbedding:
     """Parse the output of :func:`serialize_embedding` back against g.
 
     Darts are mapped to star ids through the star layout; no star graph
-    is built.
+    is built.  The tokens :func:`serialize_embedding` writes (plain edge
+    ids and ``cT.H``) are looked up in one table built per call; any other
+    token, such as ``007``, ``+3`` or ``c0.01``, goes through the integer
+    and ``cT.H`` checks, which accept it or raise the same error with the
+    same line number.
     """
     sections: dict[str, list[tuple[int, str]]] = {}
     current: list[tuple[int, str]] | None = None
@@ -356,6 +364,28 @@ def parse_embedding(text: str, g: Graph) -> OnePlanarEmbedding:
 
     m, n_star = g.m, g.n + len(pairs)
     plain, star_of = _star_ids(m, pairs)
+    canonical = {tok: s for s, tok in enumerate(_star_names(plain, len(pairs)))}
+
+    def dart(tok: str, lineno: int) -> int:
+        """Star id of a token serialize_embedding does not write; raises
+        EmbeddingParseError if the token names no star edge."""
+        mobj = _DART_RE.match(tok)
+        if mobj:
+            t, h = int(mobj.group(1)), int(mobj.group(2))
+            if not (0 <= t < len(pairs)) or not (0 <= h < 4):
+                raise EmbeddingParseError(lineno, f"bad dart {tok!r}")
+            return len(plain) + 4 * t + h
+        try:
+            e = int(tok)
+        except ValueError:
+            raise EmbeddingParseError(lineno, f"bad dart {tok!r}") from None
+        if not (0 <= e < m):
+            raise EmbeddingParseError(lineno, f"unknown edge {e}")
+        s = star_of[e]
+        if s < 0:
+            raise EmbeddingParseError(lineno, f"dart {tok!r} not in star graph")
+        return s
+
     rows: dict[int, list[int]] = {}
     for lineno, line in sections["rotation"]:
         head, _, rest = line.partition(":")
@@ -365,26 +395,12 @@ def parse_embedding(text: str, g: Graph) -> OnePlanarEmbedding:
             raise EmbeddingParseError(lineno, f"bad vertex id {head!r}") from None
         if not (0 <= v < n_star) or v in rows:
             raise EmbeddingParseError(lineno, f"unexpected vertex id {v}")
-        row = []
-        for tok in rest.split():
-            mobj = _DART_RE.match(tok)
-            if mobj:
-                t, h = int(mobj.group(1)), int(mobj.group(2))
-                if not (0 <= t < len(pairs)) or not (0 <= h < 4):
-                    raise EmbeddingParseError(lineno, f"bad dart {tok!r}")
-                s = len(plain) + 4 * t + h
-            else:
-                try:
-                    e = int(tok)
-                except ValueError:
-                    raise EmbeddingParseError(lineno, f"bad dart {tok!r}") from None
-                if not (0 <= e < m):
-                    raise EmbeddingParseError(lineno, f"unknown edge {e}")
-                s = star_of[e]
-                if s < 0:
-                    raise EmbeddingParseError(lineno, f"dart {tok!r} not in star graph")
-            row.append(s)
-        rows[v] = row
+        toks = rest.split()
+        try:
+            rows[v] = list(map(canonical.__getitem__, toks))
+        except KeyError:
+            rows[v] = [canonical[tok] if tok in canonical else dart(tok, lineno)
+                       for tok in toks]
     if len(rows) != n_star:
         raise EmbeddingParseError(0, "rotation section misses vertices")
 

@@ -141,74 +141,85 @@ def biconnected_components(g: Graph) -> BlockDecomposition:
     block.  Works on disconnected graphs; the block tree is then a forest.
     Blocks are ordered by their smallest original edge id.  A block that
     holds every vertex and edge of g has g itself as its graph.
+
+    The DFS is one loop over flat per-vertex lists: it walks back up along
+    ``parent_edge`` and resumes a vertex's incidence scan from ``rest``.  A
+    tree edge records the edge-stack height below it in ``mark``, so the
+    block it closes is the stack slice above that height.  Each block's
+    graph is built straight from g's edges, which g's own
+    :func:`build_graph` has checked; the local pairs keep (min, max) order
+    because local ids follow original ids.
     """
-    n = g.n
-    visited = [False] * n
-    depth = [0] * n
+    n, edges, incidence = g.n, g.edges, g.incidence
+    depth = [-1] * n
     low = [0] * n
     parent_edge = [-1] * n
+    rest: list = [None] * n  # the rest of a vertex's incidence scan, past a tree edge
+    mark = [0] * n  # edge-stack height when v's tree edge was pushed
     edge_stack: list[int] = []
     raw_blocks: list[list[int]] = []
 
     for root in range(n):
-        if visited[root]:
+        if depth[root] != -1:
             continue
-        visited[root] = True
-        # Iterative DFS; each stack frame is (vertex, incidence position).
-        stack = [(root, 0)]
-        while stack:
-            v, i = stack[-1]
-            if i < len(g.incidence[v]):
-                stack[-1] = (v, i + 1)
-                e = g.incidence[v][i]
-                if e == parent_edge[v]:
+        depth[root] = 0
+        v, pe, dv, it = root, -1, 0, iter(incidence[root])
+        while True:
+            for e in it:
+                if e == pe:
                     continue
-                w = g.other_end(e, v)
-                if not visited[w]:
-                    visited[w] = True
-                    depth[w] = depth[v] + 1
-                    low[w] = depth[w]
+                a, b = edges[e]
+                w = b if a == v else a
+                dw = depth[w]
+                if dw == -1:  # tree edge: finish w first
+                    depth[w] = low[w] = dv + 1
                     parent_edge[w] = e
+                    mark[w] = len(edge_stack)
                     edge_stack.append(e)
-                    stack.append((w, 0))
-                elif depth[w] < depth[v]:
-                    # Back edge to a proper ancestor.
+                    rest[v] = it
+                    v, pe, dv, it = w, e, dv + 1, iter(incidence[w])
+                    break
+                if dw < dv:  # back edge to a proper ancestor
                     edge_stack.append(e)
-                    if depth[w] < low[v]:
-                        low[v] = depth[w]
-            else:
-                stack.pop()
-                if stack:
-                    u = stack[-1][0]
-                    if low[v] < low[u]:
-                        low[u] = low[v]
-                    if low[v] >= depth[u]:
-                        # u separates v's subtree: pop one block.
-                        comp = []
-                        while True:
-                            e = edge_stack.pop()
-                            comp.append(e)
-                            if e == parent_edge[v]:
-                                break
-                        raw_blocks.append(comp)
+                    if dw < low[v]:
+                        low[v] = dw
+            else:  # v is done: back to its parent u along pe
+                if pe == -1:
+                    break
+                a, b = edges[pe]
+                u = b if a == v else a
+                lv = low[v]
+                if lv < low[u]:
+                    low[u] = lv
+                if lv >= dv - 1:  # u separates v's subtree: pop one block
+                    k = mark[v]
+                    raw_blocks.append(edge_stack[k:])
+                    del edge_stack[k:]
+                v, pe, dv, it = u, parent_edge[u], dv - 1, rest[u]
 
     raw_blocks.sort(key=min)
     blocks: list[Block] = []
+    local = [0] * n  # local id of each vertex of the block being built
     for comp in raw_blocks:
-        if len(comp) == g.m and all(g.incidence):  # g is biconnected
+        if len(comp) == g.m and all(incidence):  # g is biconnected
             blocks.append(Block(g, tuple(range(n)), tuple(range(g.m))))
             continue
-        comp_sorted = sorted(comp)
-        verts = sorted({u for e in comp_sorted for u in g.edges[e]})
-        vmap = {u: i for i, u in enumerate(verts)}
-        local_edges = [(vmap[g.edges[e][0]], vmap[g.edges[e][1]]) for e in comp_sorted]
-        blocks.append(
-            Block(
-                graph=build_graph(len(verts), local_edges),
-                vertex_map=tuple(verts),
-                edge_map=tuple(comp_sorted),
-            )
+        comp.sort()
+        verts = sorted({u for e in comp for u in edges[e]})
+        for i, u in enumerate(verts):
+            local[u] = i
+        local_edges = [(local[a], local[b]) for a, b in map(edges.__getitem__, comp)]
+        inc_lists: list[list[int]] = [[] for _ in verts]
+        for j, (a, b) in enumerate(local_edges):
+            inc_lists[a].append(j)
+            inc_lists[b].append(j)
+        graph = Graph(
+            n=len(verts),
+            edges=tuple(local_edges),
+            incidence=tuple(map(tuple, inc_lists)),
+            _edge_index=dict(zip(local_edges, range(len(local_edges)))),
         )
+        blocks.append(Block(graph, tuple(verts), tuple(comp)))
 
     # a cut vertex is a vertex in two or more blocks
     membership = [0] * n

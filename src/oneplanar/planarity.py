@@ -56,7 +56,7 @@ class RotationSystem:
 
     @staticmethod
     def from_lists(lists: list[list[int]]) -> "RotationSystem":
-        return RotationSystem(tuple(tuple(r) for r in lists))
+        return RotationSystem(tuple(map(tuple, lists)))
 
 
 @dataclass(frozen=True)

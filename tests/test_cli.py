@@ -168,6 +168,48 @@ class TestGmlParsing:
             parse_graph_file(str(f))
         assert fragment in str(err.value).lower()
 
+    # ParseError.lineno of each case, as recorded before the one-pass tokenizer
+    @pytest.mark.parametrize(
+        "payload,lineno",
+        [
+            ("graph [ node [ id 1 ] node [ id 1 ] ]", 1),
+            ("graph [ node [ label \"x\" ] ]", 1),
+            ("graph [ edge [ source 0 target 1 ] ]", 1),
+            ("graph [ node [ id 0 ]", 1),
+            ("graph [ node [ id 0 ] edge [ source 0 ] ]", 1),
+            ("graph [\n  node [ id 0 ]\n  node [ id 1 ]\n  edge [ source 0 target x1 ]\n]\n", 4),
+            ("graph [\n  node [ id 0 ]\n  node [\n id 0 ]\n]\n", 3),
+            ("graph [\n  node [ id 0 ] # c\n  edge [ source 0 target 5 ]\n]\n", 3),
+            ("\n\ngraph\n node [ id 0 ]", 4),
+            ("graph [\n node [ id 0 ]\n\n", 2),
+        ],
+    )
+    def test_error_line_numbers(self, tmp_path, payload, lineno):
+        f = tmp_path / "bad.gml"
+        f.write_text(payload)
+        with pytest.raises(ParseError) as err:
+            parse_graph_file(str(f))
+        assert err.value.lineno == lineno
+
+    def test_hash_inside_quotes_is_not_a_comment(self, tmp_path):
+        f = tmp_path / "g.gml"
+        f.write_text(
+            'graph [\n node [ id 1 label "#a" ]\n node [ id 2 ]\n node [ id 3 ]\n'
+            " edge [ source 1 target 2 ]\n edge [ source 2 target 3 ]\n]\n"
+        )
+        g = parse_graph_file(str(f))
+        assert g.n == 3 and g.edges == ((0, 1), (1, 2))
+
+    def test_trailing_comment_is_ignored(self, tmp_path):
+        f = tmp_path / "g.gml"
+        f.write_text(
+            "graph [ # a path\n node [ id 1 ] # first\n node [ id 2 label \"x\" ]#second\n"
+            " node [ id 3 ]\n edge [ source 1 target 2 ] # edge [ source 1 target 3 ]\n"
+            " edge [ source 2 target 3 ]\n] # end\n"
+        )
+        g = parse_graph_file(str(f))
+        assert g.n == 3 and g.edges == ((0, 1), (1, 2))
+
     def test_explicit_format_overrides_extension(self, tmp_path):
         f = tmp_path / "g.txt"
         f.write_text("graph [ node [ id 0 ] node [ id 1 ] edge [ source 0 target 1 ] ]")

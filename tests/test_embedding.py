@@ -303,6 +303,53 @@ class TestTextFormat:
             parse_embedding(mangle(text), g)
         assert err.value.lineno == lineno
 
+    # The outcome of each rotation token as the first row of K5's one-crossing
+    # certificate (crossing edges 0 and 9, so star ids 0..7 are edges 1..8 and
+    # 8..11 are c0.0..c0.3), recorded before the token table: the star id, or
+    # the error message; every error is on line 4.
+    K5_TOKENS = [
+        ("1", 0), ("8", 7), ("c0.0", 8), ("c0.3", 11),
+        ("007", 6), ("+3", 2), ("c00.1", 9), ("c0.01", 9), ("\u0663", 2),
+        ("c0.\u0663", 11), ("c\u0660.1", 9), ("\uff11", 0), ("1_0", "unknown edge 10"),
+        ("-1", "unknown edge -1"), ("c0.4", "bad dart 'c0.4'"), ("c1.0", "bad dart 'c1.0'"),
+        ("0", "dart '0' not in star graph"), ("9", "dart '9' not in star graph"),
+        ("-0", "dart '-0' not in star graph"), ("10", "unknown edge 10"),
+        ("x", "bad dart 'x'"), ("c0.", "bad dart 'c0.'"), ("c.1", "bad dart 'c.1'"),
+        ("C0.1", "bad dart 'C0.1'"), ("c0.1.2", "bad dart 'c0.1.2'"),
+        ("c-0.1", "bad dart 'c-0.1'"), ("c+0.1", "bad dart 'c+0.1'"),
+        ("0x1", "bad dart '0x1'"), ("c0.0x", "bad dart 'c0.0x'"), ("c0:1", "bad dart 'c0:1'"),
+    ]
+
+    @pytest.mark.parametrize("tok,want", K5_TOKENS, ids=[ascii(t) for t, _ in K5_TOKENS])
+    def test_rotation_tokens_as_recorded(self, tok, want):
+        g, emb = k5_certificate()
+        lines = serialize_embedding(emb).splitlines()
+        assert lines[3].startswith("0:")
+        lines[3] = f"0: {tok} 1"
+        text = "\n".join(lines) + "\n"
+        if isinstance(want, int):
+            assert parse_embedding(text, g).rotation.order[0] == (want, 0)
+        else:
+            with pytest.raises(EmbeddingParseError) as err:
+                parse_embedding(text, g)
+            assert err.value.lineno == 4 and str(err.value) == f"line 4: {want}"
+
+    @pytest.mark.parametrize("tok,want", [("0", 0), ("5", 5), ("05", 5), ("6", "unknown edge 6"),
+                                          ("c0.0", "bad dart 'c0.0'")])
+    def test_rotation_tokens_without_crossings(self, tok, want):
+        g = complete_graph(4)
+        emb = merge_one_block(g, OnePlanarEmbedding(g, (), check_planarity(g).rotation))
+        lines = serialize_embedding(emb).splitlines()
+        assert lines[2].startswith("0:")
+        lines[2] = f"0: {tok}"
+        text = "\n".join(lines) + "\n"
+        if isinstance(want, int):
+            assert parse_embedding(text, g).rotation.order[0] == (want,)
+        else:
+            with pytest.raises(EmbeddingParseError) as err:
+                parse_embedding(text, g)
+            assert err.value.lineno == 3 and str(err.value) == f"line 3: {want}"
+
     def test_parse_against_wrong_graph(self):
         g, emb = k5_certificate()
         with pytest.raises(EmbeddingParseError):

@@ -172,3 +172,39 @@ class TestBiconnected:
             dec = biconnected_components(g)
             seen = sorted(orig for b in dec.blocks for orig in b.edge_map)
             assert seen == list(range(g.m))
+
+    @staticmethod
+    def assert_built_like_build_graph(g, dec):
+        for block in dec.blocks:
+            local = {v: i for i, v in enumerate(block.vertex_map)}
+            local_edges = [tuple(local[v] for v in g.edges[e]) for e in block.edge_map]
+            want = build_graph(len(block.vertex_map), local_edges)
+            got = block.graph
+            assert got.n == want.n
+            assert got.edges == want.edges
+            assert got.incidence == want.incidence
+            for u in range(want.n):
+                for v in range(want.n):
+                    assert got.edge_between(u, v) == want.edge_between(u, v)
+
+    def test_block_graphs_match_build_graph(self, rng: random.Random):
+        for _ in range(80):
+            # a few random parts, with bridges between some, plus isolated vertices
+            edges, n = [], 0
+            for _ in range(rng.randrange(1, 4)):
+                k = rng.randrange(2, 9)
+                part = random_connected_graph(k, rng.randrange(k - 1, k * (k - 1) // 2 + 1), rng)
+                if n and rng.random() < 0.5:
+                    edges.append((rng.randrange(n), n + rng.randrange(k)))
+                edges += [(u + n, v + n) for u, v in part.edges]
+                n += k + rng.randrange(0, 2)
+            rng.shuffle(edges)
+            g = build_graph(n, edges)
+            self.assert_built_like_build_graph(g, biconnected_components(g))
+
+    @pytest.mark.parametrize("g", [cycle_graph(5), complete_graph(5), grid_graph(4, 6)],
+                             ids=["c5", "k5", "grid"])
+    def test_own_block_matches_build_graph(self, g):
+        dec = biconnected_components(g)
+        assert dec.blocks[0].graph is g
+        self.assert_built_like_build_graph(g, dec)
