@@ -19,7 +19,7 @@ from .embedding import (
     merge_blocks,
     serialize_embedding,
 )
-from .graph import BlockDecomposition, Graph, biconnected_components, build_graph
+from .graph import Block, Graph, biconnected_components, build_graph
 from .search import (
     SearchConfig,
     SearchStats,
@@ -134,9 +134,12 @@ def _gml_int(tokens, path: str, field: str) -> int:
 
 
 def _gml_graph(tokens, path: str) -> Graph:
-    """The graph of a (line number, token) iterator; running out of tokens
-    raises StopIteration."""
+    """The graph of a (line number, token) iterator, past any top-level key-value
+    pairs (``Creator "igraph"``); running out of tokens raises StopIteration."""
     lineno, tok = next(tokens)
+    while tok not in ("graph", "[", "]"):
+        _gml_skip(tokens, path)
+        lineno, tok = next(tokens)
     if tok != "graph":
         raise ParseError(path, lineno, f"expected 'graph', got {tok!r}")
     lineno, tok = next(tokens)
@@ -242,16 +245,16 @@ def run_pipeline(
 
 def _decide_blocks(
     g: Graph, cfg: SearchConfig, t0: float
-) -> tuple[BlockDecomposition, Verdict, SearchStats, list[OnePlanarEmbedding]]:
-    """The block loop of `run_pipeline`, started at `t0`: the decomposition,
+) -> tuple[tuple[Block, ...], Verdict, SearchStats, list[OnePlanarEmbedding]]:
+    """The block loop of `run_pipeline`, started at `t0`: the blocks,
     the overall verdict, the merged stats and, while every block so far is
     positive, the block certificates."""
     deadline = t0 + cfg.time_budget
-    dec = biconnected_components(g)
+    blocks = biconnected_components(g)
     stats = SearchStats()
     certificates: list[OnePlanarEmbedding] = []
     verdict = Verdict.ONE_PLANAR
-    for blk in dec.blocks:
+    for blk in blocks:
         res = test_block(blk.graph, cfg, deadline=deadline)
         stats.merge(res.stats)
         if res.verdict is Verdict.NOT_ONE_PLANAR:
@@ -261,14 +264,14 @@ def _decide_blocks(
             verdict = Verdict.UNKNOWN
         elif verdict is Verdict.ONE_PLANAR:
             certificates.append(res.certificate)
-    return dec, verdict, stats, certificates
+    return blocks, verdict, stats, certificates
 
 
 def _finish(
     g: Graph,
     name: str,
     t0: float,
-    dec: BlockDecomposition,
+    blocks: tuple[Block, ...],
     verdict: Verdict,
     stats: SearchStats,
     certificates: list[OnePlanarEmbedding],
@@ -277,7 +280,7 @@ def _finish(
     emb = None
     crossings = None
     if verdict is Verdict.ONE_PLANAR:
-        emb = merge_blocks(g, dec, certificates)
+        emb = merge_blocks(g, blocks, certificates)
         crossings = count_crossings(emb)
 
     record = InstanceRecord(
@@ -285,7 +288,7 @@ def _finish(
         n=g.n,
         m=g.m,
         density=(g.m / g.n) if g.n else 0.0,
-        blocks=len(dec.blocks),
+        blocks=len(blocks),
         verdict=verdict.value,
         crossings=crossings,
         time_ms=(time.monotonic() - t0) * 1000.0,

@@ -87,20 +87,15 @@ def star_edge_list(g: Graph, pairs, keep=None) -> tuple[int, list[tuple[int, int
     return d, edges
 
 
-def _star_ids(m: int, pairs) -> tuple[list[int], list[int]]:
-    """Both ways between edge ids and star ids in the star_edge_list layout.
+def _plain_edges(m: int, pairs) -> list[int]:
+    """The uncrossed edge ids in id order; in the star_edge_list layout,
+    star edge s < len(plain) is the edge plain[s].
 
-    Returns (plain, star_of): star edge s < len(plain) is the uncrossed
-    edge plain[s] and star_of[e] is its star id, -1 for a crossed edge.
     Half j of the t-th pair (to corner u1, v1, u2, v2 for j = 0..3) is
     star edge len(plain) + 4t + j, a part of the pair's edge j >> 1.
     """
     in_pair = {e for pr in pairs for e in pr}
-    plain = [e for e in range(m) if e not in in_pair]
-    star_of = [-1] * m
-    for s, e in enumerate(plain):
-        star_of[e] = s
-    return plain, star_of
+    return [e for e in range(m) if e not in in_pair]
 
 
 def _checked_pairs(g: Graph, crossings) -> list[tuple[int, int]]:
@@ -181,9 +176,11 @@ def validate(g: Graph, emb: OnePlanarEmbedding) -> bool:
 
 
 def merge_blocks(
-    g: Graph, decomposition, certificates: list[OnePlanarEmbedding]
+    g: Graph, blocks, certificates: list[OnePlanarEmbedding]
 ) -> OnePlanarEmbedding:
     """Build g's certificate from the block certificates and validate it.
+
+    ``blocks`` is ``biconnected_components(g)``, one certificate per block.
 
     A block's dummy stays a crossing where its rotation alternates between
     the two edges.  At any other dummy the edges only touch: the dummy is
@@ -197,7 +194,6 @@ def merge_blocks(
     validated, against g; InvalidBlockEmbeddingError is raised if it fails
     or the inputs do not fit g.
     """
-    blocks = decomposition.blocks
     if len(certificates) != len(blocks):
         raise InvalidBlockEmbeddingError(
             f"got {len(certificates)} certificates for {len(blocks)} blocks"
@@ -221,7 +217,7 @@ def _merge(g: Graph, blocks, certificates: list[OnePlanarEmbedding]) -> OnePlana
         if len(rows) != bg.n + len(crossings):
             raise ValueError(f"rotation has {len(rows)} rows for a star graph on "
                              f"{bg.n + len(crossings)} vertices")
-        plain, _ = _star_ids(bg.m, crossings)
+        plain = _plain_edges(bg.m, crossings)
         plains.append(plain)
         keeps = _alternating(rows[bg.n :], len(plain))
         alive.append(keeps)
@@ -229,7 +225,10 @@ def _merge(g: Graph, blocks, certificates: list[OnePlanarEmbedding]) -> OnePlana
             if keep:
                 a, b = blk.edge_map[a], blk.edge_map[b]
                 pairs.append((a, b) if a < b else (b, a))
-    merged_plain, star_of = _star_ids(g.m, pairs)
+    merged_plain = _plain_edges(g.m, pairs)
+    star_of = [-1] * g.m  # merged star id of each edge, -1 for a crossed edge
+    for s, e in enumerate(merged_plain):
+        star_of[e] = s
     halves = len(merged_plain)  # merged star id of the next kept pair's first half
 
     per_vertex: list[list[list[int]]] = [[] for _ in range(g.n)]
@@ -281,19 +280,18 @@ def _merge(g: Graph, blocks, certificates: list[OnePlanarEmbedding]) -> OnePlana
 _DART_RE = re.compile(r"^c(\d+)\.(\d+)$")
 
 
-def _star_names(plain: list[int], n_pairs: int) -> list[str]:
+def _star_names(m: int, pairs) -> list[str]:
     """The text token of every star id: the edge id of an uncrossed edge,
     then ``cT.H`` for half H of the T-th pair."""
-    names = list(map(str, plain))
-    names.extend(f"c{t}.{h}" for t in range(n_pairs) for h in range(4))
+    names = list(map(str, _plain_edges(m, pairs)))
+    names.extend(f"c{t}.{h}" for t in range(len(pairs)) for h in range(4))
     return names
 
 
 def serialize_embedding(emb: OnePlanarEmbedding) -> str:
     """Render a certificate in the three-section text format."""
     g = emb.graph
-    plain, _ = _star_ids(g.m, emb.crossings)
-    name = _star_names(plain, len(emb.crossings)).__getitem__
+    name = _star_names(g.m, emb.crossings).__getitem__
 
     lines = ["crossings:"]
     for a, b in emb.crossings:
@@ -313,10 +311,10 @@ def parse_embedding(text: str, g: Graph) -> OnePlanarEmbedding:
 
     Darts are mapped to star ids through the star layout; no star graph
     is built.  The tokens :func:`serialize_embedding` writes (plain edge
-    ids and ``cT.H``) are looked up in one table built per call; any other
-    token, such as ``007``, ``+3`` or ``c0.01``, goes through the integer
-    and ``cT.H`` checks, which accept it or raise the same error with the
-    same line number.
+    ids and ``cT.H``) are looked up in one table built per call.  Any other
+    token, such as ``007``, ``+3`` or ``c0.01``, is first rewritten in
+    that spelling (``str(int(tok))`` or ``c{int(T)}.{int(H)}``), so it
+    names the same star edge as its canonical spelling or raises.
     """
     sections: dict[str, list[tuple[int, str]]] = {}
     current: list[tuple[int, str]] | None = None
@@ -362,29 +360,25 @@ def parse_embedding(text: str, g: Graph) -> OnePlanarEmbedding:
         if (int(mobj.group(2)), int(mobj.group(3))) != pairs[t]:
             raise EmbeddingParseError(lineno, "dummy pair disagrees with crossings")
 
-    m, n_star = g.m, g.n + len(pairs)
-    plain, star_of = _star_ids(m, pairs)
-    canonical = {tok: s for s, tok in enumerate(_star_names(plain, len(pairs)))}
+    n_star = g.n + len(pairs)
+    names = _star_names(g.m, pairs)
+    canonical = dict(zip(names, range(len(names))))
 
     def dart(tok: str, lineno: int) -> int:
-        """Star id of a token serialize_embedding does not write; raises
-        EmbeddingParseError if the token names no star edge."""
+        """Star id of a token serialize_embedding does not write, through its
+        canonical spelling; EmbeddingParseError if it names no star edge."""
         mobj = _DART_RE.match(tok)
-        if mobj:
-            t, h = int(mobj.group(1)), int(mobj.group(2))
-            if not (0 <= t < len(pairs)) or not (0 <= h < 4):
-                raise EmbeddingParseError(lineno, f"bad dart {tok!r}")
-            return len(plain) + 4 * t + h
         try:
-            e = int(tok)
+            key = f"c{int(mobj.group(1))}.{int(mobj.group(2))}" if mobj else str(int(tok))
         except ValueError:
             raise EmbeddingParseError(lineno, f"bad dart {tok!r}") from None
-        if not (0 <= e < m):
-            raise EmbeddingParseError(lineno, f"unknown edge {e}")
-        s = star_of[e]
-        if s < 0:
-            raise EmbeddingParseError(lineno, f"dart {tok!r} not in star graph")
-        return s
+        if key in canonical:
+            return canonical[key]
+        if mobj:
+            raise EmbeddingParseError(lineno, f"bad dart {tok!r}")
+        if not (0 <= int(key) < g.m):
+            raise EmbeddingParseError(lineno, f"unknown edge {key}")
+        raise EmbeddingParseError(lineno, f"dart {tok!r} not in star graph")
 
     rows: dict[int, list[int]] = {}
     for lineno, line in sections["rotation"]:

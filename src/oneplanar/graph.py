@@ -126,21 +126,13 @@ class Block:
     edge_map: tuple[int, ...]
 
 
-@dataclass(frozen=True)
-class BlockDecomposition:
-    blocks: tuple[Block, ...]
-    cut_vertices: tuple[int, ...]
-    # (block index, original cut-vertex id) incidence pairs of the block tree.
-    block_tree: tuple[tuple[int, int], ...]
+def biconnected_components(g: Graph) -> tuple[Block, ...]:
+    """The blocks (maximal biconnected subgraphs) of g.
 
-
-def biconnected_components(g: Graph) -> BlockDecomposition:
-    """Decompose g into blocks (maximal biconnected subgraphs).
-
-    Bridges become single-edge blocks.  Isolated vertices belong to no
-    block.  Works on disconnected graphs; the block tree is then a forest.
-    Blocks are ordered by their smallest original edge id.  A block that
-    holds every vertex and edge of g has g itself as its graph.
+    Bridges become single-edge blocks, isolated vertices belong to no
+    block, and a cut vertex is a vertex of two or more blocks.  Blocks are
+    ordered by their smallest original edge id.  A block that holds every
+    vertex and edge of g has g itself as its graph.
 
     The DFS is one loop over flat per-vertex lists: it walks back up along
     ``parent_edge`` and resumes a vertex's incidence scan from ``rest``.  A
@@ -221,18 +213,4 @@ def biconnected_components(g: Graph) -> BlockDecomposition:
         )
         blocks.append(Block(graph, tuple(verts), tuple(comp)))
 
-    # a cut vertex is a vertex in two or more blocks
-    membership = [0] * n
-    for blk in blocks:
-        for v in blk.vertex_map:
-            membership[v] += 1
-    return BlockDecomposition(
-        blocks=tuple(blocks),
-        cut_vertices=tuple(v for v in range(n) if membership[v] > 1),
-        block_tree=tuple(
-            (bi, v)
-            for bi, blk in enumerate(blocks)
-            for v in blk.vertex_map
-            if membership[v] > 1
-        ),
-    )
+    return tuple(blocks)

@@ -59,12 +59,6 @@ class RotationSystem:
         return RotationSystem(tuple(map(tuple, lists)))
 
 
-@dataclass(frozen=True)
-class PlanarityVerdict:
-    planar: bool
-    rotation: RotationSystem | None
-
-
 # ---------------------------------------------------------------------------
 # Left-right tester over flat dart arrays
 # ---------------------------------------------------------------------------
@@ -349,12 +343,10 @@ def rotation_edges(n: int, edges) -> list[list[int]] | None:
     return [[d >> 1 for d in rot] for rot in darts]
 
 
-def test_planarity(g: Graph) -> PlanarityVerdict:
-    """Run the full test on a Graph; positive verdicts carry an embedding."""
+def test_planarity(g: Graph) -> RotationSystem | None:
+    """The rotation system of a planar embedding of g, or None if g is nonplanar."""
     rot = rotation_edges(g.n, g.edges)
-    if rot is None:
-        return PlanarityVerdict(planar=False, rotation=None)
-    return PlanarityVerdict(planar=True, rotation=RotationSystem.from_lists(rot))
+    return None if rot is None else RotationSystem.from_lists(rot)
 
 
 # ---------------------------------------------------------------------------

@@ -465,9 +465,9 @@ def test_block(
     deadline = own_deadline if deadline is None else min(deadline, own_deadline)
 
     stats.planarity_calls += 1
-    pv = test_planarity(g)
-    if pv.planar:
-        return BlockResult(Verdict.ONE_PLANAR, OnePlanarEmbedding(g, (), pv.rotation), stats)
+    rotation = test_planarity(g)
+    if rotation is not None:
+        return BlockResult(Verdict.ONE_PLANAR, OnePlanarEmbedding(g, (), rotation), stats)
 
     if g.n >= 7 and g.m > 4 * g.n - 8:
         return BlockResult(Verdict.NOT_ONE_PLANAR, None, stats)

@@ -10,7 +10,6 @@ import pytest
 from oneplanar.embedding import OnePlanarEmbedding, merge_blocks
 from oneplanar.graph import (
     Block,
-    BlockDecomposition,
     Graph,
     biconnected_components,
     build_graph,
@@ -80,12 +79,9 @@ def chain_graph(parts: list[Graph]) -> Graph:
     return build_graph(n, edges)
 
 
-def one_block(g: Graph) -> BlockDecomposition:
+def one_block(g: Graph) -> tuple[Block]:
     """g as a single block with identity vertex and edge maps."""
-    blk = Block(graph=g, vertex_map=tuple(range(g.n)), edge_map=tuple(range(g.m)))
-    return BlockDecomposition(
-        blocks=(blk,), cut_vertices=(), block_tree=tuple((0, v) for v in range(g.n))
-    )
+    return (Block(graph=g, vertex_map=tuple(range(g.n)), edge_map=tuple(range(g.m))),)
 
 
 def merge_one_block(g: Graph, cert: OnePlanarEmbedding) -> OnePlanarEmbedding:

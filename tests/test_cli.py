@@ -217,6 +217,35 @@ class TestGmlParsing:
         with pytest.raises(ParseError):
             parse_graph_file(str(f), fmt="edgelist")
 
+    # igraph and yEd write top-level keys before the graph block
+    IGRAPH = ('Creator "igraph"\nVersion 1\ngraph\n'
+              "[ node [ id 0 ] node [ id 1 ] edge [ source 0 target 1 ] ]\n")
+
+    def test_header_keys_before_graph(self, tmp_path):
+        f = tmp_path / "g.gml"
+        f.write_text(self.IGRAPH)
+        g = parse_graph_file(str(f))
+        assert g.n == 2 and g.edges == ((0, 1),)
+        # without the extension the file must start with `graph`
+        f = tmp_path / "noext"
+        f.write_text(self.IGRAPH)
+        with pytest.raises(ParseError):
+            parse_graph_file(str(f))
+
+    @pytest.mark.parametrize("payload,tok", [("Creator [ ] [ graph [ ] ]", "["),
+                                             ('Creator "x" ] graph [ ]', "]")])
+    def test_bracket_in_key_position(self, tmp_path, payload, tok):
+        f = tmp_path / "bad.gml"
+        f.write_text(payload)
+        with pytest.raises(ParseError, match=rf"expected 'graph', got '\{tok}'"):
+            parse_graph_file(str(f))
+
+    def test_gml_format_on_an_edge_list(self, tmp_path):
+        f = tmp_path / "g.txt"
+        f.write_text("0 1\n1 2\n")
+        with pytest.raises(ParseError):
+            parse_graph_file(str(f), fmt="gml")
+
 
 class TestPipeline:
     def test_planar_multi_block(self):
@@ -536,9 +565,9 @@ class TestBench:
         merged = []
         merge = cli_module.merge_blocks
 
-        def counting(g, dec, certificates):
+        def counting(g, blocks, certificates):
             merged.append(g.n)
-            return merge(g, dec, certificates)
+            return merge(g, blocks, certificates)
 
         monkeypatch.setattr(cli_module, "merge_blocks", counting)
         bench([str(tmp_path / "planar.txt")], SearchConfig(), skip_planar=True)

@@ -122,7 +122,7 @@ class TestRealize:
 
     def test_plain_planar_certificate(self):
         g = complete_graph(4)
-        emb = merge_one_block(g, OnePlanarEmbedding(g, (), check_planarity(g).rotation))
+        emb = merge_one_block(g, OnePlanarEmbedding(g, (), check_planarity(g)))
         assert emb.crossings == () and count_crossings(emb) == 0
         assert validate(g, emb)
 
@@ -172,10 +172,10 @@ class TestValidate:
 class TestMergeBlocks:
     def test_two_k5_blocks(self):
         g = glue_at_vertex(complete_graph(5), complete_graph(5))
-        dec = biconnected_components(g)
-        assert len(dec.blocks) == 2
-        certs = [block_certificate(block.graph, [(0, 9)]) for block in dec.blocks]
-        merged = merge_blocks(g, dec, certs)
+        blocks = biconnected_components(g)
+        assert len(blocks) == 2
+        certs = [block_certificate(block.graph, [(0, 9)]) for block in blocks]
+        merged = merge_blocks(g, blocks, certs)
         assert count_crossings(merged) == 2
         assert validate(g, merged)
         # The cut vertex carries darts of both blocks in one rotation row.
@@ -183,26 +183,25 @@ class TestMergeBlocks:
 
     def test_bridge_and_triangle(self):
         g = build_graph(4, [(0, 1), (1, 2), (0, 2), (2, 3)])
-        dec = biconnected_components(g)
-        certs = [OnePlanarEmbedding(b.graph, (), check_planarity(b.graph).rotation)
-                 for b in dec.blocks]
-        merged = merge_blocks(g, dec, certs)
+        blocks = biconnected_components(g)
+        certs = [OnePlanarEmbedding(b.graph, (), check_planarity(b.graph)) for b in blocks]
+        merged = merge_blocks(g, blocks, certs)
         assert count_crossings(merged) == 0
         assert validate(g, merged)
 
     def test_wrong_count_rejected(self):
         g = glue_at_vertex(complete_graph(5), complete_graph(5))
-        dec = biconnected_components(g)
+        blocks = biconnected_components(g)
         with pytest.raises(InvalidBlockEmbeddingError):
-            merge_blocks(g, dec, [])
+            merge_blocks(g, blocks, [])
 
     def test_invalid_certificate_rejected(self):
         g = glue_at_vertex(complete_graph(5), complete_graph(5))
-        dec = biconnected_components(g)
+        blocks = biconnected_components(g)
         cert = block_certificate(complete_graph(5), [(0, 9)])
         bad = dataclasses.replace(cert, crossings=((0, 8),))
         with pytest.raises(InvalidBlockEmbeddingError):
-            merge_blocks(g, dec, [cert, bad])
+            merge_blocks(g, blocks, [cert, bad])
 
     @pytest.mark.parametrize(
         "mangle",
@@ -215,26 +214,26 @@ class TestMergeBlocks:
     )
     def test_mangled_rotation_rejected(self, mangle):
         g = glue_at_vertex(complete_graph(5), complete_graph(5))
-        dec = biconnected_components(g)
+        blocks = biconnected_components(g)
         cert = block_certificate(complete_graph(5), [(0, 9)])
         bad = dataclasses.replace(cert, rotation=RotationSystem(mangle(cert.rotation.order)))
         with pytest.raises(InvalidBlockEmbeddingError):
-            merge_blocks(g, dec, [cert, bad])
+            merge_blocks(g, blocks, [cert, bad])
 
     @pytest.mark.parametrize("picks", [(1, 0), (0, 0), (1, 1)])
     def test_other_blocks_certificate_rejected(self, picks):
         # K5 and K4 blocks glued at a vertex; each gets a certificate that
         # belongs to a block of the other shape.
         g = glue_at_vertex(complete_graph(5), complete_graph(4))
-        dec = biconnected_components(g)
+        blocks = biconnected_components(g)
         k5 = block_certificate(complete_graph(5), [(0, 9)])
         k4 = OnePlanarEmbedding(
-            complete_graph(4), (), check_planarity(complete_graph(4)).rotation
+            complete_graph(4), (), check_planarity(complete_graph(4))
         )
         good = [k5, k4]
-        assert validate(g, merge_blocks(g, dec, good))
+        assert validate(g, merge_blocks(g, blocks, good))
         with pytest.raises(InvalidBlockEmbeddingError):
-            merge_blocks(g, dec, [good[i] for i in picks])
+            merge_blocks(g, blocks, [good[i] for i in picks])
 
     def test_touching_block_glued_to_k5_is_unchanged(self):
         # A 4-cycle block whose one dummy only touches (edge pattern
@@ -248,8 +247,8 @@ class TestMergeBlocks:
             RotationSystem.from_lists([[1, 2], [0, 3], [0, 4], [1, 5], [2, 3, 4, 5]]),
         )
         g = glue_at_vertex(c4, complete_graph(5))
-        dec = biconnected_components(g)
-        merged = merge_blocks(g, dec, [touching, block_certificate(complete_graph(5), [(0, 9)])])
+        blocks = biconnected_components(g)
+        merged = merge_blocks(g, blocks, [touching, block_certificate(complete_graph(5), [(0, 9)])])
         assert serialize_embedding(merged) == (
             "crossings:\n4 13\nrotation:\n0: 3 0 5 6 c0.0 7\n1: 1 0\n2: 1 2\n3: 3 2\n"
             "4: 8 10 c0.1 9\n5: 5 12 8 11\n6: 9 c0.2 6 11\n7: c0.3 10 12 7\n"
@@ -270,7 +269,7 @@ class TestTextFormat:
 
     def test_round_trip_without_crossing(self):
         g = complete_graph(4)
-        emb = merge_one_block(g, OnePlanarEmbedding(g, (), check_planarity(g).rotation))
+        emb = merge_one_block(g, OnePlanarEmbedding(g, (), check_planarity(g)))
         text = serialize_embedding(emb)
         assert parse_embedding(text, g).rotation == emb.rotation
 
@@ -305,8 +304,9 @@ class TestTextFormat:
 
     # The outcome of each rotation token as the first row of K5's one-crossing
     # certificate (crossing edges 0 and 9, so star ids 0..7 are edges 1..8 and
-    # 8..11 are c0.0..c0.3), recorded before the token table: the star id, or
-    # the error message; every error is on line 4.
+    # 8..11 are c0.0..c0.3), recorded before the token table (the last eight
+    # before the canonical-spelling fallback): the star id, or the error
+    # message; every error is on line 4.
     K5_TOKENS = [
         ("1", 0), ("8", 7), ("c0.0", 8), ("c0.3", 11),
         ("007", 6), ("+3", 2), ("c00.1", 9), ("c0.01", 9), ("\u0663", 2),
@@ -318,6 +318,10 @@ class TestTextFormat:
         ("C0.1", "bad dart 'C0.1'"), ("c0.1.2", "bad dart 'c0.1.2'"),
         ("c-0.1", "bad dart 'c-0.1'"), ("c+0.1", "bad dart 'c+0.1'"),
         ("0x1", "bad dart '0x1'"), ("c0.0x", "bad dart 'c0.0x'"), ("c0:1", "bad dart 'c0:1'"),
+        ("+9", "dart '+9' not in star graph"), ("09", "dart '09' not in star graph"),
+        ("0_9", "dart '0_9' not in star graph"), ("+08", 7), ("-3", "unknown edge -3"),
+        ("c0.04", "bad dart 'c0.04'"), ("c00.4", "bad dart 'c00.4'"),
+        ("c1.00", "bad dart 'c1.00'"),
     ]
 
     @pytest.mark.parametrize("tok,want", K5_TOKENS, ids=[ascii(t) for t, _ in K5_TOKENS])
@@ -334,11 +338,21 @@ class TestTextFormat:
                 parse_embedding(text, g)
             assert err.value.lineno == 4 and str(err.value) == f"line 4: {want}"
 
+    @pytest.mark.parametrize("tok", ["c" + "1" * 5000 + ".0", "c0." + "0" * 5000, "1" * 5000])
+    def test_overlong_tokens_are_bad_darts(self, tok):
+        # int() refuses strings over 4300 digits; that is a parse error too
+        g, emb = k5_certificate()
+        lines = serialize_embedding(emb).splitlines()
+        lines[3] = f"0: {tok} 1"
+        with pytest.raises(EmbeddingParseError, match=r"^line 4: bad dart") as err:
+            parse_embedding("\n".join(lines) + "\n", g)
+        assert err.value.lineno == 4
+
     @pytest.mark.parametrize("tok,want", [("0", 0), ("5", 5), ("05", 5), ("6", "unknown edge 6"),
                                           ("c0.0", "bad dart 'c0.0'")])
     def test_rotation_tokens_without_crossings(self, tok, want):
         g = complete_graph(4)
-        emb = merge_one_block(g, OnePlanarEmbedding(g, (), check_planarity(g).rotation))
+        emb = merge_one_block(g, OnePlanarEmbedding(g, (), check_planarity(g)))
         lines = serialize_embedding(emb).splitlines()
         assert lines[2].startswith("0:")
         lines[2] = f"0: {tok}"

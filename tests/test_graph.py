@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import random
+from collections import Counter
 
 import networkx as nx
 import pytest
@@ -78,33 +79,45 @@ class TestAccessors:
         assert not g.adjacent_edges(0, 5)   # (0,1) and (2,3) are independent
 
 
+def cut_vertices(blocks) -> tuple[int, ...]:
+    """The vertices in two or more blocks, in increasing order."""
+    count = Counter(v for b in blocks for v in b.vertex_map)
+    return tuple(sorted(v for v, k in count.items() if k > 1))
+
+
+def block_tree(blocks) -> set[tuple[int, int]]:
+    """The (block index, cut vertex) links of the block tree."""
+    cuts = set(cut_vertices(blocks))
+    return {(bi, v) for bi, b in enumerate(blocks) for v in b.vertex_map if v in cuts}
+
+
 class TestBiconnected:
     def test_single_block_cycle(self):
-        dec = biconnected_components(cycle_graph(5))
-        assert len(dec.blocks) == 1
-        assert dec.cut_vertices == ()
-        assert dec.blocks[0].graph.m == 5
+        blocks = biconnected_components(cycle_graph(5))
+        assert len(blocks) == 1
+        assert cut_vertices(blocks) == ()
+        assert blocks[0].graph.m == 5
 
     def test_path_splits_into_bridges(self):
-        dec = biconnected_components(path_graph(4))
-        assert len(dec.blocks) == 3
-        assert all(b.graph.m == 1 for b in dec.blocks)
-        assert dec.cut_vertices == (1, 2)
+        blocks = biconnected_components(path_graph(4))
+        assert len(blocks) == 3
+        assert all(b.graph.m == 1 for b in blocks)
+        assert cut_vertices(blocks) == (1, 2)
 
     def test_two_triangles_sharing_vertex(self):
         g = build_graph(5, [(0, 1), (1, 2), (0, 2), (2, 3), (3, 4), (2, 4)])
-        dec = biconnected_components(g)
-        assert len(dec.blocks) == 2
-        assert dec.cut_vertices == (2,)
+        blocks = biconnected_components(g)
+        assert len(blocks) == 2
+        assert cut_vertices(blocks) == (2,)
         # Blocks order follows the smallest original edge id they contain.
-        assert dec.blocks[0].edge_map[0] == 0
-        assert set(dec.blocks[1].edge_map) == {3, 4, 5}
+        assert blocks[0].edge_map[0] == 0
+        assert set(blocks[1].edge_map) == {3, 4, 5}
 
     def test_block_maps_preserve_order(self):
         g = glue_at_vertex(complete_graph(4), complete_graph(4))
-        dec = biconnected_components(g)
-        assert len(dec.blocks) == 2
-        for block in dec.blocks:
+        blocks = biconnected_components(g)
+        assert len(blocks) == 2
+        for block in blocks:
             assert list(block.vertex_map) == sorted(block.vertex_map)
             for local, (u, v) in enumerate(block.graph.edges):
                 ou, ov = g.edges[block.edge_map[local]]
@@ -112,33 +125,33 @@ class TestBiconnected:
 
     def test_disconnected_and_isolated(self):
         g = build_graph(6, [(0, 1), (2, 3), (3, 4), (2, 4)])
-        dec = biconnected_components(g)
-        assert len(dec.blocks) == 2
-        assert dec.cut_vertices == ()
+        blocks = biconnected_components(g)
+        assert len(blocks) == 2
+        assert cut_vertices(blocks) == ()
 
     @pytest.mark.parametrize("g", [cycle_graph(5), complete_graph(5), grid_graph(4, 6)],
                              ids=["c5", "k5", "grid"])
     def test_biconnected_graph_is_its_own_block(self, g):
-        dec = biconnected_components(g)
-        assert len(dec.blocks) == 1 and dec.blocks[0].graph is g
-        assert dec.blocks[0].vertex_map == tuple(range(g.n))
-        assert dec.blocks[0].edge_map == tuple(range(g.m))
+        blocks = biconnected_components(g)
+        assert len(blocks) == 1 and blocks[0].graph is g
+        assert blocks[0].vertex_map == tuple(range(g.n))
+        assert blocks[0].edge_map == tuple(range(g.m))
 
     def test_block_graph_is_not_g_with_an_isolated_vertex(self):
         g = build_graph(6, list(cycle_graph(5).edges))
-        dec = biconnected_components(g)
-        assert len(dec.blocks) == 1 and dec.blocks[0].graph is not g
-        assert dec.blocks[0].graph == cycle_graph(5)
+        blocks = biconnected_components(g)
+        assert len(blocks) == 1 and blocks[0].graph is not g
+        assert blocks[0].graph == cycle_graph(5)
 
     def test_block_graph_is_not_g_with_two_blocks(self):
         g = glue_at_vertex(complete_graph(4), cycle_graph(4))
-        dec = biconnected_components(g)
-        assert len(dec.blocks) == 2 and all(b.graph is not g for b in dec.blocks)
+        blocks = biconnected_components(g)
+        assert len(blocks) == 2 and all(b.graph is not g for b in blocks)
 
     def test_block_tree_links(self):
         g = build_graph(5, [(0, 1), (1, 2), (0, 2), (2, 3), (3, 4), (2, 4)])
-        dec = biconnected_components(g)
-        assert set(dec.block_tree) == {(0, 2), (1, 2)}
+        blocks = biconnected_components(g)
+        assert set(block_tree(blocks)) == {(0, 2), (1, 2)}
 
     def test_matches_networkx_on_random_graphs(self, rng: random.Random):
         for _ in range(120):
@@ -151,17 +164,17 @@ class TestBiconnected:
                 frozenset(frozenset(e) for e in comp)
                 for comp in nx.biconnected_component_edges(h)
             }
-            dec = biconnected_components(g)
+            blocks = biconnected_components(g)
             got_blocks = {
                 frozenset(frozenset(g.edges[orig]) for orig in b.edge_map)
-                for b in dec.blocks
+                for b in blocks
             }
             assert got_blocks == want_blocks
             cuts = set(nx.articulation_points(h))
-            assert set(dec.cut_vertices) == cuts
-            assert list(dec.cut_vertices) == sorted(dec.cut_vertices)
-            assert set(dec.block_tree) == {
-                (bi, v) for bi, b in enumerate(dec.blocks) for v in b.vertex_map if v in cuts
+            assert set(cut_vertices(blocks)) == cuts
+            assert list(cut_vertices(blocks)) == sorted(cut_vertices(blocks))
+            assert set(block_tree(blocks)) == {
+                (bi, v) for bi, b in enumerate(blocks) for v in b.vertex_map if v in cuts
             }
 
     def test_edge_partition(self, rng: random.Random):
@@ -169,13 +182,13 @@ class TestBiconnected:
             g = random_connected_graph(rng.randrange(2, 10), rng.randrange(1, 14), rng)
             if g.m == 0:
                 continue
-            dec = biconnected_components(g)
-            seen = sorted(orig for b in dec.blocks for orig in b.edge_map)
+            blocks = biconnected_components(g)
+            seen = sorted(orig for b in blocks for orig in b.edge_map)
             assert seen == list(range(g.m))
 
     @staticmethod
-    def assert_built_like_build_graph(g, dec):
-        for block in dec.blocks:
+    def assert_built_like_build_graph(g, blocks):
+        for block in blocks:
             local = {v: i for i, v in enumerate(block.vertex_map)}
             local_edges = [tuple(local[v] for v in g.edges[e]) for e in block.edge_map]
             want = build_graph(len(block.vertex_map), local_edges)
@@ -205,6 +218,6 @@ class TestBiconnected:
     @pytest.mark.parametrize("g", [cycle_graph(5), complete_graph(5), grid_graph(4, 6)],
                              ids=["c5", "k5", "grid"])
     def test_own_block_matches_build_graph(self, g):
-        dec = biconnected_components(g)
-        assert dec.blocks[0].graph is g
-        self.assert_built_like_build_graph(g, dec)
+        blocks = biconnected_components(g)
+        assert blocks[0].graph is g
+        self.assert_built_like_build_graph(g, blocks)

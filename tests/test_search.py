@@ -1217,7 +1217,7 @@ def skew_block_corpus(count: int = 240) -> list[Graph]:
     while len(blocks) < count:
         n = rng.randrange(5, 10)
         g = random_connected_graph(n, rng.randrange(n + 3, 3 * n - 3), rng)
-        blocks += [b.graph for b in biconnected_components(g).blocks
+        blocks += [b.graph for b in biconnected_components(g)
                    if not is_planar_edges(b.graph.n, b.graph.edges)
                    and find_skew_set(b.graph) is not None]
     return blocks[:count]

@@ -134,7 +134,7 @@ class TestOrbits:
         # block, so their trees are the canonical ones; rand12/95 has the
         # true twins 1 and 4
         g = scale_instance(6) if name == "scale6" else rand12(int(name.split("/")[1]))
-        for block in biconnected_components(g).blocks:
+        for block in biconnected_components(g):
             u = build_universe(block.graph)
             if name == "rand12/95" and block.graph.n > 2:
                 twins = {c for c in twin_partition(block.graph) if len(c) > 1}
