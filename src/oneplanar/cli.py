@@ -293,7 +293,7 @@ def _finish(
         crossings=crossings,
         time_ms=(time.monotonic() - t0) * 1000.0,
         backtracked=stats.used_backtracking,
-        nodes=stats.nodes_visited,
+        nodes=stats.nodes_visited + stats.ladder_nodes,
         cuts_dec=stats.cuts_dec,
         cuts_kec=stats.cuts_kec,
         cuts_nonplanar=stats.cuts_nonplanar,

@@ -39,11 +39,15 @@ with the first pair as its first crossing, so the rule keeps it.  The
 cuts above read the whole universe and so stay sound under the rule.
 
 Exhausting the tree without a solution proves the graph has no such
-drawing.
+drawing.  Past its first LADDER_START nodes, :func:`backtrack` runs a
+crossing-count ladder beside it: the same search capped at b crossings,
+for b = max(m - 3n + 6, 1), ..., n - 2 in turn, which reaches drawings
+with few crossings sooner.
 """
 
 from __future__ import annotations
 
+import math
 import time
 from dataclasses import dataclass
 from enum import Enum
@@ -113,6 +117,15 @@ class SearchStats:
     query on fewer than 9 edges or 6 vertices.  A node below a 0
     asks neither query its parent has answered (see
     :meth:`SearchState.classify`); a capacity cut asks none.
+
+    ``nodes_visited``, the cut counters and ``planarity_calls`` count the
+    default search only; the crossing-count ladder beside it (see
+    :func:`backtrack`) counts its nodes in ``ladder_nodes`` and its
+    queries in ``ladder_calls``.  The solution node that decides a block
+    counts in ``sol_satur`` or ``sol_compl`` whichever search found it.
+    ``ladder_level`` is the crossing cap of the ladder level that found
+    the drawing, 0 when the ladder decided nothing; merged stats keep the
+    highest.
     """
 
     nodes_visited: int = 0
@@ -122,6 +135,9 @@ class SearchStats:
     sol_satur: int = 0
     sol_compl: int = 0
     planarity_calls: int = 0
+    ladder_nodes: int = 0
+    ladder_calls: int = 0
+    ladder_level: int = 0
     used_backtracking: bool = False
     used_skew_pass: bool = False
 
@@ -133,6 +149,9 @@ class SearchStats:
         self.sol_satur += other.sol_satur
         self.sol_compl += other.sol_compl
         self.planarity_calls += other.planarity_calls
+        self.ladder_nodes += other.ladder_nodes
+        self.ladder_calls += other.ladder_calls
+        self.ladder_level = max(self.ladder_level, other.ladder_level)
         self.used_backtracking |= other.used_backtracking
         self.used_skew_pass |= other.used_skew_pass
 
@@ -333,8 +352,16 @@ class SearchState:
 
         if below_zero:  # the parent found these crossings' star graph nonplanar
             return dead_end
+        return self._drawing(stats, kind, dead_end)
+
+    def _drawing(
+        self, stats: SearchStats, kind: SolutionKind, dead_end: NodeVerdict
+    ) -> NodeVerdict:
+        """The solution of kind `kind` if the star graph of the path's
+        crossings is planar, else `dead_end`; one planarity query."""
         stats.planarity_calls += 1
-        rot = None if c < self._need else rotation_edges(*star_edge_list(g, self.crossings))
+        c = len(self.crossings)
+        rot = None if c < self._need else rotation_edges(*star_edge_list(self.g, self.crossings))
         if rot is None:
             return dead_end
         return NodeVerdict(
@@ -345,78 +372,190 @@ class SearchState:
         )
 
 
+class _CappedState(SearchState):
+    """A search state whose paths hold at most `cap` crossings.
+
+    Every node below a node with `cap` crossings has the same crossings,
+    so the node's own star graph is the only drawing left in its subtree.
+    `classify` asks that one query there: the solution if it is planar,
+    else a leaf, returned as a nonplanar cut.  The saturated subgraph's
+    query and the capacity cut could only cut a node whose star graph is
+    nonplanar anyway.  A node at the cap pushes no 0, so every 0 on a path
+    lies below fewer than `cap` crossings, and the 1-sibling the search
+    pushes after it never passes the cap.
+    """
+
+    def __init__(self, g: Graph, universe: PairUniverse, cap: int) -> None:
+        super().__init__(g, universe)
+        self.cap = cap
+
+    def classify(self, stats: SearchStats) -> NodeVerdict:
+        if len(self.crossings) < self.cap:
+            return super().classify(stats)
+        full = self.saturated() == self._all_edges
+        kind = SolutionKind.SATURATION if full else SolutionKind.COMPLETION
+        return self._drawing(stats, kind, _CUT_NONPLANAR)
+
+
+class Search:
+    """Depth-first search over the universe, 0 branches first, that can
+    stop and resume.
+
+    Its whole state is its :class:`SearchState`, whose decided prefix is
+    the stack, and `first`, the position of the path's first crossing.
+    With a `cap`, it looks only for drawings with at most `cap`
+    crossings.  Every node it visits and every planarity query it asks is
+    counted in `stats`.
+    """
+
+    def __init__(
+        self, g: Graph, universe: PairUniverse, stats: SearchStats, cap: int | None = None
+    ) -> None:
+        self.stats = stats
+        self.state = SearchState(g, universe) if cap is None else _CappedState(g, universe, cap)
+        self.first = 0  # position of the path's first crossing, read while it has one
+
+    def run(
+        self, max_nodes: float, deadline: float | None = None
+    ) -> tuple[Verdict, OnePlanarEmbedding | None] | None:
+        """Search on until a verdict, or return None once
+        ``stats.nodes_visited`` reaches `max_nodes`; the next call resumes
+        there.
+
+        Returns OnePlanar on the first solution node, with a
+        :class:`OnePlanarEmbedding` of g from that node's crossing set and
+        star rotation (not checked here; merge_blocks builds the
+        certificate of the whole graph and validates it).  Exhaustion
+        returns NotOnePlanar: g has no drawing, or with a cap none with at
+        most that many crossings.  Hitting the deadline yields Unknown.
+        The node budget and the deadline are read before every node that
+        `classify` sees, the root included.
+
+        The path is the stack: every 0 on it still has its 1-sibling to
+        visit and every 1 has none, so the decided prefix alone says where
+        the search goes after a leaf.  A 1-sibling that
+        :meth:`SearchState.push` refuses as a DEC or KEC cut is counted, as
+        a node and a cut, on the way back up; it is a leaf that `classify`
+        never sees.  A 1-sibling whose pair's orbit opens before the path's
+        first crossing (before the pair itself on a path without crossings)
+        is skipped without a push and counts as nothing (see the module
+        docstring).
+        """
+        state, stats, first = self.state, self.stats, self.first
+        g, bits, k, orbit = state.g, state.bits, state.universe.k, state.universe.orbit
+
+        while True:
+            if stats.nodes_visited >= max_nodes:
+                self.first = first
+                return None
+            if deadline is not None and time.monotonic() >= deadline:
+                return Verdict.UNKNOWN, None
+            v = state.classify(stats)
+            stats.nodes_visited += 1
+            if v is _CNT:
+                if state.cursor < k:
+                    state.push(0)
+                    continue
+            elif v is _CUT_NONPLANAR:
+                stats.cuts_nonplanar += 1
+            else:
+                if v.solution_kind is SolutionKind.SATURATION:
+                    stats.sol_satur += 1
+                else:
+                    stats.sol_compl += 1
+                cert = OnePlanarEmbedding(g, v.crossings, RotationSystem(v.star_rotation))
+                return Verdict.ONE_PLANAR, cert
+            # a leaf: back up past the 1s, whose subtrees are done, and take
+            # the 1-sibling of the deepest 0 unless its pair lies in an orbit
+            # before the path's first crossing or push refuses it as a cut leaf
+            while True:
+                while state.cursor and bits[state.cursor - 1]:
+                    state.pop()
+                if not state.cursor:
+                    break
+                state.pop()
+                d = state.cursor
+                lowest = first if state.crossings else d
+                if orbit[d] < lowest:
+                    continue
+                cut = state.push(1)
+                if cut is None:
+                    first = lowest
+                    break
+                stats.nodes_visited += 1
+                if cut is _CUT_DEC:
+                    stats.cuts_dec += 1
+                else:
+                    stats.cuts_kec += 1
+            if not state.cursor:
+                return Verdict.NOT_ONE_PLANAR, None
+
+
+# the schedule of the crossing-count ladder (see backtrack)
+LADDER_START = 10_000
+LADDER_SHARE = 2
+LADDER_SLICE = 256
+
+
 def backtrack(
     g: Graph,
     universe: PairUniverse,
     stats: SearchStats,
     deadline: float | None = None,
 ) -> tuple[Verdict, OnePlanarEmbedding | None]:
-    """Depth-first search over the universe; 0 branches explored first.
+    """The default search over the universe, with a crossing-count ladder
+    beside it once it passes LADDER_START nodes.
 
-    Returns OnePlanar on the first solution node, with a
-    :class:`OnePlanarEmbedding` of g from that node's crossing set and star
-    rotation (not checked here; merge_blocks builds the certificate of the
-    whole graph and validates it).  Exhaustion proves NotOnePlanar;
-    hitting the deadline yields Unknown.  The deadline is read before
-    every node that `classify` sees, the root included.
+    The default search is an uncapped :class:`Search`.  The ladder is a
+    capped search per level b = max(m - 3n + 6, 1), ..., n - 2, each run
+    to exhaustion before the next starts; it stops for good after its
+    last level.  Past LADDER_START default nodes, the two take turns: a
+    slice of LADDER_SLICE ladder nodes, then LADDER_SHARE times as many
+    default nodes.  The first drawing either finds is returned, with the
+    verdict and certificate of :meth:`Search.run`.  NotOnePlanar comes
+    only from exhausting the default search, and Unknown from the
+    deadline, read by both.  The turns count nodes, not seconds, so the
+    result depends on the graph and the universe alone.
 
-    The path is the stack: every 0 on it still has its 1-sibling to
-    visit and every 1 has none, so the decided prefix alone says where
-    the search goes after a leaf.  A 1-sibling that
-    :meth:`SearchState.push` refuses as a DEC or KEC cut is counted, as a
-    node and a cut, on the way back up; it is a leaf that `classify`
-    never sees.  A 1-sibling whose pair's orbit opens before the path's
-    first crossing (before the pair itself on a path without crossings)
-    is skipped without a push and counts as nothing (see the module
-    docstring).
+    A capped search is complete for "some drawing has at most b
+    crossings": every 1-planar drawing with fewest crossings has none on
+    a kite edge, a twin swap keeps the number of crossings, and the
+    capacity cut holds for any drawing.  It visits the default tree's
+    nodes in the same order minus the subtrees past the cap, so it finds
+    the default search's first drawing when that has at most b crossings.
+
+    The default search counts in `stats`.  The ladder's nodes and
+    queries go only to ``stats.ladder_nodes`` and ``stats.ladder_calls``,
+    and a drawing it finds to the solution counters and
+    ``stats.ladder_level``.
     """
     stats.used_backtracking = True
-    state = SearchState(g, universe)
-    bits, k, orbit = state.bits, universe.k, universe.orbit
-    first = 0  # position of the path's first crossing, read while it has one
-
-    while True:
-        if deadline is not None and time.monotonic() >= deadline:
-            return Verdict.UNKNOWN, None
-        v = state.classify(stats)
-        stats.nodes_visited += 1
-        if v is _CNT:
-            if state.cursor < k:
-                state.push(0)
-                continue
-        elif v is _CUT_NONPLANAR:
-            stats.cuts_nonplanar += 1
-        else:
-            if v.solution_kind is SolutionKind.SATURATION:
-                stats.sol_satur += 1
-            else:
-                stats.sol_compl += 1
-            cert = OnePlanarEmbedding(g, v.crossings, RotationSystem(v.star_rotation))
-            return Verdict.ONE_PLANAR, cert
-        # a leaf: back up past the 1s, whose subtrees are done, and take the
-        # 1-sibling of the deepest 0 unless its pair lies in an orbit before
-        # the path's first crossing or push refuses it as a cut leaf
-        while True:
-            while state.cursor and bits[state.cursor - 1]:
-                state.pop()
-            if not state.cursor:
-                break
-            state.pop()
-            d = state.cursor
-            lowest = first if state.crossings else d
-            if orbit[d] < lowest:
-                continue
-            cut = state.push(1)
-            if cut is None:
-                first = lowest
-                break
-            stats.nodes_visited += 1
-            if cut is _CUT_DEC:
-                stats.cuts_dec += 1
-            else:
-                stats.cuts_kec += 1
-        if not state.cursor:
-            return Verdict.NOT_ONE_PLANAR, None
+    default = Search(g, universe, stats)
+    found = default.run(LADDER_START, deadline)
+    if found is not None:
+        return found
+    rungs = SearchStats()  # the ladder's counters, over all its levels
+    ladder = ((b, Search(g, universe, rungs, cap=b))
+              for b in range(max(g.m - 3 * g.n + 6, 1), g.n - 1))
+    level, rung = next(ladder, (0, None))
+    slices = 0
+    while found is None and rung is not None:
+        slices += 1
+        found = rung.run(slices * LADDER_SLICE, deadline)
+        while found is not None and found[0] is Verdict.NOT_ONE_PLANAR:
+            level, rung = next(ladder, (0, None))  # this level holds no drawing
+            found = None if rung is None else rung.run(slices * LADDER_SLICE, deadline)
+        if found is None:
+            found = default.run(LADDER_START + slices * LADDER_SHARE * LADDER_SLICE, deadline)
+        elif found[0] is Verdict.ONE_PLANAR:
+            stats.ladder_level = level
+    if found is None:
+        found = default.run(math.inf, deadline)
+    stats.ladder_nodes += rungs.nodes_visited
+    stats.ladder_calls += rungs.planarity_calls
+    stats.sol_satur += rungs.sol_satur
+    stats.sol_compl += rungs.sol_compl
+    return found
 
 
 def find_skew_set(g: Graph, deadline: float | None = None) -> int | None:

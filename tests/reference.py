@@ -3,7 +3,8 @@ masks and the node verdicts of :class:`~oneplanar.search.SearchState`.
 
 A prefix is the list of bits decided so far over a pair universe, 1 for a
 pair that crosses; its length is the cursor.  Every function here
-recomputes its answer from the prefix alone.  `without_kites` is a test
+recomputes its answer from the prefix alone.  `fewest_crossings` is the
+brute-force oracle of the capped search.  `without_kites` is a test
 fake of the search with the kite rule taken out, which the reference
 models with ``kite=False``.
 """
@@ -11,6 +12,7 @@ models with ``kite=False``.
 from __future__ import annotations
 
 import dataclasses
+import itertools
 
 from oneplanar.embedding import star_edge_list
 from oneplanar.graph import Graph
@@ -192,3 +194,17 @@ def classify_prefix(g: Graph, u: PairUniverse, bits, kite: bool = True,
         return dead_end
     return NodeVerdict(NodeKind.SOL, solution_kind=kind, crossings=tuple(pairs),
                        star_rotation=tuple(tuple(r) for r in rot))
+
+
+def fewest_crossings(g: Graph, most: int) -> int | None:
+    """The fewest crossings of a drawing of g, or None if every drawing
+    needs more than `most`.  Tries every set of pairs of g's universe, no
+    edge in two of them, by size from the empty set up, and asks whether
+    its star graph is planar."""
+    pairs = build_universe(g).pairs
+    for size in range(most + 1):
+        for chosen in itertools.combinations(pairs, size):
+            edges = [e for pair in chosen for e in pair]
+            if len(set(edges)) == len(edges) and is_planar_edges(*star_edge_list(g, chosen)):
+                return size
+    return None

@@ -348,19 +348,26 @@ def test_scale_twenty_vertex_instances(capsys):
         g = random_connected_graph(20, 30, rng)
         if not is_planar_edges(g.n, list(g.edges)):
             graphs.append(g)
+    # a node bound, not a time bound: the default search alone takes up to
+    # 735,026 nodes on these; with the crossing-count ladder beside it
+    # every instance is decided within 100,000, ladder nodes included
     budget = 300.0
+    max_nodes = 100_000
     decided = 0
     worst = 0.0
+    most = 0
     for g in graphs:
         t0 = time.perf_counter()
         record, emb = run_pipeline(g, SearchConfig(time_budget=budget))
         dt = time.perf_counter() - t0
         worst = max(worst, dt)
-        if record.verdict != "Unknown":
+        most = max(most, record.nodes)
+        if record.verdict != "Unknown" and record.nodes <= max_nodes:
             decided += 1
             if emb is not None:
                 assert validate(g, emb)
-    ok = decided >= 8
+    ok = decided == 10
     _report(capsys, ok,
             f"{decided}/10 random nonplanar 20-vertex instances decided "
-            f"within {budget:.0f}s each (slowest attempt {worst:.0f}s)")
+            f"within {max_nodes:,} nodes each (most {most:,} nodes, "
+            f"slowest attempt {worst:.1f}s)")

@@ -5,6 +5,7 @@ from __future__ import annotations
 import dataclasses
 import hashlib
 import itertools
+import math
 import random
 import time
 from types import SimpleNamespace
@@ -29,9 +30,13 @@ from oneplanar.graph import Graph, biconnected_components, build_graph
 from oneplanar.pairs import build_universe
 from oneplanar.planarity import is_planar_edges, rotation_edges
 from oneplanar.search import (
+    LADDER_SHARE,
+    LADDER_SLICE,
+    LADDER_START,
     CutReason,
     NodeKind,
     NodeVerdict,
+    Search,
     SearchConfig,
     SearchState,
     SearchStats,
@@ -42,7 +47,9 @@ from oneplanar.search import (
     find_skew_set,
     oracle_is_one_planar,
 )
+from oneplanar.cli import run_pipeline
 from oneplanar.search import test_block as solve_block
+from test_acceptance import oracle_corpus
 from reference import (
     canonical_universe,
     capacity_short,
@@ -51,6 +58,7 @@ from reference import (
     decided_pairs,
     edge_mask,
     find_kite_edges,
+    fewest_crossings,
     prefix_cut,
     restricted_universe,
     saturated_edges,
@@ -903,21 +911,23 @@ def test_pruned_search_tree_is_pinned(graph, config, monkeypatch):
 
 
 def order_digest(graph, config, monkeypatch, canonical: bool) -> str:
-    """sha256 over the "cursor kind reason" line of every node test_block
-    classifies, in visiting order.  A 1-child that push refuses is hashed
-    as the line its classification gave."""
+    """sha256 over the "cursor kind reason" line of every node test_block's
+    default search classifies, in visiting order; the capped searches of
+    the crossing-count ladder are left out.  A 1-child that push refuses
+    is hashed as the line its classification gave."""
     original = SearchState.classify
     digest = hashlib.sha256()
 
     def recording(state, stats):
         v = original(state, stats)
-        reason = v.cut_reason or v.solution_kind
-        digest.update(f"{state.cursor} {v.kind.name} {reason and reason.name}\n".encode())
+        if type(state) is SearchState:
+            reason = v.cut_reason or v.solution_kind
+            digest.update(f"{state.cursor} {v.kind.name} {reason and reason.name}\n".encode())
         return v
 
     def recording_push(state, bit):
         v = _push(state, bit)
-        if v is not None:
+        if v is not None and type(state) is SearchState:
             digest.update(f"{state.cursor + 1} CUT {v.cut_reason.name}\n".encode())
         return v
 
@@ -1251,3 +1261,122 @@ def test_skew_pass_returns_the_restricted_trees_first_drawing(monkeypatch):
         assert res.certificate == cert
         found += verdict is Verdict.ONE_PLANAR
     assert 0 < found < len(blocks)
+
+
+def capped_corpus() -> list[Graph]:
+    """K3,4, K6, the Petersen graph and 12 random 7-vertex graphs, each
+    without a drawing with one crossing but with one with at most n - 2."""
+    rng = random.Random(7)
+    graphs = [complete_bipartite(3, 4), complete_graph(6), petersen_graph()]
+    while len(graphs) < 15:
+        g = random_connected_graph(7, rng.randrange(15, 17), rng)
+        if build_universe(g).k <= 60 and fewest_crossings(g, 1) is None:
+            graphs.append(g)
+    return graphs
+
+
+def test_capped_search_matches_brute_force():
+    # on every graph of the oracle corpus and of `capped_corpus`, at every
+    # cap b from 1 to n - 2, the capped search finds a drawing exactly
+    # when a set of at most b pairs has a planar star graph, and its
+    # drawing has at most b crossings; where the uncapped search's first
+    # drawing has at most b, it is the capped search's first, of the same
+    # solution kind.  `capped` counts the caps that leave out every
+    # drawing of a graph that has one
+    capped = 0
+    corpus = oracle_corpus()
+    assert all(build_universe(g).k <= 20 for g in corpus)
+    for g in corpus + capped_corpus():
+        u = build_universe(g)
+        fewest = fewest_crossings(g, g.n - 2)
+        uncapped_stats = SearchStats()
+        uncapped = Search(g, u, uncapped_stats).run(math.inf)
+        for b in range(1, g.n - 1):
+            stats = SearchStats()
+            verdict, cert = Search(g, u, stats, cap=b).run(math.inf)
+            if fewest is not None and fewest <= b:
+                assert verdict is Verdict.ONE_PLANAR
+                assert len(cert.crossings) <= b and validate(g, cert)
+            else:
+                assert verdict is Verdict.NOT_ONE_PLANAR
+                capped += fewest is not None
+            if uncapped[1] is not None and len(uncapped[1].crossings) <= b:
+                assert (verdict, cert) == uncapped
+                assert ((stats.sol_satur, stats.sol_compl)
+                        == (uncapped_stats.sol_satur, uncapped_stats.sol_compl))
+    assert capped >= 15
+
+
+def scale_block(index: int) -> Graph:
+    """The nonplanar block of acceptance scale instance `index`."""
+    (block,) = [b.graph for b in biconnected_components(scale_instance(index))
+                if not is_planar_edges(b.graph.n, b.graph.edges)]
+    return block
+
+
+class TestLadder:
+    """The default search and the crossing-count ladder beside it."""
+
+    # a drawing and no drawing, each decided within LADDER_START nodes
+    SMALL = {"K4,4": lambda: complete_bipartite(4, 4), "K7-e": k7_minus_edge}
+
+    @pytest.mark.parametrize("graph", sorted(SMALL))
+    def test_run_resumes_where_it_stopped(self, graph):
+        # runs of 7 nodes at a time reach the verdict, the stats and the
+        # certificate of one run to the end
+        g = self.SMALL[graph]()
+        u = build_universe(g)
+        whole = SearchStats()
+        want = Search(g, u, whole).run(math.inf)
+        sliced = SearchStats()
+        search = Search(g, u, sliced)
+        got, calls = None, 0
+        while got is None:
+            calls += 1
+            got = search.run(sliced.nodes_visited + 7)
+        assert got == want and sliced == whole
+        assert calls > 50
+
+    @pytest.mark.parametrize("graph", sorted(SMALL))
+    def test_blocks_decided_early_run_no_ladder(self, graph):
+        # within LADDER_START nodes, backtrack is the default search alone:
+        # the same verdict, certificate and counters, and no ladder node
+        g = self.SMALL[graph]()
+        stats = SearchStats()
+        got = backtrack(g, build_universe(g), stats)
+        alone = SearchStats(used_backtracking=True)
+        assert Search(g, build_universe(g), alone).run(math.inf) == got
+        assert stats == alone
+        assert stats.nodes_visited < LADDER_START and stats.ladder_calls == 0
+
+    def test_scale6_is_decided_by_the_second_level(self):
+        # the ladder finds the 2-crossing drawing the default search finds
+        # at node 36,006, when the default search is at node 17,168
+        g = scale_block(6)
+        s = solve_block(g, SearchConfig()).stats
+        assert (s.nodes_visited, s.ladder_nodes, s.ladder_level) == (17_168, 3_746, 2)
+        assert (s.sol_satur, s.sol_compl) == (0, 1)
+        with_ladder = serialize_embedding(run_pipeline(scale_instance(6), SearchConfig())[1])
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(search_module, "LADDER_START", math.inf)
+            alone = solve_block(g, SearchConfig()).stats
+            default_only = serialize_embedding(run_pipeline(scale_instance(6), SearchConfig())[1])
+        assert (alone.nodes_visited, alone.ladder_nodes, alone.ladder_level) == (36_006, 0, 0)
+        assert with_ladder == default_only
+
+    def test_runs_repeat_exactly(self):
+        g = scale_block(6)
+        assert solve_block(g, SearchConfig()).stats == solve_block(g, SearchConfig()).stats
+
+    def test_ladder_share_on_a_graph_without_drawing(self):
+        # K4,5: the default search exhausts its universe, and the
+        # ladder takes at most one node for every LADDER_SHARE default nodes
+        # past LADDER_START, plus one slice
+        g = complete_bipartite(4, 5)
+        res = solve_block(g, SearchConfig())
+        s = res.stats
+        assert res.verdict is Verdict.NOT_ONE_PLANAR and s.nodes_visited == 53_498
+        assert 0 < s.ladder_nodes <= (s.nodes_visited - LADDER_START) / LADDER_SHARE + LADDER_SLICE
+        assert s.ladder_level == 0 and s.ladder_calls > 0
+        record, _ = run_pipeline(g, SearchConfig())
+        assert record.nodes == s.nodes_visited + s.ladder_nodes
