@@ -200,12 +200,22 @@ def _gml_graph(tokens, path: str) -> Graph:
     return build_graph(len(order), edges)
 
 
+_FORMATS = ("auto", "edgelist", "gml")
+
+
+def _check_format(fmt: str) -> None:
+    """Raise ValueError unless `fmt` names a format `parse_graph_file` reads."""
+    if fmt not in _FORMATS:
+        raise ValueError(f"format must be one of {', '.join(_FORMATS)}, got {fmt!r}")
+
+
 def parse_graph_file(path: str, fmt: str = "auto") -> Graph:
     """Load a graph from an edge list or GML file.
 
-    `fmt` is "edgelist", "gml", or "auto"; auto detection tries the
-    extension first, then looks for a leading 'graph [' token.
+    `fmt` is "edgelist", "gml", or "auto", else ValueError; auto detection
+    tries the extension first, then looks for a leading 'graph [' token.
     """
+    _check_format(fmt)
     with open(path, encoding="utf-8") as fh:
         text = fh.read()
     if fmt == "auto":
@@ -293,7 +303,7 @@ def _finish(
         crossings=crossings,
         time_ms=(time.monotonic() - t0) * 1000.0,
         backtracked=stats.used_backtracking,
-        nodes=stats.nodes_visited + stats.ladder_nodes,
+        nodes=stats.nodes_visited,
         cuts_dec=stats.cuts_dec,
         cuts_kec=stats.cuts_kec,
         cuts_nonplanar=stats.cuts_nonplanar,
@@ -445,9 +455,11 @@ def bench(
     that fails to parse or crashes, or whose worker process dies, becomes
     a verdict=Error row.  `workers` defaults to ONEPLANAR_THREADS (or 1);
     a worker count, given or from there, that is not an integer >= 1
-    raises ValueError.  No more workers than files are started; a single
-    one runs in the calling process.
+    raises ValueError, as does a `fmt` that `parse_graph_file` does not
+    accept.  No more workers than files are started; a single one runs
+    in the calling process.
     """
+    _check_format(fmt)
     files: list[str] = []
     for p in paths:
         if os.path.isdir(p):
@@ -513,7 +525,7 @@ _workers.__name__ = "int"
 def _add_config_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--timeout", type=_parse_duration, default=None,
                    help="search budget per run (e.g. 45s, 5m, 3h)")
-    p.add_argument("--format", choices=["auto", "edgelist", "gml"], default="auto")
+    p.add_argument("--format", choices=_FORMATS, default="auto")
 
 
 def _config_from_args(args) -> SearchConfig:

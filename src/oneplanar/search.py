@@ -39,19 +39,17 @@ with the first pair as its first crossing, so the rule keeps it.  The
 cuts above read the whole universe and so stay sound under the rule.
 
 Exhausting the tree without a solution proves the graph has no such
-drawing.  Past its first LADDER_START nodes, :func:`backtrack` runs a
-crossing-count ladder beside it: the same search capped at b crossings,
-for b = max(m - 3n + 6, 1), ..., n - 2 in turn, which reaches drawings
-with few crossings sooner.
+drawing.  :func:`backtrack` visits the tree level by level in the
+number of crossings on the path, so the drawing it finds has the fewest
+crossings of any.
 """
 
 from __future__ import annotations
 
-import math
 import time
 from dataclasses import dataclass
 from enum import Enum
-from itertools import accumulate
+from itertools import accumulate, compress
 from operator import or_
 
 from .embedding import OnePlanarEmbedding, star_edge_list
@@ -116,16 +114,8 @@ class SearchStats:
     settles, inside :func:`~oneplanar.planarity.is_planar_edges`, every
     query on fewer than 9 edges or 6 vertices.  A node below a 0
     asks neither query its parent has answered (see
-    :meth:`SearchState.classify`); a capacity cut asks none.
-
-    ``nodes_visited``, the cut counters and ``planarity_calls`` count the
-    default search only; the crossing-count ladder beside it (see
-    :func:`backtrack`) counts its nodes in ``ladder_nodes`` and its
-    queries in ``ladder_calls``.  The solution node that decides a block
-    counts in ``sol_satur`` or ``sol_compl`` whichever search found it.
-    ``ladder_level`` is the crossing cap of the ladder level that found
-    the drawing, 0 when the ladder decided nothing; merged stats keep the
-    highest.
+    :meth:`SearchState.classify`); a capacity cut asks none.  A node
+    left to the next level (see :func:`backtrack`) asks two queries.
     """
 
     nodes_visited: int = 0
@@ -135,9 +125,6 @@ class SearchStats:
     sol_satur: int = 0
     sol_compl: int = 0
     planarity_calls: int = 0
-    ladder_nodes: int = 0
-    ladder_calls: int = 0
-    ladder_level: int = 0
     used_backtracking: bool = False
     used_skew_pass: bool = False
 
@@ -149,9 +136,6 @@ class SearchStats:
         self.sol_satur += other.sol_satur
         self.sol_compl += other.sol_compl
         self.planarity_calls += other.planarity_calls
-        self.ladder_nodes += other.ladder_nodes
-        self.ladder_calls += other.ladder_calls
-        self.ladder_level = max(self.ladder_level, other.ladder_level)
         self.used_backtracking |= other.used_backtracking
         self.used_skew_pass |= other.used_skew_pass
 
@@ -354,6 +338,36 @@ class SearchState:
             return dead_end
         return self._drawing(stats, kind, dead_end)
 
+    def classify_at_level(self, stats: SearchStats) -> NodeVerdict:
+        """Classify the node at the cursor by its own star graph alone: the
+        solution if it is planar, else a nonplanar cut if the node is
+        saturated and a node to extend if not.  Every node below has the
+        node's crossings or more, so this is the one drawing with exactly
+        these crossings; one planarity query, and the saturated subgraph's
+        query waits for :meth:`reopen`."""
+        if self.saturated() == self._all_edges:
+            return self._drawing(stats, SolutionKind.SATURATION, _CUT_NONPLANAR)
+        return self._drawing(stats, SolutionKind.COMPLETION, _CNT)
+
+    def reopen(self, cursor: int, positions: tuple[int, ...], stats: SearchStats) -> NodeVerdict:
+        """Go back to a node that :meth:`classify_at_level` left to extend,
+        at `cursor` with crossings at `positions`, by pushing them again,
+        and ask what `classify` asks before the zero completion, which its
+        children's `classify` relies on: the nonplanar cut if the
+        saturated subgraph's star graph is nonplanar, else CNT.  The
+        capacity cut cannot fire here, as the node holds at least
+        m - 3n + 6 crossings."""
+        self.bits[:cursor] = [0] * cursor
+        self.crossings.clear()
+        for d in positions:
+            self.cursor = d
+            self.push(1)
+        self.cursor = cursor
+        stats.planarity_calls += 1
+        if is_planar_edges(*star_edge_list(self.g, self.crossings, keep=self.saturated())):
+            return _CNT
+        return _CUT_NONPLANAR
+
     def _drawing(
         self, stats: SearchStats, kind: SolutionKind, dead_end: NodeVerdict
     ) -> NodeVerdict:
@@ -372,190 +386,102 @@ class SearchState:
         )
 
 
-class _CappedState(SearchState):
-    """A search state whose paths hold at most `cap` crossings.
-
-    Every node below a node with `cap` crossings has the same crossings,
-    so the node's own star graph is the only drawing left in its subtree.
-    `classify` asks that one query there: the solution if it is planar,
-    else a leaf, returned as a nonplanar cut.  The saturated subgraph's
-    query and the capacity cut could only cut a node whose star graph is
-    nonplanar anyway.  A node at the cap pushes no 0, so every 0 on a path
-    lies below fewer than `cap` crossings, and the 1-sibling the search
-    pushes after it never passes the cap.
-    """
-
-    def __init__(self, g: Graph, universe: PairUniverse, cap: int) -> None:
-        super().__init__(g, universe)
-        self.cap = cap
-
-    def classify(self, stats: SearchStats) -> NodeVerdict:
-        if len(self.crossings) < self.cap:
-            return super().classify(stats)
-        full = self.saturated() == self._all_edges
-        kind = SolutionKind.SATURATION if full else SolutionKind.COMPLETION
-        return self._drawing(stats, kind, _CUT_NONPLANAR)
-
-
-class Search:
-    """Depth-first search over the universe, 0 branches first, that can
-    stop and resume.
-
-    Its whole state is its :class:`SearchState`, whose decided prefix is
-    the stack, and `first`, the position of the path's first crossing.
-    With a `cap`, it looks only for drawings with at most `cap`
-    crossings.  Every node it visits and every planarity query it asks is
-    counted in `stats`.
-    """
-
-    def __init__(
-        self, g: Graph, universe: PairUniverse, stats: SearchStats, cap: int | None = None
-    ) -> None:
-        self.stats = stats
-        self.state = SearchState(g, universe) if cap is None else _CappedState(g, universe, cap)
-        self.first = 0  # position of the path's first crossing, read while it has one
-
-    def run(
-        self, max_nodes: float, deadline: float | None = None
-    ) -> tuple[Verdict, OnePlanarEmbedding | None] | None:
-        """Search on until a verdict, or return None once
-        ``stats.nodes_visited`` reaches `max_nodes`; the next call resumes
-        there.
-
-        Returns OnePlanar on the first solution node, with a
-        :class:`OnePlanarEmbedding` of g from that node's crossing set and
-        star rotation (not checked here; merge_blocks builds the
-        certificate of the whole graph and validates it).  Exhaustion
-        returns NotOnePlanar: g has no drawing, or with a cap none with at
-        most that many crossings.  Hitting the deadline yields Unknown.
-        The node budget and the deadline are read before every node that
-        `classify` sees, the root included.
-
-        The path is the stack: every 0 on it still has its 1-sibling to
-        visit and every 1 has none, so the decided prefix alone says where
-        the search goes after a leaf.  A 1-sibling that
-        :meth:`SearchState.push` refuses as a DEC or KEC cut is counted, as
-        a node and a cut, on the way back up; it is a leaf that `classify`
-        never sees.  A 1-sibling whose pair's orbit opens before the path's
-        first crossing (before the pair itself on a path without crossings)
-        is skipped without a push and counts as nothing (see the module
-        docstring).
-        """
-        state, stats, first = self.state, self.stats, self.first
-        g, bits, k, orbit = state.g, state.bits, state.universe.k, state.universe.orbit
-
-        while True:
-            if stats.nodes_visited >= max_nodes:
-                self.first = first
-                return None
-            if deadline is not None and time.monotonic() >= deadline:
-                return Verdict.UNKNOWN, None
-            v = state.classify(stats)
-            stats.nodes_visited += 1
-            if v is _CNT:
-                if state.cursor < k:
-                    state.push(0)
-                    continue
-            elif v is _CUT_NONPLANAR:
-                stats.cuts_nonplanar += 1
-            else:
-                if v.solution_kind is SolutionKind.SATURATION:
-                    stats.sol_satur += 1
-                else:
-                    stats.sol_compl += 1
-                cert = OnePlanarEmbedding(g, v.crossings, RotationSystem(v.star_rotation))
-                return Verdict.ONE_PLANAR, cert
-            # a leaf: back up past the 1s, whose subtrees are done, and take
-            # the 1-sibling of the deepest 0 unless its pair lies in an orbit
-            # before the path's first crossing or push refuses it as a cut leaf
-            while True:
-                while state.cursor and bits[state.cursor - 1]:
-                    state.pop()
-                if not state.cursor:
-                    break
-                state.pop()
-                d = state.cursor
-                lowest = first if state.crossings else d
-                if orbit[d] < lowest:
-                    continue
-                cut = state.push(1)
-                if cut is None:
-                    first = lowest
-                    break
-                stats.nodes_visited += 1
-                if cut is _CUT_DEC:
-                    stats.cuts_dec += 1
-                else:
-                    stats.cuts_kec += 1
-            if not state.cursor:
-                return Verdict.NOT_ONE_PLANAR, None
-
-
-# the schedule of the crossing-count ladder (see backtrack)
-LADDER_START = 10_000
-LADDER_SHARE = 2
-LADDER_SLICE = 256
-
-
 def backtrack(
     g: Graph,
     universe: PairUniverse,
     stats: SearchStats,
     deadline: float | None = None,
 ) -> tuple[Verdict, OnePlanarEmbedding | None]:
-    """The default search over the universe, with a crossing-count ladder
-    beside it once it passes LADDER_START nodes.
+    """Depth-first search over the universe, 0 branches first, visited
+    level by level in the number of crossings on the path.
 
-    The default search is an uncapped :class:`Search`.  The ladder is a
-    capped search per level b = max(m - 3n + 6, 1), ..., n - 2, each run
-    to exhaustion before the next starts; it stops for good after its
-    last level.  Past LADDER_START default nodes, the two take turns: a
-    slice of LADDER_SLICE ladder nodes, then LADDER_SHARE times as many
-    default nodes.  The first drawing either finds is returned, with the
-    verdict and certificate of :meth:`Search.run`.  NotOnePlanar comes
-    only from exhausting the default search, and Unknown from the
-    deadline, read by both.  The turns count nodes, not seconds, so the
-    result depends on the graph and the universe alone.
+    Level L, from max(m - 3n + 6, 1) up, searches the tree down to the
+    nodes whose path holds L crossings.  Such a node asks only its own
+    star graph (:meth:`SearchState.classify_at_level`): the answer if it
+    is planar, a leaf if the node is saturated, and otherwise a node
+    whose subtree level L + 1 searches, after :meth:`SearchState.reopen`
+    restores it.  Every node is classified once, so a search that
+    exhausts the tree visits the default tree's nodes with the same cuts,
+    and NotOnePlanar comes only from a level that leaves nothing open.
 
-    A capped search is complete for "some drawing has at most b
-    crossings": every 1-planar drawing with fewest crossings has none on
-    a kite edge, a twin swap keeps the number of crossings, and the
-    capacity cut holds for any drawing.  It visits the default tree's
-    nodes in the same order minus the subtrees past the cap, so it finds
-    the default search's first drawing when that has at most b crossings.
+    The first solution node gives OnePlanar and a
+    :class:`OnePlanarEmbedding` of g from its crossings and star rotation
+    (merge_blocks validates it), with the fewest crossings of any drawing
+    of g: one with fewest crossings crosses no kite edge, a twin swap
+    keeps the count and the capacity cut holds for any drawing, so level
+    L finds a drawing when g has one with L crossings.  The deadline is
+    read before every node `classify` or `reopen` sees, root included.
 
-    The default search counts in `stats`.  The ladder's nodes and
-    queries go only to ``stats.ladder_nodes`` and ``stats.ladder_calls``,
-    and a drawing it finds to the solution counters and
-    ``stats.ladder_level``.
+    Within a subtree the path is the stack: every 0 on it still has its
+    1-sibling to visit and every 1 has none.  A 1-sibling that `push`
+    refuses is counted, as a node and a DEC or KEC cut, on the way back
+    up; one whose pair's orbit opens before the path's first crossing
+    (before the pair itself on a path without one) is skipped.
     """
     stats.used_backtracking = True
-    default = Search(g, universe, stats)
-    found = default.run(LADDER_START, deadline)
-    if found is not None:
-        return found
-    rungs = SearchStats()  # the ladder's counters, over all its levels
-    ladder = ((b, Search(g, universe, rungs, cap=b))
-              for b in range(max(g.m - 3 * g.n + 6, 1), g.n - 1))
-    level, rung = next(ladder, (0, None))
-    slices = 0
-    while found is None and rung is not None:
-        slices += 1
-        found = rung.run(slices * LADDER_SLICE, deadline)
-        while found is not None and found[0] is Verdict.NOT_ONE_PLANAR:
-            level, rung = next(ladder, (0, None))  # this level holds no drawing
-            found = None if rung is None else rung.run(slices * LADDER_SLICE, deadline)
-        if found is None:
-            found = default.run(LADDER_START + slices * LADDER_SHARE * LADDER_SLICE, deadline)
-        elif found[0] is Verdict.ONE_PLANAR:
-            stats.ladder_level = level
-    if found is None:
-        found = default.run(math.inf, deadline)
-    stats.ladder_nodes += rungs.nodes_visited
-    stats.ladder_calls += rungs.planarity_calls
-    stats.sol_satur += rungs.sol_satur
-    stats.sol_compl += rungs.sol_compl
-    return found
+    state = SearchState(g, universe)
+    bits, crossings, orbit = state.bits, state.crossings, universe.orbit
+    level = max(g.m - 3 * g.n + 6, 1)
+    subtrees: list[tuple[int, tuple[int, ...]]] = [(0, ())]  # the root's, on the first level
+    while subtrees:
+        deferred = []  # the nodes whose subtrees the next level searches
+        for floor, positions in subtrees:
+            if deadline is not None and time.monotonic() >= deadline:
+                return Verdict.UNKNOWN, None
+            if floor:  # a node the level below left open
+                if state.reopen(floor, positions, stats) is _CUT_NONPLANAR:
+                    stats.cuts_nonplanar += 1
+                    continue
+                state.push(0)
+            first = positions[0] if positions else 0  # read while the path has a crossing
+            while True:
+                if deadline is not None and time.monotonic() >= deadline:
+                    return Verdict.UNKNOWN, None
+                stats.nodes_visited += 1
+                if len(crossings) < level:
+                    v = state.classify(stats)
+                    if v is _CNT:  # never saturated, so the cursor is below k
+                        state.push(0)
+                        continue
+                else:
+                    v = state.classify_at_level(stats)
+                    if v is _CNT:
+                        deferred.append((state.cursor, tuple(compress(range(state.cursor), bits))))
+                if v is _CUT_NONPLANAR:
+                    stats.cuts_nonplanar += 1
+                elif v is not _CNT:
+                    if v.solution_kind is SolutionKind.SATURATION:
+                        stats.sol_satur += 1
+                    else:
+                        stats.sol_compl += 1
+                    cert = OnePlanarEmbedding(g, v.crossings, RotationSystem(v.star_rotation))
+                    return Verdict.ONE_PLANAR, cert
+                # a leaf: back up past the 1s and take the 1-sibling of the deepest
+                # 0, unless the orbit rule skips it or push refuses it as a cut leaf
+                while True:
+                    while state.cursor > floor and bits[state.cursor - 1]:
+                        state.pop()
+                    if state.cursor == floor:
+                        break
+                    state.pop()
+                    d = state.cursor
+                    lowest = first if crossings else d
+                    if orbit[d] < lowest:
+                        continue
+                    cut = state.push(1)
+                    if cut is None:
+                        first = lowest
+                        break
+                    stats.nodes_visited += 1
+                    if cut is _CUT_DEC:
+                        stats.cuts_dec += 1
+                    else:
+                        stats.cuts_kec += 1
+                if state.cursor == floor:
+                    break
+        subtrees = deferred
+        level += 1
+    return Verdict.NOT_ONE_PLANAR, None
 
 
 def find_skew_set(g: Graph, deadline: float | None = None) -> int | None:
@@ -577,12 +503,14 @@ def test_block(
 ) -> BlockResult:
     """Decide 1-planarity of one (biconnected) block.
 
-    Pipeline: planar graphs are certified directly; blocks on fewer than
-    7 vertices always have a drawing, found by search; a nonplanar block
-    with more than 4n - 8 edges is too dense for any drawing; otherwise,
-    when removing one edge e leaves the block planar (e is a skew edge),
-    each crossing of e with one other edge is tried first, and the
-    search settles whatever is left open.
+    Pipeline: a block on 7 or more vertices with more than 4n - 8 edges
+    is too dense for any drawing (and nonplanar, as 4n - 8 >= 3n - 6);
+    planar graphs are certified directly; blocks on fewer than 7
+    vertices always have a drawing, found by search; otherwise, when
+    removing one edge e leaves the block planar (e is a skew edge), each
+    crossing of e with one other edge is tried first, and the search
+    settles whatever is left open.  Past the density gate, a deadline
+    that has passed gives Unknown before any planarity query.
 
     The skew pass tries each crossing (e, f) of e with an edge f
     independent of it, f from the last edge to the first, and returns the
@@ -603,13 +531,15 @@ def test_block(
     own_deadline = time.monotonic() + cfg.time_budget
     deadline = own_deadline if deadline is None else min(deadline, own_deadline)
 
+    if g.n >= 7 and g.m > 4 * g.n - 8:
+        return BlockResult(Verdict.NOT_ONE_PLANAR, None, stats)
+    if time.monotonic() >= deadline:
+        return BlockResult(Verdict.UNKNOWN, None, stats)
+
     stats.planarity_calls += 1
     rotation = test_planarity(g)
     if rotation is not None:
         return BlockResult(Verdict.ONE_PLANAR, OnePlanarEmbedding(g, (), rotation), stats)
-
-    if g.n >= 7 and g.m > 4 * g.n - 8:
-        return BlockResult(Verdict.NOT_ONE_PLANAR, None, stats)
 
     try:
         e = find_skew_set(g, deadline)

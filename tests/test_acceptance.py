@@ -348,11 +348,11 @@ def test_scale_twenty_vertex_instances(capsys):
         g = random_connected_graph(20, 30, rng)
         if not is_planar_edges(g.n, list(g.edges)):
             graphs.append(g)
-    # a node bound, not a time bound: the default search alone takes up to
-    # 735,026 nodes on these; with the crossing-count ladder beside it
-    # every instance is decided within 100,000, ladder nodes included
+    # a node bound, not a time bound: one depth-first pass of the search
+    # tree takes up to 735,026 nodes on these; visited level by level in
+    # the number of crossings, every instance is decided within 30,000
     budget = 300.0
-    max_nodes = 100_000
+    max_nodes = 30_000
     decided = 0
     worst = 0.0
     most = 0

@@ -246,6 +246,14 @@ class TestGmlParsing:
         with pytest.raises(ParseError):
             parse_graph_file(str(f), fmt="gml")
 
+    @pytest.mark.parametrize("fmt", ["xml", "GML", ""])
+    def test_unknown_format_raises(self, tmp_path, fmt):
+        # an edge list is not read under a format name it was not given
+        f = tmp_path / "g.txt"
+        f.write_text("0 1\n1 2\n")
+        with pytest.raises(ValueError, match="format must be one of auto, edgelist, gml"):
+            parse_graph_file(str(f), fmt=fmt)
+
 
 class TestPipeline:
     def test_planar_multi_block(self):
@@ -431,18 +439,21 @@ class TestPipeline:
 
     def test_certificates_match_recorded_digest(self):
         # Re-recorded with twin-orbit branching, which changes the
-        # certificates of K6 and K6+K5 and of no other graph here.
+        # certificates of K6 and K6+K5 and of no other graph here, and
+        # when the search came to visit the tree level by level, which
+        # gives rand11 a drawing with 2 crossings instead of 3.
         assert self.certificate_digest() == (
-            "1907813b7758aab90b2f6cb0fde6337b132c25c975c1d0207796b402c83f3cb2"
+            "a9a5e505f532b2deec03243315d31b6e0e9ce70482e881bd8a219d6a6d8597dd"
         )
 
     def test_canonical_certificates_match_recorded_digest(self, monkeypatch):
         # Recorded with the canonical search when every block built and
         # checked a certificate of its own before the merge; the single
-        # merge must give the same bytes.
+        # merge gave the same bytes.  Re-recorded when the search came to
+        # visit the tree level by level (rand11 as above).
         monkeypatch.setattr(search_module, "build_universe", canonical_universe)
         assert self.certificate_digest() == (
-            "908659eb8d28fc7063cd532ad38a0efc8f48bf1c16ae026b1396c02105d693c7"
+            "803a9581bf2bd72c9d5c724e8d2dc3b3204bd11c2aa20154aa4c1562f46c5a1c"
         )
 
 
@@ -601,6 +612,16 @@ class TestBench:
         (tmp_path / "k4.txt").write_text("".join(f"{u} {v}\n" for u, v in complete_graph(4).edges))
         with pytest.raises(ValueError, match="workers must be an integer >= 1"):
             bench([str(tmp_path)], SearchConfig(), workers=workers)
+
+    def test_unknown_format_raises_before_any_file_is_read(self, tmp_path, monkeypatch):
+        (tmp_path / "k4.txt").write_text("".join(f"{u} {v}\n" for u, v in complete_graph(4).edges))
+
+        def no_read(*args):
+            raise AssertionError("a file was read")
+
+        monkeypatch.setattr(cli_module, "parse_graph_file", no_read)
+        with pytest.raises(ValueError, match="format must be one of auto, edgelist, gml"):
+            bench([str(tmp_path)], SearchConfig(), fmt="GML")
 
     def test_workers_capped_at_file_count(self, tmp_path, monkeypatch):
         # A fork pool starts all of its workers at the first submit, so a

@@ -5,7 +5,6 @@ from __future__ import annotations
 import dataclasses
 import hashlib
 import itertools
-import math
 import random
 import time
 from types import SimpleNamespace
@@ -30,13 +29,9 @@ from oneplanar.graph import Graph, biconnected_components, build_graph
 from oneplanar.pairs import build_universe
 from oneplanar.planarity import is_planar_edges, rotation_edges
 from oneplanar.search import (
-    LADDER_SHARE,
-    LADDER_SLICE,
-    LADDER_START,
     CutReason,
     NodeKind,
     NodeVerdict,
-    Search,
     SearchConfig,
     SearchState,
     SearchStats,
@@ -584,15 +579,19 @@ class TestPrePushCut:
                 cuts[v.cut_reason] += 1
             return v
 
-        def counting_classify(state, stats):
-            nonlocal classified
-            classified += 1
-            if classified > self.MAX_NODES.get(graph, 10**9):
-                raise _Enough
-            return _classify(state, stats)
+        def counting(method):
+            def count(state, stats):
+                nonlocal classified
+                classified += 1
+                if classified > self.MAX_NODES.get(graph, 10**9):
+                    raise _Enough
+                return method(state, stats)
+            return count
 
         monkeypatch.setattr(SearchState, "push", checking_push)
-        monkeypatch.setattr(SearchState, "classify", counting_classify)
+        monkeypatch.setattr(SearchState, "classify", counting(_classify))
+        monkeypatch.setattr(SearchState, "classify_at_level",
+                            counting(SearchState.classify_at_level))
         u = restricted_universe(g, [0, 1]) if restricted else build_universe(g)
         stats = SearchStats()
         try:
@@ -787,7 +786,9 @@ class TestCapacityCut:
     @pytest.mark.parametrize("graph", ["K4,4", "random12", "scale6"])
     def test_inert_below_the_bound(self, monkeypatch, graph):
         # m <= 3n - 6: a drawing may need no crossing, so nothing is cut;
-        # the canonical search, where K4,4 runs more than 2000 nodes
+        # the canonical search, over the node counts pinned here (each
+        # was more than 2000 before the search visited the tree level by
+        # level, when random12 went from 2228 to 1462 nodes)
         g = _TREE_GRAPHS[graph]() if graph in _TREE_GRAPHS else scale_instance(6)
         assert g.m <= 3 * g.n - 6
         monkeypatch.setattr(search_module, "build_universe", canonical_universe)
@@ -803,7 +804,8 @@ class TestCapacityCut:
 
         monkeypatch.setattr(SearchState, "classify", counting)
         res = solve_block(g, SearchConfig())
-        assert res.verdict is Verdict.ONE_PLANAR and res.stats.nodes_visited > 2000
+        assert res.verdict is Verdict.ONE_PLANAR
+        assert res.stats.nodes_visited == {"K4,4": 47_773, "random12": 1_462, "scale6": 3_434}[graph]
         assert cuts == 0
 
 
@@ -839,10 +841,12 @@ def _from_random12(pins: dict) -> dict:
 # planarity_calls of the canonical test_block with the zero completion
 # tried at every open node; K6's with the capacity cut, which changes its
 # tree; random12's with the skew pass as a loop over the crossings of its
-# skew edge, 15 tries where the restricted pass asked 31 queries (680 before)
-PINNED_CALLS = {"K6": 56, "K4,4": 2549, "random12": 664}
-# the same under twin-orbit branching
-PRUNED_CALLS = {"K6": 24, "K4,4": 194, "random12": PINNED_CALLS["random12"]}
+# skew edge, 15 tries where the restricted pass asked 31 queries (680 before);
+# K4,4's and random12's again when the search came to visit the tree level
+# by level in the number of crossings (2549 and 664 before)
+PINNED_CALLS = {"K6": 56, "K4,4": 9300, "random12": 605}
+# the same under twin-orbit branching (K4,4 194 before the levels)
+PRUNED_CALLS = {"K6": 24, "K4,4": 370, "random12": PINNED_CALLS["random12"]}
 
 
 @pytest.mark.parametrize("graph", sorted(PINNED_CALLS))
@@ -872,26 +876,33 @@ def tree_counts(res) -> tuple[int, ...]:
 # pruning switched off, which `without_kites` reproduces.  random12's
 # were re-recorded when the skew pass became a loop: its restricted pass
 # took 31 nodes and 16 nonplanar cuts, the loop 15 tries, each a nonplanar
-# cut (2244 and 351 before; 3630 and 962 without kites).
+# cut (2244 and 351 before; 3630 and 962 without kites).  Re-recorded when
+# the search came to visit the tree level by level in the number of
+# crossings, which changes every tree here but K6's with kites (before:
+# K6 no kite (2118, 407, 0, 634, 0, 1); K4,4 (15624, 3648, 3174, 964, 1, 0),
+# no kite (63440, 17972, 0, 13722, 0, 1); random12 (2228, 430, 275, 350, 0,
+# 1), no kite (3614, 787, 0, 961, 0, 1)).
 PINNED_TREES = {
     ("K6", "default"): (326, 32, 66, 47, 1, 0),
     ("K6", "p=1"): (326, 32, 66, 47, 1, 0),
-    ("K6", "no kite"): (2118, 407, 0, 634, 0, 1),
-    ("K4,4", "default"): (15624, 3648, 3174, 964, 1, 0),
-    ("K4,4", "p=1"): (15624, 3648, 3174, 964, 1, 0),
-    ("K4,4", "no kite"): (63440, 17972, 0, 13722, 0, 1),
-    ("random12", "default"): (2228, 430, 275, 350, 0, 1),
-    ("random12", "p=1"): (2228, 430, 275, 350, 0, 1),
-    ("random12", "no kite"): (3614, 787, 0, 961, 0, 1),
+    ("K6", "no kite"): (1878, 342, 0, 201, 0, 1),
+    ("K4,4", "default"): (47773, 9407, 10063, 1767, 1, 0),
+    ("K4,4", "p=1"): (47773, 9407, 10063, 1767, 1, 0),
+    ("K4,4", "no kite"): (109751, 24078, 0, 6104, 0, 1),
+    ("random12", "default"): (1462, 149, 150, 64, 0, 1),
+    ("random12", "p=1"): (1462, 149, 150, 64, 0, 1),
+    ("random12", "no kite"): (1462, 149, 0, 63, 0, 1),
 }
-# the same under twin-orbit branching, recorded when it was introduced
+# the same under twin-orbit branching, recorded when it was introduced and
+# again with the levels (before: K6 no kite (240, 35, 0, 46, 0, 1); K4,4
+# (793, 132, 139, 61, 1, 0), no kite (3111, 739, 0, 752, 0, 1))
 PRUNED_TREES = {
     ("K6", "default"): (120, 5, 8, 8, 1, 0),
     ("K6", "p=1"): (120, 5, 8, 8, 1, 0),
-    ("K6", "no kite"): (240, 35, 0, 46, 0, 1),
-    ("K4,4", "default"): (793, 132, 139, 61, 1, 0),
-    ("K4,4", "p=1"): (793, 132, 139, 61, 1, 0),
-    ("K4,4", "no kite"): (3111, 739, 0, 752, 0, 1),
+    ("K6", "no kite"): (234, 33, 0, 14, 0, 1),
+    ("K4,4", "default"): (1605, 285, 316, 71, 1, 0),
+    ("K4,4", "p=1"): (1605, 285, 316, 71, 1, 0),
+    ("K4,4", "no kite"): (5169, 1067, 0, 316, 0, 1),
 } | _from_random12(PINNED_TREES)
 
 
@@ -911,27 +922,32 @@ def test_pruned_search_tree_is_pinned(graph, config, monkeypatch):
 
 
 def order_digest(graph, config, monkeypatch, canonical: bool) -> str:
-    """sha256 over the "cursor kind reason" line of every node test_block's
-    default search classifies, in visiting order; the capped searches of
-    the crossing-count ladder are left out.  A 1-child that push refuses
-    is hashed as the line its classification gave."""
-    original = SearchState.classify
+    """sha256 over a "cursor kind reason" line for every node test_block's
+    search classifies, in visiting order: by `classify`, by
+    `classify_at_level`, or refused by `push` as a 1-child, hashed as the
+    line its classification gave; and one more for each node `reopen`
+    restores on the next level."""
     digest = hashlib.sha256()
 
-    def recording(state, stats):
-        v = original(state, stats)
-        if type(state) is SearchState:
-            reason = v.cut_reason or v.solution_kind
-            digest.update(f"{state.cursor} {v.kind.name} {reason and reason.name}\n".encode())
-        return v
+    def line(cursor, v):
+        reason = v.cut_reason or v.solution_kind
+        digest.update(f"{cursor} {v.kind.name} {reason and reason.name}\n".encode())
+
+    def recording(method):
+        def record(state, *args):
+            v = method(state, *args)
+            line(state.cursor, v)
+            return v
+        return record
 
     def recording_push(state, bit):
         v = _push(state, bit)
-        if v is not None and type(state) is SearchState:
-            digest.update(f"{state.cursor + 1} CUT {v.cut_reason.name}\n".encode())
+        if v is not None:
+            line(state.cursor + 1, v)
         return v
 
-    monkeypatch.setattr(SearchState, "classify", recording)
+    for name in ("classify", "classify_at_level", "reopen"):
+        monkeypatch.setattr(SearchState, name, recording(getattr(SearchState, name)))
     monkeypatch.setattr(SearchState, "push", recording_push)
     res = solve_tree_graph(graph, config, monkeypatch, canonical)
     assert res.verdict is Verdict.ONE_PLANAR
@@ -943,16 +959,19 @@ def order_digest(graph, config, monkeypatch, canonical: bool) -> str:
 # the capacity cut, which changes its tree; random12's when the zero
 # completion came to be tried at every open node, and again when the skew
 # pass became a loop: the digest is now the full search's part of the old
-# one, since the loop classifies no node.
+# one, since the loop classifies no node.  K4,4's and random12's were
+# re-recorded when the search came to visit the tree level by level; K6's
+# drawing is on its first level, and its order did not move.
 PINNED_ORDERS = {
     ("K6", "default"): "e576dd8d42afaee10c2094ba3d0f9b99498d4061a130deedee985bfae08d8858",
-    ("K4,4", "default"): "74580db65aaaf60d822a303250ff2106145a14d1d35935ec603229c44dc2c2ee",
-    ("random12", "default"): "abd7c18a22de99095672bed9912cdbfa3510676667fb03ea42491501f5211e97",
+    ("K4,4", "default"): "0f4a50879aded13c9152aeb352c1555a6b71920ff24c36c7f9046ed459326ce6",
+    ("random12", "default"): "6316a04ff71f50e2b8cec28d335331e6a33f0190058b058f75a0d05308bd27e3",
 }
 # the same under twin-orbit branching, recorded when it was introduced
+# (K4,4's again with the levels)
 PRUNED_ORDERS = {
     ("K6", "default"): "6ce29d88f4337d62eba56312896a212b623719e8ff209b0dcf0182194eb37a2b",
-    ("K4,4", "default"): "642f88b8eac0f80fbf37a8a1fdbbf12b7378585f0df5492360f205997262d421",
+    ("K4,4", "default"): "454e3c177af8ec5ebd65f6d958395ad07f10650b65b135f733fb0ec1a118e31a",
 } | _from_random12(PINNED_ORDERS)
 
 
@@ -1155,9 +1174,17 @@ class TestBlockDriver:
         g = complete_graph(6)
         res = solve_block(g, SearchConfig(), deadline=time.monotonic() - 1.0)
         assert res.verdict is Verdict.UNKNOWN and res.certificate is None
-        # the clock is read before the root: only the whole-graph test ran
+        # the clock is read before the whole-graph test: no query ran
         assert res.stats.nodes_visited == 0
-        assert res.stats.planarity_calls == 1
+        assert res.stats.planarity_calls == 0
+
+    @pytest.mark.parametrize("n", [7, 9])
+    def test_expired_deadline_leaves_dense_blocks_rejected(self, n):
+        # the density gate comes before the clock, and asks no query
+        g = build_graph(n, complete_graph(n).edges[: 4 * n - 7])
+        res = solve_block(g, SearchConfig(), deadline=time.monotonic() - 1.0)
+        assert res.verdict is Verdict.NOT_ONE_PLANAR and res.certificate is None
+        assert res.stats.planarity_calls == 0
 
     def test_expired_deadline_stops_skew_search(self, monkeypatch):
         # K6 has no skew edge, so the skew search tests all 15 edges; an
@@ -1236,7 +1263,10 @@ def skew_block_corpus(count: int = 240) -> list[Graph]:
 def test_skew_blocks_match_recorded_digest():
     # sha256 over the verdict and the merged certificate of every block,
     # recorded when the skew pass still searched a tree over the pairs
-    # holding the skew edge: the loop must give the same bytes
+    # holding the skew edge, where the loop gave the same bytes, and again
+    # when the search came to visit the tree level by level: 7 of the 16
+    # blocks the loop leaves open now get a drawing with 2 crossings
+    # instead of 3 or 4
     digest = hashlib.sha256()
     for i, g in enumerate(skew_block_corpus()):
         res = solve_block(g, SearchConfig())
@@ -1244,7 +1274,7 @@ def test_skew_blocks_match_recorded_digest():
         if res.certificate is not None:
             digest.update(serialize_embedding(merge_one_block(g, res.certificate)).encode())
     assert digest.hexdigest() == (
-        "370d15be0472ecf2a1a4e2e514fd6516f584da9b5d06c2d532048d8a52400801"
+        "08c7590dd713b6fd778b27c360cbd09539c3f0dff53afe1b3d9146368886f605"
     )
 
 
@@ -1275,38 +1305,6 @@ def capped_corpus() -> list[Graph]:
     return graphs
 
 
-def test_capped_search_matches_brute_force():
-    # on every graph of the oracle corpus and of `capped_corpus`, at every
-    # cap b from 1 to n - 2, the capped search finds a drawing exactly
-    # when a set of at most b pairs has a planar star graph, and its
-    # drawing has at most b crossings; where the uncapped search's first
-    # drawing has at most b, it is the capped search's first, of the same
-    # solution kind.  `capped` counts the caps that leave out every
-    # drawing of a graph that has one
-    capped = 0
-    corpus = oracle_corpus()
-    assert all(build_universe(g).k <= 20 for g in corpus)
-    for g in corpus + capped_corpus():
-        u = build_universe(g)
-        fewest = fewest_crossings(g, g.n - 2)
-        uncapped_stats = SearchStats()
-        uncapped = Search(g, u, uncapped_stats).run(math.inf)
-        for b in range(1, g.n - 1):
-            stats = SearchStats()
-            verdict, cert = Search(g, u, stats, cap=b).run(math.inf)
-            if fewest is not None and fewest <= b:
-                assert verdict is Verdict.ONE_PLANAR
-                assert len(cert.crossings) <= b and validate(g, cert)
-            else:
-                assert verdict is Verdict.NOT_ONE_PLANAR
-                capped += fewest is not None
-            if uncapped[1] is not None and len(uncapped[1].crossings) <= b:
-                assert (verdict, cert) == uncapped
-                assert ((stats.sol_satur, stats.sol_compl)
-                        == (uncapped_stats.sol_satur, uncapped_stats.sol_compl))
-    assert capped >= 15
-
-
 def scale_block(index: int) -> Graph:
     """The nonplanar block of acceptance scale instance `index`."""
     (block,) = [b.graph for b in biconnected_components(scale_instance(index))
@@ -1314,69 +1312,139 @@ def scale_block(index: int) -> Graph:
     return block
 
 
-class TestLadder:
-    """The default search and the crossing-count ladder beside it."""
+class TestLevels:
+    """backtrack visits the default tree level by level in the number of
+    crossings on the path."""
 
-    # a drawing and no drawing, each decided within LADDER_START nodes
-    SMALL = {"K4,4": lambda: complete_bipartite(4, 4), "K7-e": k7_minus_edge}
+    @pytest.mark.parametrize("corpus", ["oracle", "capped"])
+    def test_finds_fewest_crossings(self, corpus):
+        # the drawing found has the fewest crossings of any; the oracle
+        # corpus holds no graph that needs more than one, `capped_corpus`
+        # only graphs that need 2 or 3
+        graphs = oracle_corpus() if corpus == "oracle" else capped_corpus()
+        needs = set()
+        for g in graphs:
+            fewest = fewest_crossings(g, max(g.n - 2, 0))  # the corpus has n = 1
+            verdict, cert = backtrack(g, build_universe(g), SearchStats())
+            assert (verdict is Verdict.ONE_PLANAR) is (fewest is not None)
+            if cert is not None:
+                assert validate(g, cert) and len(cert.crossings) == fewest
+                needs.add(fewest)
+        assert needs == ({0, 1} if corpus == "oracle" else {2, 3})
 
-    @pytest.mark.parametrize("graph", sorted(SMALL))
-    def test_run_resumes_where_it_stopped(self, graph):
-        # runs of 7 nodes at a time reach the verdict, the stats and the
-        # certificate of one run to the end
-        g = self.SMALL[graph]()
-        u = build_universe(g)
-        whole = SearchStats()
-        want = Search(g, u, whole).run(math.inf)
-        sliced = SearchStats()
-        search = Search(g, u, sliced)
-        got, calls = None, 0
-        while got is None:
-            calls += 1
-            got = search.run(sliced.nodes_visited + 7)
-        assert got == want and sliced == whole
-        assert calls > 50
+    # (nodes, cuts_dec, cuts_kec, cuts_nonplanar, sol_satur, sol_compl) of
+    # the default search, one depth-first pass, on graphs it exhausts:
+    # K4,5 and K7-e have no drawing, and with every full star graph query
+    # failing K4,4, K6 and K7-2match have none either
+    EXHAUSTED = {
+        "K4,5": (53_498, 12_325, 10_694, 3_675, 0, 0),
+        "K7-e": (3_477, 575, 894, 218, 0, 0),
+        "K4,4 no drawing": (3_479, 749, 718, 239, 0, 0),
+        "K6 no drawing": (255, 30, 59, 18, 0, 0),
+        "K7-2match no drawing": (9_894, 1_852, 2_411, 541, 0, 0),
+    }
+    GRAPHS = {
+        "K4,5": lambda: complete_bipartite(4, 5),
+        "K7-e": k7_minus_edge,
+        "K4,4": lambda: complete_bipartite(4, 4),
+        "K6": lambda: complete_graph(6),
+        "K7-2match": k7_minus_2match,
+    }
 
-    @pytest.mark.parametrize("graph", sorted(SMALL))
-    def test_blocks_decided_early_run_no_ladder(self, graph):
-        # within LADDER_START nodes, backtrack is the default search alone:
-        # the same verdict, certificate and counters, and no ladder node
-        g = self.SMALL[graph]()
+    @pytest.mark.parametrize("name", sorted(EXHAUSTED))
+    def test_exhausted_search_keeps_the_default_counts(self, monkeypatch, name):
+        graph, _, no_drawing = name.partition(" ")
+        if no_drawing:
+            fail_full_queries(monkeypatch)
         stats = SearchStats()
-        got = backtrack(g, build_universe(g), stats)
-        alone = SearchStats(used_backtracking=True)
-        assert Search(g, build_universe(g), alone).run(math.inf) == got
-        assert stats == alone
-        assert stats.nodes_visited < LADDER_START and stats.ladder_calls == 0
+        g = self.GRAPHS[graph]()
+        assert backtrack(g, build_universe(g), stats) == (Verdict.NOT_ONE_PLANAR, None)
+        assert (stats.nodes_visited, stats.cuts_dec, stats.cuts_kec, stats.cuts_nonplanar,
+                stats.sol_satur, stats.sol_compl) == self.EXHAUSTED[name]
 
-    def test_scale6_is_decided_by_the_second_level(self):
-        # the ladder finds the 2-crossing drawing the default search finds
-        # at node 36,006, when the default search is at node 17,168
+    @pytest.mark.parametrize("graph", ["K4,4", "K6"])
+    def test_levels_rise_from_the_euler_bound(self, monkeypatch, graph):
+        # the nodes classify_at_level sees hold the level's crossings, from
+        # max(m - 3n + 6, 1) up by one, and the last level is the drawing's
+        g = self.GRAPHS[graph]()
+        levels = []
+        at_level = SearchState.classify_at_level
+
+        def recording(state, stats):
+            levels.append(len(state.crossings))
+            return at_level(state, stats)
+
+        monkeypatch.setattr(SearchState, "classify_at_level", recording)
+        verdict, cert = backtrack(g, build_universe(g), SearchStats())
+        first = max(g.m - 3 * g.n + 6, 1)
+        assert verdict is Verdict.ONE_PLANAR and levels == sorted(levels)
+        assert sorted(set(levels)) == list(range(first, len(cert.crossings) + 1))
+        assert (first, len(cert.crossings)) == {"K4,4": (1, 4), "K6": (3, 3)}[graph]
+
+    @pytest.mark.parametrize("graph", ["K4,4", "K4,5"])
+    def test_restored_node_matches_the_pushed_node(self, monkeypatch, graph):
+        # a node left to the next level, restored from its crossing
+        # positions, has the crossing slots and saturated edges the
+        # pushes that first reached it wrote
+        g = self.GRAPHS[graph]()
+        left, restored = {}, []
+        at_level, reopen = SearchState.classify_at_level, SearchState.reopen
+
+        def slots(state):
+            c = len(state.crossings)
+            return (state.crossed[: c + 1], state.kites[: c + 1], state.cornered[: c + 1],
+                    state.saturated(), list(state.crossings))
+
+        def leaving(state, stats):
+            v = at_level(state, stats)
+            if v.kind is NodeKind.CNT:
+                ones = tuple(d for d in range(state.cursor) if state.bits[d])
+                left[state.cursor, ones] = slots(state)
+            return v
+
+        def reopening(state, cursor, positions, stats):
+            v = reopen(state, cursor, positions, stats)
+            assert state.cursor == cursor and slots(state) == left.pop((cursor, positions))
+            restored.append(cursor)
+            return v
+
+        monkeypatch.setattr(SearchState, "classify_at_level", leaving)
+        monkeypatch.setattr(SearchState, "reopen", reopening)
+        backtrack(g, build_universe(g), SearchStats())
+        assert len(restored) > 20
+
+    def test_deadline_during_a_resumed_level(self, monkeypatch):
+        # the clock passes the deadline while K4,4's second level reopens
+        # its first node: Unknown, with no certificate
+        now = [0.0]
+        reopen = SearchState.reopen
+
+        def late(state, cursor, positions, stats):
+            now[0] = 2.0
+            return reopen(state, cursor, positions, stats)
+
+        monkeypatch.setattr(search_module, "time", SimpleNamespace(monotonic=lambda: now[0]))
+        monkeypatch.setattr(SearchState, "reopen", late)
+        g = complete_bipartite(4, 4)
+        stats = SearchStats()
+        assert backtrack(g, build_universe(g), stats, deadline=1.0) == (Verdict.UNKNOWN, None)
+        assert stats.nodes_visited > 0 and stats.sol_satur + stats.sol_compl == 0
+
+    def test_scale6_is_decided_on_the_second_level(self):
+        # one depth-first pass of the default tree finds its 2-crossing
+        # drawing at node 36,006
         g = scale_block(6)
-        s = solve_block(g, SearchConfig()).stats
-        assert (s.nodes_visited, s.ladder_nodes, s.ladder_level) == (17_168, 3_746, 2)
-        assert (s.sol_satur, s.sol_compl) == (0, 1)
-        with_ladder = serialize_embedding(run_pipeline(scale_instance(6), SearchConfig())[1])
-        with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(search_module, "LADDER_START", math.inf)
-            alone = solve_block(g, SearchConfig()).stats
-            default_only = serialize_embedding(run_pipeline(scale_instance(6), SearchConfig())[1])
-        assert (alone.nodes_visited, alone.ladder_nodes, alone.ladder_level) == (36_006, 0, 0)
-        assert with_ladder == default_only
-
-    def test_runs_repeat_exactly(self):
-        g = scale_block(6)
-        assert solve_block(g, SearchConfig()).stats == solve_block(g, SearchConfig()).stats
-
-    def test_ladder_share_on_a_graph_without_drawing(self):
-        # K4,5: the default search exhausts its universe, and the
-        # ladder takes at most one node for every LADDER_SHARE default nodes
-        # past LADDER_START, plus one slice
-        g = complete_bipartite(4, 5)
         res = solve_block(g, SearchConfig())
         s = res.stats
-        assert res.verdict is Verdict.NOT_ONE_PLANAR and s.nodes_visited == 53_498
-        assert 0 < s.ladder_nodes <= (s.nodes_visited - LADDER_START) / LADDER_SHARE + LADDER_SLICE
-        assert s.ladder_level == 0 and s.ladder_calls > 0
-        record, _ = run_pipeline(g, SearchConfig())
-        assert record.nodes == s.nodes_visited + s.ladder_nodes
+        assert res.verdict is Verdict.ONE_PLANAR and len(res.certificate.crossings) == 2
+        assert (s.nodes_visited, s.sol_satur, s.sol_compl) == (3_379, 0, 1)
+        record, _ = run_pipeline(scale_instance(6), SearchConfig())
+        assert record.nodes == s.nodes_visited and record.crossings == 2
+
+    def test_runs_repeat_exactly(self):
+        g = scale_instance(6)
+        runs = [run_pipeline(g, SearchConfig()) for _ in range(2)]
+        assert runs[0][0].nodes == runs[1][0].nodes
+        assert serialize_embedding(runs[0][1]) == serialize_embedding(runs[1][1])
+        block = scale_block(6)
+        assert solve_block(block, SearchConfig()).stats == solve_block(block, SearchConfig()).stats

@@ -34,8 +34,10 @@ from oneplanar.search import SearchConfig
 
 # Recorded with the earlier certificate type, which stored the star graph
 # built by `planarize` next to the rotation (a `planarize` error counted as
-# a rejection); 103 of the 660 mutants are accepted.
-MUTANT_DIGEST = "367b02c6bccc838c7562a5bd814418f6bcd517e47851ecc70ac6aae22be7e0b7"
+# a rejection), when 103 of the 660 mutants were accepted; re-recorded when
+# the search came to visit the tree level by level, which changes the
+# certificates the mutants start from: 101 are accepted.
+MUTANT_DIGEST = "99229617e48114c47183aa83fec998d6e68a7613c1be9fda97a13978633636c3"
 
 MUTANT_KINDS = (
     "original", "swap-rows", "reverse-row", "swap-entries", "reverse-pair",
@@ -173,7 +175,7 @@ def test_validate_verdicts_on_mutants_match_recorded_digest():
     assert len(verdicts) >= 600
     assert {kind for _, kind, _ in verdicts} == set(MUTANT_KINDS)
     assert {kind for _, kind, ok in verdicts if not ok} == set(MUTANT_KINDS) - {"original"}
-    assert len(accepted) == 103
+    assert len(accepted) == 101
     assert hashlib.sha256(repr(verdicts).encode()).hexdigest() == MUTANT_DIGEST
     for g, crossings, rows in accepted:
         assert networkx_certifies(g, crossings, rows)
