@@ -38,6 +38,25 @@ image is a drawing whose crossings all lie in that orbit or later ones,
 with the first pair as its first crossing, so the rule keeps it.  The
 cuts above read the whole universe and so stay sound under the rule.
 
+A completion or saturation query is answered without its star graph
+when the path's last crossing p = (a, b) cannot be added.  Deleting the
+two halves of a at p's dummy vertex from the star graph of the path's
+crossings C + p leaves the star graph of C without a and with b
+subdivided, so that star graph can be planar only if the star graph of C
+stays planar without a and without b.  Whether an edge can be removed
+from the star graph of the first s crossings is asked once per edge while
+those crossings stay on the path, and nodes hanging off one 0-chain share
+it.
+
+The nodes with the path's crossings form the 0-chain below the 1 that
+added the last of them, and down that chain the saturated subgraph only
+grows, so its star graph turns nonplanar at one cursor and stays so.
+The chain's first saturated-subgraph query finds that cursor by
+bisection, up to a saturated node or a capacity cut, and its later nodes
+read it.  The nonplanar saturated subgraph S found there settles
+removable-edge queries too: the star graph without an edge outside S
+contains the star graph of S, so no such edge is removable.
+
 Exhausting the tree without a solution proves the graph has no such
 drawing.  :func:`backtrack` visits the tree level by level in the
 number of crossings on the path, so the drawing it finds has the fewest
@@ -115,7 +134,12 @@ class SearchStats:
     query on fewer than 9 edges or 6 vertices.  A node below a 0
     asks neither query its parent has answered (see
     :meth:`SearchState.classify`); a capacity cut asks none.  A node
-    left to the next level (see :func:`backtrack`) asks two queries.
+    left to the next level (see :func:`backtrack`) asks its own star
+    graph and, when restored, its saturated subgraph.  The
+    saturated-subgraph queries of one 0-chain cost the calls of one
+    bisection (see the module docstring), charged to the node that asks
+    first.  A query settled by its last crossing's edges costs no call,
+    and each removable-edge query it asks costs one.
     """
 
     nodes_visited: int = 0
@@ -199,6 +223,14 @@ class SearchState:
     not saturated when its crossings plus half its free edges (unsaturated,
     with an unsaturated universe partner) stay below ``_need``, since
     every crossing below the node pairs two free edges (capacity cut).
+
+    ``tested[s]`` and ``removable[s]`` memoise, for the first s crossings
+    on the path, the edges whose removal from their star graph was tested
+    and the edges whose removal leaves it planar.  ``sat_cut[s]`` holds,
+    for the 0-chain with those crossings, the cursors its bisection
+    covered and the first of them whose saturated subgraph has a
+    nonplanar star graph.  A 1 that writes slot c + 1 clears all three,
+    so a memo is read only while its crossings are on the path.
     """
 
     def __init__(self, g: Graph, universe: PairUniverse) -> None:
@@ -240,6 +272,9 @@ class SearchState:
         self.crossed = [0] * (g.m // 2 + 1)
         self.kites = [0] * (g.m // 2 + 1)
         self.cornered = [0] * (g.m // 2 + 1)
+        self.tested = [0] * (g.m // 2 + 1)
+        self.removable = [0] * (g.m // 2 + 1)
+        self.sat_cut: list[tuple[range, int] | None] = [None] * (g.m // 2 + 1)
 
     def push(self, bit: int) -> NodeVerdict | None:
         """Decide the pair at the cursor: 1 crosses it, 0 does not.
@@ -274,6 +309,8 @@ class SearchState:
             if not partner_mask[f] & ~crossed:
                 cornered |= 1 << f
         self.cornered[c + 1] = cornered
+        self.tested[c + 1] = self.removable[c + 1] = 0
+        self.sat_cut[c + 1] = None
         return None
 
     def pop(self) -> None:
@@ -301,31 +338,19 @@ class SearchState:
         every such node tries.  Below a 0 the parent had the same
         crossings, so it found their full star graph nonplanar, and it
         found its saturated subgraph's star graph planar: neither query is
-        asked again.  Nothing on the state is written.
+        asked again.  Nothing on the state is written but its memos.
         """
         g, d, c = self.g, self.cursor, len(self.crossings)
         fixed = self.crossed[c] | self.kites[c] | self.cornered[c]
         sat = fixed | self.closed[d]
         below_zero = d > 0 and not self.bits[d - 1]
         if sat != self._all_edges:
-            # capacity cut: a crossing below this node pairs two free edges,
-            # unsaturated ones with an unsaturated universe partner, each
-            # used once; count them until they cover the crossings missing
-            missing = 2 * (self._need - c)
-            if missing > 0:
-                unsat = self._all_edges ^ sat
-                rest, partner_mask = unsat, self._partner_mask
-                while rest and missing:
-                    low = rest & -rest
-                    if partner_mask[low.bit_length() - 1] & unsat:
-                        missing -= 1
-                    rest ^= low
-                if missing:
-                    return _CUT_NONPLANAR
-            # below a 0 that saturates no new edge, the parent asked this
+            if self._capacity_cut(c, sat):
+                return _CUT_NONPLANAR
+            # below a 0 that saturates no new edge, the parent asked this;
+            # the root, which may be the drawing, asks its own query alone
             if not (below_zero and fixed | self.closed[d - 1] == sat):
-                stats.planarity_calls += 1
-                if not is_planar_edges(*star_edge_list(g, self.crossings, keep=sat)):
+                if not self._saturated_planar(stats, bisect=below_zero or c < self._need):
                     return _CUT_NONPLANAR
             # complete with all zeros: same crossings, full edge set
             kind, dead_end = SolutionKind.COMPLETION, _CNT
@@ -356,25 +381,39 @@ class SearchState:
         children's `classify` relies on: the nonplanar cut if the
         saturated subgraph's star graph is nonplanar, else CNT.  The
         capacity cut cannot fire here, as the node holds at least
-        m - 3n + 6 crossings."""
-        self.bits[:cursor] = [0] * cursor
-        self.crossings.clear()
-        for d in positions:
+        m - 3n + 6 crossings.  The crossings the path shares with the node
+        stay, with their slots and memos, and only the rest are pushed."""
+        crossings, pairs = self.crossings, self.universe.pairs
+        kept = 0
+        for pair, d in zip(crossings, positions):
+            if pair != pairs[d]:
+                break
+            kept += 1
+        del crossings[kept:]
+        start = positions[kept - 1] + 1 if kept else 0
+        self.bits[start:cursor] = [0] * (cursor - start)
+        for d in positions[kept:]:
             self.cursor = d
             self.push(1)
         self.cursor = cursor
-        stats.planarity_calls += 1
-        if is_planar_edges(*star_edge_list(self.g, self.crossings, keep=self.saturated())):
-            return _CNT
-        return _CUT_NONPLANAR
+        return _CNT if self._saturated_planar(stats) else _CUT_NONPLANAR
 
     def _drawing(
         self, stats: SearchStats, kind: SolutionKind, dead_end: NodeVerdict
     ) -> NodeVerdict:
         """The solution of kind `kind` if the star graph of the path's
-        crossings is planar, else `dead_end`; one planarity query."""
-        stats.planarity_calls += 1
+        crossings is planar, else `dead_end`; one planarity query, unless
+        an edge of the last crossing is not removable (:meth:`_removable`)."""
         c = len(self.crossings)
+        if c and c >= self._need:
+            a, b = self.crossings[-1]
+            s = c - 1
+            # an edge already known not to be removable asks nothing
+            if self.tested[s] & ~self.removable[s] & (1 << a | 1 << b) or not (
+                self._removable(a, stats) and self._removable(b, stats)
+            ):
+                return dead_end
+        stats.planarity_calls += 1
         rot = None if c < self._need else rotation_edges(*star_edge_list(self.g, self.crossings))
         if rot is None:
             return dead_end
@@ -384,6 +423,76 @@ class SearchState:
             crossings=tuple(self.crossings),
             star_rotation=tuple(tuple(r) for r in rot),
         )
+
+    def _capacity_cut(self, c: int, sat: int) -> bool:
+        """Whether a node with c crossings and saturated edges `sat` falls
+        to the capacity cut: a crossing below it pairs two free edges,
+        unsaturated ones with an unsaturated universe partner, each used
+        once; count them until they cover the crossings missing."""
+        missing = 2 * (self._need - c)
+        if missing > 0:
+            unsat = self._all_edges ^ sat
+            rest, partner_mask = unsat, self._partner_mask
+            while rest and missing:
+                low = rest & -rest
+                if partner_mask[low.bit_length() - 1] & unsat:
+                    missing -= 1
+                rest ^= low
+        return missing > 0
+
+    def _saturated_planar(self, stats: SearchStats, bisect: bool = True) -> bool:
+        """Whether the star graph of the saturated subgraph at the cursor is
+        planar.  The nodes with the path's crossings form the 0-chain below
+        the 1 that wrote their slot, and down it the saturated subgraph only
+        grows, so with `bisect` the first query at a slot bisects the chain
+        for the first cursor where the star graph turns nonplanar, up to a
+        node that is saturated or falls to the capacity cut, and the slot's
+        ``sat_cut`` answers the chain's later nodes.  Without it only the
+        node's own query is asked.  Every query costs one call."""
+        c, d = len(self.crossings), self.cursor
+        memo = self.sat_cut[c]
+        if memo is None or d not in memo[0]:
+            fixed = self.crossed[c] | self.kites[c] | self.cornered[c]
+            closed, all_edges = self.closed, self._all_edges
+            steps, last, end = [], -1, len(closed) if bisect else d + 1
+            for x in range(d, end):
+                sat = fixed | closed[x]
+                if sat == all_edges or self._capacity_cut(c, sat):
+                    end = x
+                    break
+                if sat != last:
+                    steps.append(x)
+                    last = sat
+            lo, hi = 0, len(steps)
+            while lo < hi:
+                mid = (lo + hi) // 2
+                stats.planarity_calls += 1
+                keep = fixed | closed[steps[mid]]
+                if is_planar_edges(*star_edge_list(self.g, self.crossings, keep=keep)):
+                    lo = mid + 1
+                else:
+                    hi = mid
+            cut = end
+            if lo < len(steps):
+                cut = steps[lo]
+                # the star graph without an edge outside this subgraph
+                # contains its star graph, so no such edge is removable
+                self.tested[c] |= all_edges ^ (fixed | closed[cut])
+            memo = self.sat_cut[c] = (range(d, end), cut)
+        return d < memo[1]
+
+    def _removable(self, e: int, stats: SearchStats) -> bool:
+        """Whether the star graph of the path's crossings but the last stays
+        planar without edge e; a planarity query the first time it is
+        asked for these crossings, then the memo of their slot."""
+        s, bit = len(self.crossings) - 1, 1 << e
+        if not self.tested[s] & bit:
+            stats.planarity_calls += 1
+            self.tested[s] |= bit
+            star = star_edge_list(self.g, self.crossings[:s], keep=self._all_edges ^ bit)
+            if is_planar_edges(*star):
+                self.removable[s] |= bit
+        return bool(self.removable[s] & bit)
 
 
 def backtrack(

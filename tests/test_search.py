@@ -439,15 +439,24 @@ def assert_state_matches_reference(state: SearchState, g, kite: bool) -> None:
 
 
 def snapshot(state: SearchState) -> dict:
-    """Every attribute of the state, its lists copied."""
-    return {name: list(v) if isinstance(v, list) else v for name, v in vars(state).items()}
+    """Every attribute of the state but its memos, its lists copied."""
+    return {name: list(v) if isinstance(v, list) else v
+            for name, v in vars(state).items() if name not in ("tested", "removable", "sat_cut")}
+
+
+def assert_memo_extends(state: SearchState, before: tuple[list[int], list[int]]) -> None:
+    """The removable-edge memo only gained entries since `before`."""
+    for slot, (tested, removable) in enumerate(zip(*before)):
+        assert state.tested[slot] & tested == tested
+        assert state.removable[slot] & tested == removable
 
 
 class TestSearchState:
     """The masks push writes match the from-scratch reference functions at
     every node, and every node's verdict matches the one `classify_prefix`
     works out from the prefix alone, asking every query; `classify` writes
-    nothing on the state."""
+    nothing on the state but its memos, and the removable-edge memo only
+    gains entries."""
 
     MAX_NODES = 800
 
@@ -463,8 +472,10 @@ class TestSearchState:
             assert_state_matches_reference(state, g, kite)
             want = classify_prefix(g, state.universe, state.bits[: state.cursor], kite)
             before = snapshot(state)
+            memo = (list(state.tested), list(state.removable))
             got = _classify(state, stats)
             assert snapshot(state) == before
+            assert_memo_extends(state, memo)
             assert got == want
             seen.append(got.kind)
             if len(seen) >= self.MAX_NODES:
@@ -702,10 +713,25 @@ def dec_free_extensions(u, bits):
     yield from extend(len(bits))
 
 
-def is_capacity_cut(v, state: SearchState, asked: int, stats: SearchStats) -> bool:
-    """A nonplanar cut of a node that is not saturated, made without a
-    planarity query: the capacity cut, and nothing else in classify."""
-    return (v.cut_reason is CutReason.NONPLANAR_INDUCED and stats.planarity_calls == asked
+def saturated_queries(monkeypatch) -> list[int]:
+    """A one-item list counting the calls of `SearchState._saturated_planar`
+    from here on."""
+    asked = [0]
+    original = SearchState._saturated_planar
+
+    def counting(state, *args, **kwargs):
+        asked[0] += 1
+        return original(state, *args, **kwargs)
+
+    monkeypatch.setattr(SearchState, "_saturated_planar", counting)
+    return asked
+
+
+def is_capacity_cut(v, state: SearchState, before: int, asked: list[int]) -> bool:
+    """A nonplanar cut of a node that is not saturated, made without asking
+    about its saturated subgraph (`asked` still reads `before`, see
+    `saturated_queries`): the capacity cut, and nothing else in classify."""
+    return (v.cut_reason is CutReason.NONPLANAR_INDUCED and asked[0] == before
             and state.saturated() != (1 << state.g.m) - 1)
 
 
@@ -750,13 +776,14 @@ class TestCapacityCut:
         if not kite:
             without_kites(monkeypatch)
         original = SearchState.classify
+        asked = saturated_queries(monkeypatch)
         classified = cuts = checked = 0
 
         def checking(state, stats):
             nonlocal classified, cuts, checked
-            asked = stats.planarity_calls
+            before = asked[0]
             v = original(state, stats)
-            cut = is_capacity_cut(v, state, asked, stats)
+            cut = is_capacity_cut(v, state, before, asked)
             assert cut is capacity_cut_by_reference(state, g, kite)
             if cut:
                 cuts += 1
@@ -793,13 +820,14 @@ class TestCapacityCut:
         assert g.m <= 3 * g.n - 6
         monkeypatch.setattr(search_module, "build_universe", canonical_universe)
         original = SearchState.classify
+        asked = saturated_queries(monkeypatch)
         cuts = 0
 
         def counting(state, stats):
             nonlocal cuts
-            asked = stats.planarity_calls
+            before = asked[0]
             v = original(state, stats)
-            cuts += is_capacity_cut(v, state, asked, stats)
+            cuts += is_capacity_cut(v, state, before, asked)
             return v
 
         monkeypatch.setattr(SearchState, "classify", counting)
@@ -843,10 +871,15 @@ def _from_random12(pins: dict) -> dict:
 # tree; random12's with the skew pass as a loop over the crossings of its
 # skew edge, 15 tries where the restricted pass asked 31 queries (680 before);
 # K4,4's and random12's again when the search came to visit the tree level
-# by level in the number of crossings (2549 and 664 before)
-PINNED_CALLS = {"K6": 56, "K4,4": 9300, "random12": 605}
-# the same under twin-orbit branching (K4,4 194 before the levels)
-PRUNED_CALLS = {"K6": 24, "K4,4": 370, "random12": PINNED_CALLS["random12"]}
+# by level in the number of crossings (2549 and 664 before); and all three
+# again, with the trees unchanged, when a query whose last crossing has an
+# edge that is not removable came to be answered without its star graph
+# and a 0-chain's saturated-subgraph queries came to be bisected (K6 56,
+# K4,4 9300, random12 605 before)
+PINNED_CALLS = {"K6": 40, "K4,4": 4821, "random12": 215}
+# the same under twin-orbit branching (K4,4 194 before the levels; K6 24
+# and K4,4 370 before the removable-edge rule and the bisection)
+PRUNED_CALLS = {"K6": 14, "K4,4": 200, "random12": PINNED_CALLS["random12"]}
 
 
 @pytest.mark.parametrize("graph", sorted(PINNED_CALLS))
@@ -1448,3 +1481,137 @@ class TestLevels:
         assert serialize_embedding(runs[0][1]) == serialize_embedding(runs[1][1])
         block = scale_block(6)
         assert solve_block(block, SearchConfig()).stats == solve_block(block, SearchConfig()).stats
+
+
+def removable(g: Graph, crossings, e: int) -> bool:
+    """Whether networkx finds the star graph of `crossings` without edge e planar."""
+    _, star = star_edge_list(g, crossings, keep=((1 << g.m) - 1) ^ (1 << e))
+    return nx.check_planarity(nx.Graph(star))[0]
+
+
+class TestRemovableEdges:
+    """A completion or saturation query whose last crossing (a, b) leaves a
+    or b not removable from the earlier crossings' star graph is answered
+    without its own star graph, from a memo kept per crossing slot."""
+
+    def test_a_planar_crossing_leaves_both_edges_removable(self, rng: random.Random):
+        # the rule itself, on random crossing sets that push accepts
+        planar = settled = 0
+        for _ in range(40):
+            n = rng.randrange(5, 10)
+            g = random_connected_graph(n, rng.randrange(n + 2, 3 * n), rng)
+            u = build_universe(g)
+            state = SearchState(g, u)
+            while state.cursor < u.k:
+                if state.push(int(rng.random() < 0.3)) is not None:
+                    state.push(0)
+                elif state.bits[state.cursor - 1]:
+                    *earlier, (a, b) = state.crossings
+                    both = removable(g, earlier, a) and removable(g, earlier, b)
+                    _, star = star_edge_list(g, state.crossings)
+                    if nx.check_planarity(nx.Graph(star))[0]:
+                        planar += 1
+                        assert both
+                    settled += not both
+        assert planar > 0 and settled > 0
+
+    @pytest.mark.parametrize("corpus", ["oracle", "capped", "K4,5", "scale6"])
+    def test_memo_answers_match_fresh_queries(self, monkeypatch, corpus):
+        # every query the rule answers has a nonplanar star graph, and
+        # every memo entry read matches a fresh query; K4,5 and scale6
+        # reopen many nodes, so a memo not cleared by push or reopen shows
+        graphs = {"oracle": oracle_corpus, "capped": capped_corpus,
+                  "K4,5": lambda: [complete_bipartite(4, 5)],
+                  "scale6": lambda: [scale_block(6)]}[corpus]()
+        runs = settled = 0
+
+        def counted(n, edges):
+            nonlocal runs
+            runs += 1
+            return rotation_edges(n, edges)
+
+        drawing = SearchState._drawing
+
+        def checking(state, stats, kind, dead_end):
+            nonlocal settled
+            ran = runs
+            v = drawing(state, stats, kind, dead_end)
+            c = len(state.crossings)
+            if c and c >= state._need:
+                *earlier, (a, b) = state.crossings
+                for e in (a, b):
+                    if state.tested[c - 1] >> e & 1:
+                        memo = bool(state.removable[c - 1] >> e & 1)
+                        assert memo is removable(state.g, earlier, e)
+                if runs == ran:
+                    settled += 1
+                    assert v is dead_end
+                    assert rotation_edges(*star_edge_list(state.g, state.crossings)) is None
+            return v
+
+        monkeypatch.setattr(search_module, "rotation_edges", counted)
+        monkeypatch.setattr(SearchState, "_drawing", checking)
+        for g in graphs:
+            backtrack(g, build_universe(g), SearchStats())
+        if corpus != "oracle":  # its graphs are too small for the rule to fire
+            assert settled > 0
+
+    @pytest.mark.parametrize("graph", ["K4,5", "K3,6"])
+    def test_reopen_pushes_only_what_the_path_lacks(self, monkeypatch, graph):
+        # a restored node keeps the crossings the path already shares with
+        # it; K4,5 pushed 68,094 times when every reopen started at the root
+        g = complete_bipartite(*{"K4,5": (4, 5), "K3,6": (3, 6)}[graph])
+        pushes = 0
+        push, reopen = SearchState.push, SearchState.reopen
+
+        def counting(state, bit):
+            nonlocal pushes
+            pushes += 1
+            return push(state, bit)
+
+        def reopening(state, cursor, positions, stats):
+            before, shared = pushes, 0
+            for pair, d in zip(state.crossings, positions):
+                if pair != state.universe.pairs[d]:
+                    break
+                shared += 1
+            v = reopen(state, cursor, positions, stats)
+            assert pushes - before == len(positions) - shared
+            return v
+
+        monkeypatch.setattr(SearchState, "push", counting)
+        monkeypatch.setattr(SearchState, "reopen", reopening)
+        backtrack(g, build_universe(g), SearchStats())
+        assert pushes == {"K4,5": 58_245, "K3,6": 24_259}[graph]
+
+
+class TestSaturatedChain:
+    """The nodes with one slot's crossings form a 0-chain whose saturated
+    subgraph only grows, so its saturated-subgraph queries are bisected
+    once and the slot's memo answers the rest of the chain."""
+
+    @pytest.mark.parametrize("corpus", ["oracle", "capped", "K4,5", "K7-2match", "scale6"])
+    def test_answers_match_fresh_queries(self, monkeypatch, corpus):
+        # every answer matches networkx on the node's own saturated
+        # subgraph; K7-2match's chains end at capacity cuts, and K4,5 and
+        # scale6 reopen many nodes, so a memo not cleared by push shows
+        graphs = {"oracle": oracle_corpus, "capped": capped_corpus,
+                  "K4,5": lambda: [complete_bipartite(4, 5)],
+                  "K7-2match": lambda: [k7_minus_2match()],
+                  "scale6": lambda: [scale_block(6)]}[corpus]()
+        original = SearchState._saturated_planar
+        answered = 0
+
+        def checking(state, stats, *args, **kwargs):
+            nonlocal answered
+            calls = stats.planarity_calls
+            got = original(state, stats, *args, **kwargs)
+            answered += stats.planarity_calls == calls
+            _, star = star_edge_list(state.g, state.crossings, keep=state.saturated())
+            assert got is nx.check_planarity(nx.Graph(star))[0]
+            return got
+
+        monkeypatch.setattr(SearchState, "_saturated_planar", checking)
+        for g in graphs:
+            backtrack(g, build_universe(g), SearchStats())
+        assert answered > 0
