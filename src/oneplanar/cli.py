@@ -212,23 +212,25 @@ def _check_format(fmt: str) -> None:
 def parse_graph_file(path: str, fmt: str = "auto") -> Graph:
     """Load a graph from an edge list or GML file.
 
-    `fmt` is "edgelist", "gml", or "auto", else ValueError; auto detection
-    tries the extension first, then looks for a leading 'graph [' token.
+    `fmt` is "edgelist", "gml", or "auto", else ValueError.  Auto
+    detection reads a ".gml" file as GML; any other file is an edge list
+    when its first token outside comments is an integer (or it has none),
+    and GML otherwise, which may open with a top-level key such as
+    ``Creator "igraph"`` before ``graph [``.
     """
     _check_format(fmt)
     with open(path, encoding="utf-8") as fh:
         text = fh.read()
     if fmt == "auto":
+        fmt = "edgelist"
         if path.endswith(".gml"):
             fmt = "gml"
         else:
-            head = ""
-            for raw in text.splitlines():
-                line = raw.split("#", 1)[0].strip()
-                if line:
-                    head = line
-                    break
-            fmt = "gml" if head.startswith("graph") else "edgelist"
+            lines = (raw.split("#", 1)[0].split() for raw in text.splitlines())
+            try:
+                int(next((words[0] for words in lines if words), "0"))
+            except ValueError:
+                fmt = "gml"
     if fmt == "gml":
         return _parse_gml(text, path)
     return _parse_edgelist(text, path)

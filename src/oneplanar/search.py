@@ -21,10 +21,14 @@ The other two are decided when the node is classified:
     crossings its unsaturated edges could still add fall short holds no
     solution (capacity cut, counted as a nonplanar cut).
 
-A node that passes them and is not saturated tries its zero completion:
-its crossings with every other edge uncrossed, a solution if that star
-graph is planar.  Every such node tries it, so the tree depends on the
-graph and the universe alone.
+A node's drawing is its zero completion: its crossings with every other
+edge uncrossed, a solution if that star graph is planar.
+:func:`backtrack` asks for it only at the nodes whose path holds the
+level's crossings.  A node above them is never the drawing: it has fewer
+crossings than the edge count allows, or it lies on the 0-chain below a
+node of an earlier level whose star graph, of the same crossings, was
+found nonplanar.  So the tree depends on the graph and the universe
+alone.
 
 One more rule skips branches that a symmetry maps onto earlier ones.
 Swapping two twins (vertices with the same open or the same closed
@@ -38,8 +42,8 @@ image is a drawing whose crossings all lie in that orbit or later ones,
 with the first pair as its first crossing, so the rule keeps it.  The
 cuts above read the whole universe and so stay sound under the rule.
 
-A completion or saturation query is answered without its star graph
-when the path's last crossing p = (a, b) cannot be added.  Deleting the
+A node's own star graph query is answered without its star graph when
+the path's last crossing p = (a, b) cannot be added.  Deleting the
 two halves of a at p's dummy vertex from the star graph of the path's
 crossings C + p leaves the star graph of C without a and with b
 subdivided, so that star graph can be planar only if the star graph of C
@@ -128,18 +132,19 @@ class SearchConfig:
 class SearchStats:
     """Counters of one search, or of several merged.
 
-    ``planarity_calls`` counts the planarity queries `classify` asks,
-    whether the LR test or the edge count settles them; the count also
-    settles, inside :func:`~oneplanar.planarity.is_planar_edges`, every
-    query on fewer than 9 edges or 6 vertices.  A node below a 0
-    asks neither query its parent has answered (see
-    :meth:`SearchState.classify`); a capacity cut asks none.  A node
-    left to the next level (see :func:`backtrack`) asks its own star
-    graph and, when restored, its saturated subgraph.  The
+    ``planarity_calls`` counts the planarity queries of the whole-block
+    test, the skew pass and the search, not those of the skew-edge
+    search.  In the search it is one per call of
+    :func:`~oneplanar.planarity.is_planar_edges` or
+    :func:`~oneplanar.planarity.rotation_edges`; the first settles every
+    query on fewer than 9 edges or 6 vertices by the edge count alone.
+    Only a node whose path holds its level's crossings asks its own star
+    graph (see :func:`backtrack`), and a node the next level reopens asks
+    its saturated subgraph then.  A capacity cut asks nothing.  The
     saturated-subgraph queries of one 0-chain cost the calls of one
     bisection (see the module docstring), charged to the node that asks
-    first.  A query settled by its last crossing's edges costs no call,
-    and each removable-edge query it asks costs one.
+    first.  A star graph query settled by its last crossing's edges costs
+    no call, and each removable-edge query it asks costs one.
     """
 
     nodes_visited: int = 0
@@ -217,12 +222,12 @@ class SearchState:
     either.
 
     The star graph of a drawing with c crossings has n + c vertices and
-    m + 2c edges, so it can only be planar if c >= ``_need`` = m - 3n + 6.
-    `classify` answers a completion or saturation query with fewer
-    crossings without building its star graph.  It cuts a node that is
-    not saturated when its crossings plus half its free edges (unsaturated,
-    with an unsaturated universe partner) stay below ``_need``, since
-    every crossing below the node pairs two free edges (capacity cut).
+    m + 2c edges, so it can only be planar if c >= ``_need`` = m - 3n + 6,
+    where :func:`backtrack`'s levels start.  `classify` cuts a node that
+    is not saturated when its crossings plus half its free edges
+    (unsaturated, with an unsaturated universe partner) stay below
+    ``_need``, since every crossing below the node pairs two free edges
+    (capacity cut).
 
     ``tested[s]`` and ``removable[s]`` memoise, for the first s crossings
     on the path, the edges whose removal from their star graph was tested
@@ -325,64 +330,61 @@ class SearchState:
         return self.crossed[c] | self.kites[c] | self.cornered[c] | self.closed[self.cursor]
 
     def classify(self, stats: SearchStats) -> NodeVerdict:
-        """Classify the node at the cursor as a solution, a nonplanar cut
-        or a node to extend.
+        """Classify the node at the cursor, above its level, as a nonplanar
+        cut or a node to extend.
 
-        Precondition: every proper ancestor of the node was classified
-        CNT, as on every node `backtrack` visits, and the path was built
-        by `push`, so no edge on it is crossed twice and no kite edge is
-        crossed; DEC and KEC cuts never come from here.  Order of checks:
-        saturation of the whole graph; then, for a node that is not
-        saturated, the capacity bound, planarity of the saturated
-        subgraph's star graph, and finally the zero completion, which
-        every such node tries.  Below a 0 the parent had the same
-        crossings, so it found their full star graph nonplanar, and it
-        found its saturated subgraph's star graph planar: neither query is
-        asked again.  Nothing on the state is written but its memos.
+        Such a node is never the drawing (see the module docstring), so it
+        is cut when it is saturated, falls to the capacity cut or has a
+        saturated subgraph with a nonplanar star graph, and is CNT
+        otherwise.  The path was built by `push`, so no edge on it is
+        crossed twice and no kite edge is crossed; DEC and KEC cuts never
+        come from here.  Nothing on the state is written but its memos.
         """
-        g, d, c = self.g, self.cursor, len(self.crossings)
-        fixed = self.crossed[c] | self.kites[c] | self.cornered[c]
-        sat = fixed | self.closed[d]
-        below_zero = d > 0 and not self.bits[d - 1]
-        if sat != self._all_edges:
-            if self._capacity_cut(c, sat):
-                return _CUT_NONPLANAR
-            # below a 0 that saturates no new edge, the parent asked this;
-            # the root, which may be the drawing, asks its own query alone
-            if not (below_zero and fixed | self.closed[d - 1] == sat):
-                if not self._saturated_planar(stats, bisect=below_zero or c < self._need):
-                    return _CUT_NONPLANAR
-            # complete with all zeros: same crossings, full edge set
-            kind, dead_end = SolutionKind.COMPLETION, _CNT
-        else:
-            # the saturated subgraph is the whole graph: the planarity call
-            # below decides between a saturation solution and a dead end
-            kind, dead_end = SolutionKind.SATURATION, _CUT_NONPLANAR
-
-        if below_zero:  # the parent found these crossings' star graph nonplanar
-            return dead_end
-        return self._drawing(stats, kind, dead_end)
+        sat = self.saturated()
+        if (sat == self._all_edges or self._capacity_cut(len(self.crossings), sat)
+                or not self._saturated_planar(stats)):
+            return _CUT_NONPLANAR
+        return _CNT
 
     def classify_at_level(self, stats: SearchStats) -> NodeVerdict:
-        """Classify the node at the cursor by its own star graph alone: the
-        solution if it is planar, else a nonplanar cut if the node is
-        saturated and a node to extend if not.  Every node below has the
-        node's crossings or more, so this is the one drawing with exactly
-        these crossings; one planarity query, and the saturated subgraph's
-        query waits for :meth:`reopen`."""
-        if self.saturated() == self._all_edges:
-            return self._drawing(stats, SolutionKind.SATURATION, _CUT_NONPLANAR)
-        return self._drawing(stats, SolutionKind.COMPLETION, _CNT)
+        """Classify the node at the cursor, whose path holds its level's
+        crossings, by its own star graph alone: the solution if it is
+        planar, else a nonplanar cut if the node is saturated and a node
+        to extend if not.  Every node below has the node's crossings or
+        more, so this is the one drawing with exactly these crossings.
+        One planarity query, unless an edge of the last crossing is not
+        removable (:meth:`_removable`); the saturated subgraph's query
+        waits for :meth:`reopen`."""
+        saturated = self.saturated() == self._all_edges
+        dead_end = _CUT_NONPLANAR if saturated else _CNT
+        if self.crossings:
+            a, b = self.crossings[-1]
+            s = len(self.crossings) - 1
+            # an edge already known not to be removable asks nothing
+            if self.tested[s] & ~self.removable[s] & (1 << a | 1 << b) or not (
+                self._removable(a, stats) and self._removable(b, stats)
+            ):
+                return dead_end
+        stats.planarity_calls += 1
+        rot = rotation_edges(*star_edge_list(self.g, self.crossings))
+        if rot is None:
+            return dead_end
+        return NodeVerdict(
+            NodeKind.SOL,
+            solution_kind=SolutionKind.SATURATION if saturated else SolutionKind.COMPLETION,
+            crossings=tuple(self.crossings),
+            star_rotation=tuple(tuple(r) for r in rot),
+        )
 
     def reopen(self, cursor: int, positions: tuple[int, ...], stats: SearchStats) -> NodeVerdict:
         """Go back to a node that :meth:`classify_at_level` left to extend,
         at `cursor` with crossings at `positions`, by pushing them again,
-        and ask what `classify` asks before the zero completion, which its
-        children's `classify` relies on: the nonplanar cut if the
-        saturated subgraph's star graph is nonplanar, else CNT.  The
-        capacity cut cannot fire here, as the node holds at least
-        m - 3n + 6 crossings.  The crossings the path shares with the node
-        stay, with their slots and memos, and only the rest are pushed."""
+        and ask the query of `classify` that its children's `classify`
+        relies on: the nonplanar cut if the saturated subgraph's star graph
+        is nonplanar, else CNT.  The capacity cut cannot fire here, as the
+        node holds at least m - 3n + 6 crossings.  The crossings the path
+        shares with the node stay, with their slots and memos, and only
+        the rest are pushed."""
         crossings, pairs = self.crossings, self.universe.pairs
         kept = 0
         for pair, d in zip(crossings, positions):
@@ -397,32 +399,6 @@ class SearchState:
             self.push(1)
         self.cursor = cursor
         return _CNT if self._saturated_planar(stats) else _CUT_NONPLANAR
-
-    def _drawing(
-        self, stats: SearchStats, kind: SolutionKind, dead_end: NodeVerdict
-    ) -> NodeVerdict:
-        """The solution of kind `kind` if the star graph of the path's
-        crossings is planar, else `dead_end`; one planarity query, unless
-        an edge of the last crossing is not removable (:meth:`_removable`)."""
-        c = len(self.crossings)
-        if c and c >= self._need:
-            a, b = self.crossings[-1]
-            s = c - 1
-            # an edge already known not to be removable asks nothing
-            if self.tested[s] & ~self.removable[s] & (1 << a | 1 << b) or not (
-                self._removable(a, stats) and self._removable(b, stats)
-            ):
-                return dead_end
-        stats.planarity_calls += 1
-        rot = None if c < self._need else rotation_edges(*star_edge_list(self.g, self.crossings))
-        if rot is None:
-            return dead_end
-        return NodeVerdict(
-            NodeKind.SOL,
-            solution_kind=kind,
-            crossings=tuple(self.crossings),
-            star_rotation=tuple(tuple(r) for r in rot),
-        )
 
     def _capacity_cut(self, c: int, sat: int) -> bool:
         """Whether a node with c crossings and saturated edges `sat` falls
@@ -440,21 +416,20 @@ class SearchState:
                 rest ^= low
         return missing > 0
 
-    def _saturated_planar(self, stats: SearchStats, bisect: bool = True) -> bool:
+    def _saturated_planar(self, stats: SearchStats) -> bool:
         """Whether the star graph of the saturated subgraph at the cursor is
         planar.  The nodes with the path's crossings form the 0-chain below
         the 1 that wrote their slot, and down it the saturated subgraph only
-        grows, so with `bisect` the first query at a slot bisects the chain
-        for the first cursor where the star graph turns nonplanar, up to a
-        node that is saturated or falls to the capacity cut, and the slot's
-        ``sat_cut`` answers the chain's later nodes.  Without it only the
-        node's own query is asked.  Every query costs one call."""
+        grows, so the first query at a slot bisects the chain for the first
+        cursor where the star graph turns nonplanar, up to a node that is
+        saturated or falls to the capacity cut, and the slot's ``sat_cut``
+        answers the chain's later nodes.  Every query costs one call."""
         c, d = len(self.crossings), self.cursor
         memo = self.sat_cut[c]
         if memo is None or d not in memo[0]:
             fixed = self.crossed[c] | self.kites[c] | self.cornered[c]
             closed, all_edges = self.closed, self._all_edges
-            steps, last, end = [], -1, len(closed) if bisect else d + 1
+            steps, last, end = [], -1, len(closed)
             for x in range(d, end):
                 sat = fixed | closed[x]
                 if sat == all_edges or self._capacity_cut(c, sat):
@@ -504,14 +479,15 @@ def backtrack(
     """Depth-first search over the universe, 0 branches first, visited
     level by level in the number of crossings on the path.
 
-    Level L, from max(m - 3n + 6, 1) up, searches the tree down to the
-    nodes whose path holds L crossings.  Such a node asks only its own
-    star graph (:meth:`SearchState.classify_at_level`): the answer if it
-    is planar, a leaf if the node is saturated, and otherwise a node
-    whose subtree level L + 1 searches, after :meth:`SearchState.reopen`
-    restores it.  Every node is classified once, so a search that
-    exhausts the tree visits the default tree's nodes with the same cuts,
-    and NotOnePlanar comes only from a level that leaves nothing open.
+    Level L, from max(m - 3n + 6, 0) up, searches the tree down to the
+    nodes whose path holds L crossings; level 0 is the root alone.  Such
+    a node asks only its own star graph
+    (:meth:`SearchState.classify_at_level`): the answer if it is planar,
+    a leaf if the node is saturated, and otherwise a node whose subtree
+    level L + 1 searches, after :meth:`SearchState.reopen` restores it.
+    Every node is classified once, so a search that exhausts the tree
+    visits the default tree's nodes with the same cuts, and NotOnePlanar
+    comes only from a level that leaves nothing open.
 
     The first solution node gives OnePlanar and a
     :class:`OnePlanarEmbedding` of g from its crossings and star rotation
@@ -519,7 +495,7 @@ def backtrack(
     of g: one with fewest crossings crosses no kite edge, a twin swap
     keeps the count and the capacity cut holds for any drawing, so level
     L finds a drawing when g has one with L crossings.  The deadline is
-    read before every node `classify` or `reopen` sees, root included.
+    read before every node the search classifies or reopens.
 
     Within a subtree the path is the stack: every 0 on it still has its
     1-sibling to visit and every 1 has none.  A 1-sibling that `push`
@@ -530,14 +506,15 @@ def backtrack(
     stats.used_backtracking = True
     state = SearchState(g, universe)
     bits, crossings, orbit = state.bits, state.crossings, universe.orbit
-    level = max(g.m - 3 * g.n + 6, 1)
-    subtrees: list[tuple[int, tuple[int, ...]]] = [(0, ())]  # the root's, on the first level
+    level = max(state._need, 0)
+    # the root, not yet classified, and then the nodes each level leaves open
+    subtrees: list[tuple[int, tuple[int, ...] | None]] = [(0, None)]
     while subtrees:
         deferred = []  # the nodes whose subtrees the next level searches
         for floor, positions in subtrees:
             if deadline is not None and time.monotonic() >= deadline:
                 return Verdict.UNKNOWN, None
-            if floor:  # a node the level below left open
+            if positions is not None:  # a node the level below left open
                 if state.reopen(floor, positions, stats) is _CUT_NONPLANAR:
                     stats.cuts_nonplanar += 1
                     continue

@@ -226,11 +226,12 @@ class TestGmlParsing:
         f.write_text(self.IGRAPH)
         g = parse_graph_file(str(f))
         assert g.n == 2 and g.edges == ((0, 1),)
-        # without the extension the file must start with `graph`
-        f = tmp_path / "noext"
-        f.write_text(self.IGRAPH)
-        with pytest.raises(ParseError):
-            parse_graph_file(str(f))
+        # without the extension too: a first token that is no vertex id
+        # selects GML
+        for name in ("igraph.txt", "noext"):
+            f = tmp_path / name
+            f.write_text("# written by igraph\n" + self.IGRAPH)
+            assert parse_graph_file(str(f)) == g
 
     @pytest.mark.parametrize("payload,tok", [("Creator [ ] [ graph [ ] ]", "["),
                                              ('Creator "x" ] graph [ ]', "]")])

@@ -64,19 +64,19 @@ from reference import (
 _push, _classify = SearchState.push, SearchState.classify
 
 
-def replay(g, universe, bits, stats=None) -> NodeVerdict:
+def replay(g, universe, bits, stats=None, at_level=False) -> NodeVerdict:
     """The verdict of the node a bit prefix reaches: the cut of its first
     push that is refused, or else the classification of the node after
-    the last bit.  That classification holds when the prefix is empty,
-    ends with a 1, or ends with a 0 below a node the search would extend
-    (see :meth:`SearchState.classify`); `classify_prefix` classifies any
-    prefix."""
+    the last bit, by `classify`, or with `at_level` by
+    `classify_at_level`, whose path holds its level's crossings;
+    `classify_prefix` classifies any prefix, asking every query."""
     state = SearchState(g, universe)
     for bit in bits:
         cut = _push(state, bit)
         if cut is not None:
             return cut
-    return _classify(state, SearchStats() if stats is None else stats)
+    classify = SearchState.classify_at_level if at_level else _classify
+    return classify(state, SearchStats() if stats is None else stats)
 
 
 def fail_full_queries(monkeypatch) -> None:
@@ -110,11 +110,11 @@ class TestVerifyNode:
     """Verdicts of single nodes, reached by replaying a bit prefix."""
 
     def test_root_continues_without_completion(self, monkeypatch):
-        # K4's root passes its saturated-subgraph query; with its zero
-        # completion failing, it is a node to extend
+        # K4's root on its level 0, with its zero completion failing, is a
+        # node to extend
         fail_full_queries(monkeypatch)
         g = complete_graph(4)
-        v = replay(g, build_universe(g), [])
+        v = replay(g, build_universe(g), [], at_level=True)
         assert v.kind is NodeKind.CNT
 
     def test_double_crossing_cut(self):
@@ -169,15 +169,15 @@ class TestVerifyNode:
         # everything after a single decision.
         g = complete_graph(5)
         u = restricted_universe(g, [0])
-        v = replay(g, u, [1])
+        v = replay(g, u, [1], at_level=True)
         assert v.kind is NodeKind.SOL
         assert v.solution_kind is SolutionKind.SATURATION
 
     def test_root_completion_certifies_planar_graph(self):
-        # the root of a planar graph completes with all zeros to a drawing
-        # without crossings
+        # the root of a planar graph, level 0, completes with all zeros to
+        # a drawing without crossings
         g = complete_graph(4)
-        v = replay(g, build_universe(g), [])
+        v = replay(g, build_universe(g), [], at_level=True)
         assert v.kind is NodeKind.SOL
         assert v.solution_kind is SolutionKind.COMPLETION
         assert v.crossings == ()
@@ -188,34 +188,6 @@ class TestVerifyNode:
         g = complete_graph(5)
         v = replay(g, build_universe(g), [])
         assert v.kind is NodeKind.CNT
-
-    def test_cut_nodes_try_no_completion(self, monkeypatch):
-        # the zero completion comes after every cut: a node that is cut
-        # before it is saturated asks no full star graph query
-        runs = 0
-
-        def counting(n, edges):
-            nonlocal runs
-            runs += 1
-            return rotation_edges(n, edges)
-
-        cut_open = 0
-
-        def checking(state, stats):
-            nonlocal cut_open
-            before = runs
-            v = _classify(state, stats)
-            if v.kind is NodeKind.CUT and state.saturated() != (1 << state.g.m) - 1:
-                cut_open += 1
-                assert runs == before
-            return v
-
-        monkeypatch.setattr(search_module, "rotation_edges", counting)
-        monkeypatch.setattr(SearchState, "classify", checking)
-        g = complete_graph(6)
-        verdict, _ = backtrack(g, canonical_universe(g), SearchStats())
-        assert verdict is Verdict.ONE_PLANAR
-        assert cut_open > 0 and runs > 0
 
     def test_stats_track_planarity_calls(self):
         g = complete_graph(5)
@@ -319,15 +291,16 @@ class TestKiteFreeSearchNeverCutsViable:
 class TestBacktrack:
     def test_k4_zero_spine(self):
         # The root's zero completion is the leaf at the end of the all-zeros
-        # spine: K4 is certified at the root, with one saturated-subgraph
-        # query and one full query, and the spine is never walked.
+        # spine: K4 has m <= 3n - 6, so its root is level 0 and is
+        # certified there with one full query, and the spine is never
+        # walked.
         g = complete_graph(4)
         stats = SearchStats()
         verdict, cert = backtrack(g, build_universe(g), stats)
         assert verdict is Verdict.ONE_PLANAR
         assert count_crossings(merge_one_block(g, cert)) == 0
         assert stats.nodes_visited == stats.sol_compl == 1
-        assert stats.planarity_calls == 2
+        assert stats.planarity_calls == 1
         assert stats.cuts_dec == stats.cuts_kec == stats.cuts_nonplanar == 0
 
     def test_graphs_on_two_vertices_or_fewer(self):
@@ -399,6 +372,27 @@ class TestBacktrack:
                          stats.cuts_dec, stats.cuts_kec, stats.cuts_nonplanar,
                          stats.sol_satur, stats.sol_compl))
         assert runs[0] == runs[1]
+
+    def test_planarity_calls_are_the_queries_run(self, monkeypatch, rng: random.Random):
+        # planarity_calls counts one call of is_planar_edges or
+        # rotation_edges per query, and no query answered without one
+        runs = 0
+
+        def counted(fn):
+            def run(*args):
+                nonlocal runs
+                runs += 1
+                return fn(*args)
+            return run
+
+        monkeypatch.setattr(search_module, "is_planar_edges", counted(is_planar_edges))
+        monkeypatch.setattr(search_module, "rotation_edges", counted(rotation_edges))
+        graphs = [complete_graph(5), complete_graph(6)]
+        graphs += [random_connected_graph(8, rng.randrange(12, 19), rng) for _ in range(30)]
+        for g in graphs:
+            runs, stats = 0, SearchStats()
+            backtrack(g, build_universe(g), stats)
+            assert stats.planarity_calls == runs
 
 
 # the first three edges of K6 in lexicographic order whose removal leaves
@@ -618,63 +612,36 @@ class TestPrePushCut:
         assert (cuts[CutReason.KITE_EDGE_CROSSING] > 0) is kec_seen
 
 
-class TestCountAnswers:
-    """Queries that classify settles by the edge count, without a star
-    graph or an LR run, are nonplanar star graphs.  Only completion and
-    saturation attempts are settled so: the capacity cut comes before
-    every saturated query the count would settle."""
+class TestNoDrawingAboveTheLevel:
+    """`classify` asks no drawing, as none of its nodes is one: each has
+    fewer crossings than the edge count allows, or lies on the 0-chain
+    below a node of an earlier level with the same crossings, whose star
+    graph was found nonplanar."""
 
-    MAX_NODES = 3000
-
-    @pytest.mark.parametrize("graph", ["K6", "K7-e"])
-    def test_settled_queries_are_nonplanar(self, monkeypatch, graph):
-        g = _CUT_GRAPHS[graph]()
-        runs = 0
-
-        def counted(fn):
-            def run(*args):
-                nonlocal runs
-                runs += 1
-                return fn(*args)
-
-            return run
-
-        monkeypatch.setattr(search_module, "is_planar_edges", counted(is_planar_edges))
-        monkeypatch.setattr(search_module, "rotation_edges", counted(rotation_edges))
-        original = SearchState.classify
-        settled = {"saturated": 0, "full": 0}
-        classified = 0
+    @pytest.mark.parametrize("corpus", ["oracle", "capped", "K4,5", "K7-e", "scale6"])
+    def test_classified_nodes_have_nonplanar_star_graphs(self, monkeypatch, corpus):
+        graphs = {"oracle": oracle_corpus, "capped": capped_corpus,
+                  "K4,5": lambda: [complete_bipartite(4, 5)],
+                  "K7-e": lambda: [k7_minus_edge()],
+                  "scale6": lambda: [scale_block(6)]}[corpus]()
+        nonplanar: set[tuple[tuple[int, int], ...]] = set()  # of the graph being searched
+        seen = 0
 
         def checking(state, stats):
-            nonlocal classified
-            asked, ran = stats.planarity_calls, runs
-            v = original(state, stats)
-            unrun = (stats.planarity_calls - asked) - (runs - ran)
-            assert unrun in (0, 1)
-            if unrun:
-                # the settled query is the last one asked: a saturated
-                # query cuts, while a nonplanar full query below a node
-                # that is not saturated leaves it CNT
-                sat = state.saturated()
-                saturated = sat != (1 << g.m) - 1 and v.cut_reason is CutReason.NONPLANAR_INDUCED
-                n_star, star = star_edge_list(g, state.crossings, keep=sat if saturated else None)
+            nonlocal seen
+            crossings = tuple(state.crossings)
+            if crossings not in nonplanar:
+                _, star = star_edge_list(state.g, crossings)
                 assert not nx.check_planarity(nx.Graph(star))[0]
-                assert not is_planar_edges(n_star, star)
-                settled["saturated" if saturated else "full"] += 1
-            classified += 1
-            if classified >= self.MAX_NODES:
-                raise _Enough
-            return v
+                nonplanar.add(crossings)
+            seen += 1
+            return _classify(state, stats)
 
         monkeypatch.setattr(SearchState, "classify", checking)
-        try:
-            solve_block(g, SearchConfig())
-        except _Enough:
-            pass
-        assert settled["full"] > 0
-        # the capacity cut settles every saturated query the count would
-        # answer before it is asked
-        assert settled["saturated"] == 0
+        for g in graphs:
+            nonplanar.clear()
+            backtrack(g, build_universe(g), SearchStats())
+        assert seen > 0
 
 
 def capacity_cut_by_reference(state: SearchState, g: Graph, kite: bool) -> bool:
@@ -719,9 +686,9 @@ def saturated_queries(monkeypatch) -> list[int]:
     asked = [0]
     original = SearchState._saturated_planar
 
-    def counting(state, *args, **kwargs):
+    def counting(state, stats):
         asked[0] += 1
-        return original(state, *args, **kwargs)
+        return original(state, stats)
 
     monkeypatch.setattr(SearchState, "_saturated_planar", counting)
     return asked
@@ -851,8 +818,9 @@ def solve_tree_graph(graph, config, monkeypatch, canonical: bool):
     universe for `canonical_universe`, the search without twin orbits, and
     the config "no kite" takes the kite masks out (`without_kites`).  The
     config "p=1" names the zero completion tried at a node with
-    probability 1; the search now always tries it, so "p=1" runs the
-    default search and keeps the pins recorded under that name."""
+    probability 1; the search now asks it wherever it can be the drawing,
+    so "p=1" runs the default search and keeps the pins recorded under
+    that name."""
     if canonical:
         monkeypatch.setattr(search_module, "build_universe", canonical_universe)
     if config == "no kite":
@@ -875,11 +843,17 @@ def _from_random12(pins: dict) -> dict:
 # again, with the trees unchanged, when a query whose last crossing has an
 # edge that is not removable came to be answered without its star graph
 # and a 0-chain's saturated-subgraph queries came to be bisected (K6 56,
-# K4,4 9300, random12 605 before)
-PINNED_CALLS = {"K6": 40, "K4,4": 4821, "random12": 215}
+# K4,4 9300, random12 605 before); and all three again, with the trees
+# unchanged, when only the nodes at a level came to ask their own star
+# graph: K6 drops the completions the edge count settled, which counted
+# without an LR run, and K4,4 and random12 the root's saturated-subgraph
+# query, now part of its chain's bisection (K6 40, K4,4 4821, random12
+# 215 before)
+PINNED_CALLS = {"K6": 25, "K4,4": 4820, "random12": 214}
 # the same under twin-orbit branching (K4,4 194 before the levels; K6 24
-# and K4,4 370 before the removable-edge rule and the bisection)
-PRUNED_CALLS = {"K6": 14, "K4,4": 200, "random12": PINNED_CALLS["random12"]}
+# and K4,4 370 before the removable-edge rule and the bisection; K6 14
+# and K4,4 200 before only the nodes at a level asked their star graph)
+PRUNED_CALLS = {"K6": 11, "K4,4": 199, "random12": PINNED_CALLS["random12"]}
 
 
 @pytest.mark.parametrize("graph", sorted(PINNED_CALLS))
@@ -994,17 +968,20 @@ def order_digest(graph, config, monkeypatch, canonical: bool) -> str:
 # pass became a loop: the digest is now the full search's part of the old
 # one, since the loop classifies no node.  K4,4's and random12's were
 # re-recorded when the search came to visit the tree level by level; K6's
-# drawing is on its first level, and its order did not move.
+# drawing is on its first level, and its order did not move.  K4,4's and
+# random12's again when their root, with m <= 3n - 6, became level 0: its
+# `classify` line became a `classify_at_level` line and a `reopen` line,
+# and every other line stayed as it was.
 PINNED_ORDERS = {
     ("K6", "default"): "e576dd8d42afaee10c2094ba3d0f9b99498d4061a130deedee985bfae08d8858",
-    ("K4,4", "default"): "0f4a50879aded13c9152aeb352c1555a6b71920ff24c36c7f9046ed459326ce6",
-    ("random12", "default"): "6316a04ff71f50e2b8cec28d335331e6a33f0190058b058f75a0d05308bd27e3",
+    ("K4,4", "default"): "2d05c6dff571da17aeffa6de66009e74d9435df5bf188d73768e601a824cda15",
+    ("random12", "default"): "6c4d5013c1a48b7663c4ba1d42d245c27112dba14c64a824f4d28189fa511d8e",
 }
 # the same under twin-orbit branching, recorded when it was introduced
-# (K4,4's again with the levels)
+# (K4,4's again with the levels and with the root on level 0)
 PRUNED_ORDERS = {
     ("K6", "default"): "6ce29d88f4337d62eba56312896a212b623719e8ff209b0dcf0182194eb37a2b",
-    ("K4,4", "default"): "454e3c177af8ec5ebd65f6d958395ad07f10650b65b135f733fb0ec1a118e31a",
+    ("K4,4", "default"): "dcd26282210438ae5db654006fe456db2c2460cacd0f94e9b543911313294357",
 } | _from_random12(PINNED_ORDERS)
 
 
@@ -1398,7 +1375,7 @@ class TestLevels:
     @pytest.mark.parametrize("graph", ["K4,4", "K6"])
     def test_levels_rise_from_the_euler_bound(self, monkeypatch, graph):
         # the nodes classify_at_level sees hold the level's crossings, from
-        # max(m - 3n + 6, 1) up by one, and the last level is the drawing's
+        # max(m - 3n + 6, 0) up by one, and the last level is the drawing's
         g = self.GRAPHS[graph]()
         levels = []
         at_level = SearchState.classify_at_level
@@ -1409,10 +1386,10 @@ class TestLevels:
 
         monkeypatch.setattr(SearchState, "classify_at_level", recording)
         verdict, cert = backtrack(g, build_universe(g), SearchStats())
-        first = max(g.m - 3 * g.n + 6, 1)
+        first = max(g.m - 3 * g.n + 6, 0)
         assert verdict is Verdict.ONE_PLANAR and levels == sorted(levels)
         assert sorted(set(levels)) == list(range(first, len(cert.crossings) + 1))
-        assert (first, len(cert.crossings)) == {"K4,4": (1, 4), "K6": (3, 3)}[graph]
+        assert (first, len(cert.crossings)) == {"K4,4": (0, 4), "K6": (3, 3)}[graph]
 
     @pytest.mark.parametrize("graph", ["K4,4", "K4,5"])
     def test_restored_node_matches_the_pushed_node(self, monkeypatch, graph):
@@ -1490,9 +1467,9 @@ def removable(g: Graph, crossings, e: int) -> bool:
 
 
 class TestRemovableEdges:
-    """A completion or saturation query whose last crossing (a, b) leaves a
-    or b not removable from the earlier crossings' star graph is answered
-    without its own star graph, from a memo kept per crossing slot."""
+    """A node at its level whose last crossing (a, b) leaves a or b not
+    removable from the earlier crossings' star graph is answered without
+    its own star graph, from a memo kept per crossing slot."""
 
     def test_a_planar_crossing_leaves_both_edges_removable(self, rng: random.Random):
         # the rule itself, on random crossing sets that push accepts
@@ -1530,14 +1507,14 @@ class TestRemovableEdges:
             runs += 1
             return rotation_edges(n, edges)
 
-        drawing = SearchState._drawing
+        at_level = SearchState.classify_at_level
 
-        def checking(state, stats, kind, dead_end):
+        def checking(state, stats):
             nonlocal settled
             ran = runs
-            v = drawing(state, stats, kind, dead_end)
+            v = at_level(state, stats)
             c = len(state.crossings)
-            if c and c >= state._need:
+            if c:
                 *earlier, (a, b) = state.crossings
                 for e in (a, b):
                     if state.tested[c - 1] >> e & 1:
@@ -1545,12 +1522,12 @@ class TestRemovableEdges:
                         assert memo is removable(state.g, earlier, e)
                 if runs == ran:
                     settled += 1
-                    assert v is dead_end
+                    assert v.kind is not NodeKind.SOL
                     assert rotation_edges(*star_edge_list(state.g, state.crossings)) is None
             return v
 
         monkeypatch.setattr(search_module, "rotation_edges", counted)
-        monkeypatch.setattr(SearchState, "_drawing", checking)
+        monkeypatch.setattr(SearchState, "classify_at_level", checking)
         for g in graphs:
             backtrack(g, build_universe(g), SearchStats())
         if corpus != "oracle":  # its graphs are too small for the rule to fire
@@ -1602,10 +1579,10 @@ class TestSaturatedChain:
         original = SearchState._saturated_planar
         answered = 0
 
-        def checking(state, stats, *args, **kwargs):
+        def checking(state, stats):
             nonlocal answered
             calls = stats.planarity_calls
-            got = original(state, stats, *args, **kwargs)
+            got = original(state, stats)
             answered += stats.planarity_calls == calls
             _, star = star_edge_list(state.g, state.crossings, keep=state.saturated())
             assert got is nx.check_planarity(nx.Graph(star))[0]
