@@ -534,6 +534,17 @@ def _config_from_args(args) -> SearchConfig:
     return SearchConfig() if args.timeout is None else SearchConfig(time_budget=args.timeout)
 
 
+def _write(path: str, text: str) -> int:
+    """Write `text` to the file `path`: exit code 0, or 2 after an error line."""
+    try:
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write(text)
+    except OSError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
+    return 0
+
+
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(
         prog="oneplanar",
@@ -593,17 +604,14 @@ def main(argv: list[str] | None = None) -> int:
             if emb is None:
                 print("no certificate to emit (verdict is not positive)", file=sys.stderr)
             else:
-                with open(args.emit_embedding, "w", encoding="utf-8") as fh:
-                    fh.write(serialize_embedding(emb))
+                return _write(args.emit_embedding, serialize_embedding(emb))
         return 0
 
     result = bench(args.paths, cfg, fmt=args.format,
                    workers=args.workers, skip_planar=args.skip_planar)
     if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(result.csv)
-    else:
-        sys.stdout.write(result.csv)
+        return _write(args.out, result.csv)
+    sys.stdout.write(result.csv)
     return 0
 
 

@@ -2,9 +2,9 @@
 
 The search walks the pair universe left to right, assigning each pair
 "crosses" (1) or "does not cross" (0).  Each node of the resulting
-binary tree is a solution, a dead end (cut), or a node worth extending,
-by four facts about the decided prefix.  The first two are decided when
-a 1 is pushed, which is then refused:
+binary tree is its drawing (a solution), its cut (a :class:`CutReason`)
+or None, a node worth extending, by four facts about the decided prefix.
+The first two are decided when a 1 is pushed, which is then refused:
 
   * an edge crossed twice can never be repaired (DEC cut);
   * a crossed kite edge, an edge joining an end of one crossing edge to
@@ -92,21 +92,10 @@ class Verdict(Enum):
     UNKNOWN = "Unknown"
 
 
-class NodeKind(Enum):
-    SOL = "SOL"
-    CUT = "CUT"
-    CNT = "CNT"
-
-
 class CutReason(Enum):
     DOUBLE_EDGE_CROSSING = "DEC"
     KITE_EDGE_CROSSING = "KEC"
     NONPLANAR_INDUCED = "Nonplanar"
-
-
-class SolutionKind(Enum):
-    SATURATION = "Satur"
-    COMPLETION = "Compl"
 
 
 class UniverseTooLargeError(ValueError):
@@ -132,9 +121,9 @@ class SearchConfig:
 class SearchStats:
     """Counters of one search, or of several merged.
 
-    ``planarity_calls`` counts the planarity queries of the whole-block
-    test, the skew pass and the search, not those of the skew-edge
-    search.  In the search it is one per call of
+    ``planarity_calls`` counts the queries of the whole-block test, the
+    skew-edge search (none if the deadline stops it), the skew pass and
+    the search.  In the search it is one per call of
     :func:`~oneplanar.planarity.is_planar_edges` or
     :func:`~oneplanar.planarity.rotation_edges`; the first settles every
     query on fewer than 9 edges or 6 vertices by the edge count alone.
@@ -167,24 +156,6 @@ class SearchStats:
         self.planarity_calls += other.planarity_calls
         self.used_backtracking |= other.used_backtracking
         self.used_skew_pass |= other.used_skew_pass
-
-
-@dataclass(frozen=True)
-class NodeVerdict:
-    kind: NodeKind
-    cut_reason: CutReason | None = None
-    solution_kind: SolutionKind | None = None
-    # For SOL nodes: the crossing set and a planar rotation of its star
-    # graph in the star_edge_list layout, the block's OnePlanarEmbedding.
-    crossings: tuple[tuple[int, int], ...] | None = None
-    star_rotation: tuple[tuple[int, ...], ...] | None = None
-
-
-# Verdicts without a payload are shared; only SOL verdicts are built per node.
-_CNT = NodeVerdict(NodeKind.CNT)
-_CUT_DEC = NodeVerdict(NodeKind.CUT, cut_reason=CutReason.DOUBLE_EDGE_CROSSING)
-_CUT_KEC = NodeVerdict(NodeKind.CUT, cut_reason=CutReason.KITE_EDGE_CROSSING)
-_CUT_NONPLANAR = NodeVerdict(NodeKind.CUT, cut_reason=CutReason.NONPLANAR_INDUCED)
 
 
 @dataclass
@@ -281,7 +252,7 @@ class SearchState:
         self.removable = [0] * (g.m // 2 + 1)
         self.sat_cut: list[tuple[range, int] | None] = [None] * (g.m // 2 + 1)
 
-    def push(self, bit: int) -> NodeVerdict | None:
+    def push(self, bit: int) -> CutReason | None:
         """Decide the pair at the cursor: 1 crosses it, 0 does not.
 
         A 1 that would cross an already crossed edge returns the DEC cut;
@@ -298,11 +269,11 @@ class SearchState:
         ab = 1 << a | 1 << b
         c = len(self.crossings)
         if self.crossed[c] & ab:
-            return _CUT_DEC
+            return CutReason.DOUBLE_EDGE_CROSSING
         crossed = self.crossed[c] | ab
         kites = self.kites[c] | self._pair_kites[d]
         if crossed & kites:
-            return _CUT_KEC
+            return CutReason.KITE_EDGE_CROSSING
         self.bits[d] = 1
         self.cursor = d + 1
         self.crossings.append(pair)
@@ -329,34 +300,33 @@ class SearchState:
         c = len(self.crossings)
         return self.crossed[c] | self.kites[c] | self.cornered[c] | self.closed[self.cursor]
 
-    def classify(self, stats: SearchStats) -> NodeVerdict:
-        """Classify the node at the cursor, above its level, as a nonplanar
-        cut or a node to extend.
+    def classify(self, stats: SearchStats) -> CutReason | None:
+        """Classify the node at the cursor, above its level: the nonplanar
+        cut, or None for a node to extend.
 
         Such a node is never the drawing (see the module docstring), so it
         is cut when it is saturated, falls to the capacity cut or has a
-        saturated subgraph with a nonplanar star graph, and is CNT
-        otherwise.  The path was built by `push`, so no edge on it is
-        crossed twice and no kite edge is crossed; DEC and KEC cuts never
-        come from here.  Nothing on the state is written but its memos.
+        saturated subgraph with a nonplanar star graph.  The path was built
+        by `push`, so no edge on it is crossed twice and no kite edge is
+        crossed; DEC and KEC cuts never come from here.  Nothing on the
+        state is written but its memos.
         """
         sat = self.saturated()
         if (sat == self._all_edges or self._capacity_cut(len(self.crossings), sat)
                 or not self._saturated_planar(stats)):
-            return _CUT_NONPLANAR
-        return _CNT
+            return CutReason.NONPLANAR_INDUCED
+        return None
 
-    def classify_at_level(self, stats: SearchStats) -> NodeVerdict:
+    def classify_at_level(self, stats: SearchStats) -> OnePlanarEmbedding | CutReason | None:
         """Classify the node at the cursor, whose path holds its level's
-        crossings, by its own star graph alone: the solution if it is
-        planar, else a nonplanar cut if the node is saturated and a node
-        to extend if not.  Every node below has the node's crossings or
-        more, so this is the one drawing with exactly these crossings.
-        One planarity query, unless an edge of the last crossing is not
-        removable (:meth:`_removable`); the saturated subgraph's query
-        waits for :meth:`reopen`."""
-        saturated = self.saturated() == self._all_edges
-        dead_end = _CUT_NONPLANAR if saturated else _CNT
+        crossings, by its own star graph alone: the block's drawing if it
+        is planar, else the nonplanar cut if the node is saturated and
+        None, a node to extend, if not.  Every node below has the node's
+        crossings or more, so this is the one drawing with exactly these
+        crossings.  One planarity query, unless an edge of the last
+        crossing is not removable (:meth:`_removable`); the saturated
+        subgraph's query waits for :meth:`reopen`."""
+        dead_end = CutReason.NONPLANAR_INDUCED if self.saturated() == self._all_edges else None
         if self.crossings:
             a, b = self.crossings[-1]
             s = len(self.crossings) - 1
@@ -369,19 +339,15 @@ class SearchState:
         rot = rotation_edges(*star_edge_list(self.g, self.crossings))
         if rot is None:
             return dead_end
-        return NodeVerdict(
-            NodeKind.SOL,
-            solution_kind=SolutionKind.SATURATION if saturated else SolutionKind.COMPLETION,
-            crossings=tuple(self.crossings),
-            star_rotation=tuple(tuple(r) for r in rot),
-        )
+        return OnePlanarEmbedding(self.g, tuple(self.crossings), RotationSystem.from_lists(rot))
 
-    def reopen(self, cursor: int, positions: tuple[int, ...], stats: SearchStats) -> NodeVerdict:
+    def reopen(self, cursor: int, positions: tuple[int, ...],
+               stats: SearchStats) -> CutReason | None:
         """Go back to a node that :meth:`classify_at_level` left to extend,
         at `cursor` with crossings at `positions`, by pushing them again,
         and ask the query of `classify` that its children's `classify`
         relies on: the nonplanar cut if the saturated subgraph's star graph
-        is nonplanar, else CNT.  The capacity cut cannot fire here, as the
+        is nonplanar, else None.  The capacity cut cannot fire here, as the
         node holds at least m - 3n + 6 crossings.  The crossings the path
         shares with the node stay, with their slots and memos, and only
         the rest are pushed."""
@@ -398,7 +364,7 @@ class SearchState:
             self.cursor = d
             self.push(1)
         self.cursor = cursor
-        return _CNT if self._saturated_planar(stats) else _CUT_NONPLANAR
+        return None if self._saturated_planar(stats) else CutReason.NONPLANAR_INDUCED
 
     def _capacity_cut(self, c: int, sat: int) -> bool:
         """Whether a node with c crossings and saturated edges `sat` falls
@@ -489,13 +455,13 @@ def backtrack(
     visits the default tree's nodes with the same cuts, and NotOnePlanar
     comes only from a level that leaves nothing open.
 
-    The first solution node gives OnePlanar and a
-    :class:`OnePlanarEmbedding` of g from its crossings and star rotation
-    (merge_blocks validates it), with the fewest crossings of any drawing
-    of g: one with fewest crossings crosses no kite edge, a twin swap
-    keeps the count and the capacity cut holds for any drawing, so level
-    L finds a drawing when g has one with L crossings.  The deadline is
-    read before every node the search classifies or reopens.
+    The first solution node gives OnePlanar and the
+    :class:`OnePlanarEmbedding` of g it returns (merge_blocks validates
+    it), with the fewest crossings of any drawing of g: one with fewest
+    crossings crosses no kite edge, a twin swap keeps the count and the
+    capacity cut holds for any drawing, so level L finds a drawing when g
+    has one with L crossings.  The deadline is read before every node the
+    search classifies or reopens.
 
     Within a subtree the path is the stack: every 0 on it still has its
     1-sibling to visit and every 1 has none.  A 1-sibling that `push`
@@ -515,7 +481,7 @@ def backtrack(
             if deadline is not None and time.monotonic() >= deadline:
                 return Verdict.UNKNOWN, None
             if positions is not None:  # a node the level below left open
-                if state.reopen(floor, positions, stats) is _CUT_NONPLANAR:
+                if state.reopen(floor, positions, stats) is CutReason.NONPLANAR_INDUCED:
                     stats.cuts_nonplanar += 1
                     continue
                 state.push(0)
@@ -526,22 +492,21 @@ def backtrack(
                 stats.nodes_visited += 1
                 if len(crossings) < level:
                     v = state.classify(stats)
-                    if v is _CNT:  # never saturated, so the cursor is below k
+                    if v is None:  # never saturated, so the cursor is below k
                         state.push(0)
                         continue
                 else:
                     v = state.classify_at_level(stats)
-                    if v is _CNT:
+                    if isinstance(v, OnePlanarEmbedding):
+                        if state.saturated() == state._all_edges:
+                            stats.sol_satur += 1
+                        else:
+                            stats.sol_compl += 1
+                        return Verdict.ONE_PLANAR, v
+                    if v is None:
                         deferred.append((state.cursor, tuple(compress(range(state.cursor), bits))))
-                if v is _CUT_NONPLANAR:
+                if v is CutReason.NONPLANAR_INDUCED:
                     stats.cuts_nonplanar += 1
-                elif v is not _CNT:
-                    if v.solution_kind is SolutionKind.SATURATION:
-                        stats.sol_satur += 1
-                    else:
-                        stats.sol_compl += 1
-                    cert = OnePlanarEmbedding(g, v.crossings, RotationSystem(v.star_rotation))
-                    return Verdict.ONE_PLANAR, cert
                 # a leaf: back up past the 1s and take the 1-sibling of the deepest
                 # 0, unless the orbit rule skips it or push refuses it as a cut leaf
                 while True:
@@ -559,7 +524,7 @@ def backtrack(
                         first = lowest
                         break
                     stats.nodes_visited += 1
-                    if cut is _CUT_DEC:
+                    if cut is CutReason.DOUBLE_EDGE_CROSSING:
                         stats.cuts_dec += 1
                     else:
                         stats.cuts_kec += 1
@@ -631,6 +596,7 @@ def test_block(
         e = find_skew_set(g, deadline)
     except TimeoutError:
         return BlockResult(Verdict.UNKNOWN, None, stats)
+    stats.planarity_calls += g.m if e is None else e + 1
     if e is not None:
         stats.used_skew_pass = stats.used_backtracking = True
         for f in reversed(range(g.m)):

@@ -1,5 +1,5 @@
 """Set-based reference model of a decided prefix, the oracle for the edge
-masks and the node verdicts of :class:`~oneplanar.search.SearchState`.
+masks and the node answers of :class:`~oneplanar.search.SearchState`.
 
 A prefix is the list of bits decided so far over a pair universe, 1 for a
 pair that crosses; its length is the cursor.  Every function here
@@ -14,18 +14,11 @@ from __future__ import annotations
 import dataclasses
 import itertools
 
-from oneplanar.embedding import star_edge_list
+from oneplanar.embedding import OnePlanarEmbedding, star_edge_list
 from oneplanar.graph import Graph
 from oneplanar.pairs import PairUniverse, build_universe
-from oneplanar.planarity import is_planar_edges, rotation_edges
-from oneplanar.search import (
-    CutReason,
-    NodeKind,
-    NodeVerdict,
-    SearchState,
-    SearchStats,
-    SolutionKind,
-)
+from oneplanar.planarity import RotationSystem, is_planar_edges, rotation_edges
+from oneplanar.search import CutReason, SearchState, SearchStats
 
 
 def canonical_universe(g: Graph) -> PairUniverse:
@@ -159,41 +152,38 @@ def capacity_short(g: Graph, u: PairUniverse, sat: set[int], crossings: int) -> 
 
 
 def classify_prefix(g: Graph, u: PairUniverse, bits, kite: bool = True,
-                    stats: SearchStats | None = None) -> NodeVerdict:
-    """The verdict of the node a prefix reaches, from the prefix alone.
+                    stats: SearchStats | None = None) -> OnePlanarEmbedding | CutReason | None:
+    """The answer of the node a prefix reaches, from the prefix alone: its
+    drawing, its cut, or None for a node to extend.
 
     A prefix with a doubly crossed edge or (with `kite`) a crossed kite
     edge is that cut (`prefix_cut`).  Otherwise a node that is not
     saturated is cut when its capacity falls short (`capacity_short`) or
     its saturated subgraph's star graph is nonplanar, and it then tries
-    its zero completion: a solution if that star graph is planar, else a
-    node to extend.  A saturated node is a solution if its star graph is
-    planar, else cut.  Both queries are asked at every node, whatever its
-    ancestors were, and each one asked is counted in
-    ``stats.planarity_calls``.
+    its zero completion: the drawing with the prefix's crossings if that
+    star graph is planar, else None.  A saturated node is that drawing if
+    its star graph is planar, else the nonplanar cut.  Both queries are
+    asked at every node, whatever its ancestors were, and each one asked
+    is counted in ``stats.planarity_calls``.
     """
     cut = prefix_cut(g, u, bits, kite)
     if cut is not None:
-        return NodeVerdict(NodeKind.CUT, cut_reason=cut)
+        return cut
     stats = SearchStats() if stats is None else stats
     pairs = decided_pairs(u, bits)
     sat = saturated_edges(u, bits, find_kite_edges(g, pairs) if kite else set())
-    nonplanar = NodeVerdict(NodeKind.CUT, cut_reason=CutReason.NONPLANAR_INDUCED)
-    if len(sat) < g.m:
+    saturated = len(sat) == g.m
+    if not saturated:
         if capacity_short(g, u, sat, len(pairs)):
-            return nonplanar
+            return CutReason.NONPLANAR_INDUCED
         stats.planarity_calls += 1
         if not is_planar_edges(*star_edge_list(g, pairs, keep=edge_mask(sat))):
-            return nonplanar
-        kind, dead_end = SolutionKind.COMPLETION, NodeVerdict(NodeKind.CNT)
-    else:
-        kind, dead_end = SolutionKind.SATURATION, nonplanar
+            return CutReason.NONPLANAR_INDUCED
     stats.planarity_calls += 1
     rot = rotation_edges(*star_edge_list(g, pairs))
     if rot is None:
-        return dead_end
-    return NodeVerdict(NodeKind.SOL, solution_kind=kind, crossings=tuple(pairs),
-                       star_rotation=tuple(tuple(r) for r in rot))
+        return CutReason.NONPLANAR_INDUCED if saturated else None
+    return OnePlanarEmbedding(g, tuple(pairs), RotationSystem.from_lists(rot))
 
 
 def fewest_crossings(g: Graph, most: int) -> int | None:

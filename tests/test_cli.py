@@ -768,6 +768,16 @@ class TestMain:
         emb = parse_embedding(out.read_text(), g)
         assert validate(g, emb)
 
+    def test_unwritable_embedding_path_exits_two(self, tmp_path, capsys):
+        # the run is done, so the verdict is printed before the error
+        f = tmp_path / "k5.txt"
+        f.write_text("".join(f"{u} {v}\n" for u, v in complete_graph(5).edges))
+        out = tmp_path / "absent" / "cert.txt"
+        assert main(["check", str(f), "--emit-embedding", str(out)]) == 2
+        captured = capsys.readouterr()
+        assert "OnePlanar with 1 crossing(s)" in captured.out
+        assert captured.err.startswith("error: ") and "cert.txt" in captured.err
+
     def test_check_oracle_flag(self, tmp_path, capsys):
         f = tmp_path / "k5.txt"
         f.write_text("".join(f"{u} {v}\n" for u, v in complete_graph(5).edges))
@@ -786,6 +796,14 @@ class TestMain:
         out = tmp_path / "report.csv"
         assert main(["bench", str(tmp_path), "--out", str(out)]) == 0
         assert out.read_text().splitlines()[0] == CSV_HEADER
+
+    def test_bench_unwritable_out_exits_two(self, tmp_path, capsys):
+        files = write_corpus(tmp_path)
+        out = tmp_path / "absent" / "report.csv"
+        assert main(["bench", files["grid.txt"], "--out", str(out)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ") and "report.csv" in captured.err
 
     def test_bench_stdout_default(self, tmp_path, capsys):
         files = write_corpus(tmp_path)

@@ -24,18 +24,21 @@ from conftest import (
     petersen_graph,
     random_connected_graph,
 )
-from oneplanar.embedding import count_crossings, serialize_embedding, star_edge_list, validate
+from oneplanar.embedding import (
+    OnePlanarEmbedding,
+    count_crossings,
+    serialize_embedding,
+    star_edge_list,
+    validate,
+)
 from oneplanar.graph import Graph, biconnected_components, build_graph
 from oneplanar.pairs import build_universe
 from oneplanar.planarity import is_planar_edges, rotation_edges
 from oneplanar.search import (
     CutReason,
-    NodeKind,
-    NodeVerdict,
     SearchConfig,
     SearchState,
     SearchStats,
-    SolutionKind,
     UniverseTooLargeError,
     Verdict,
     backtrack,
@@ -64,19 +67,32 @@ from reference import (
 _push, _classify = SearchState.push, SearchState.classify
 
 
-def replay(g, universe, bits, stats=None, at_level=False) -> NodeVerdict:
-    """The verdict of the node a bit prefix reaches: the cut of its first
-    push that is refused, or else the classification of the node after
-    the last bit, by `classify`, or with `at_level` by
+def node_words(state: SearchState, v) -> str:
+    """The "KIND REASON" words of a node's answer `v` at the state's
+    cursor: "CNT None" for None, "CUT" and the cut's name, or "SOL" and
+    SATURATION or COMPLETION as the node is saturated or not, which is how
+    `backtrack` counts its solutions."""
+    if v is None:
+        return "CNT None"
+    if isinstance(v, CutReason):
+        return f"CUT {v.name}"
+    saturated = state.saturated() == (1 << state.g.m) - 1
+    return "SOL SATURATION" if saturated else "SOL COMPLETION"
+
+
+def replay(g, universe, bits, stats=None, at_level=False) -> str:
+    """The `node_words` of the node a bit prefix reaches: the cut of its
+    first push that is refused, or else the classification of the node
+    after the last bit, by `classify`, or with `at_level` by
     `classify_at_level`, whose path holds its level's crossings;
     `classify_prefix` classifies any prefix, asking every query."""
     state = SearchState(g, universe)
     for bit in bits:
         cut = _push(state, bit)
         if cut is not None:
-            return cut
+            return node_words(state, cut)
     classify = SearchState.classify_at_level if at_level else _classify
-    return classify(state, SearchStats() if stats is None else stats)
+    return node_words(state, classify(state, SearchStats() if stats is None else stats))
 
 
 def fail_full_queries(monkeypatch) -> None:
@@ -114,15 +130,12 @@ class TestVerifyNode:
         # node to extend
         fail_full_queries(monkeypatch)
         g = complete_graph(4)
-        v = replay(g, build_universe(g), [], at_level=True)
-        assert v.kind is NodeKind.CNT
+        assert replay(g, build_universe(g), [], at_level=True) == "CNT None"
 
     def test_double_crossing_cut(self):
         g = complete_graph(5)
         # (0,7) and (0,8) cross edge 0
-        v = replay(g, build_universe(g), [1, 1])
-        assert v.kind is NodeKind.CUT
-        assert v.cut_reason is CutReason.DOUBLE_EDGE_CROSSING
+        assert replay(g, build_universe(g), [1, 1]) == "CUT DOUBLE_EDGE_CROSSING"
 
     def test_kite_edge_cut(self):
         # Cross (0,1)x(3,4), then cross kite edge (0,3) with (2,4).
@@ -130,9 +143,7 @@ class TestVerifyNode:
         bits = [0] * 9
         bits[2] = 1  # pair (0,9)
         bits[8] = 1  # pair (2,8)
-        v = replay(g, build_universe(g), bits)
-        assert v.kind is NodeKind.CUT
-        assert v.cut_reason is CutReason.KITE_EDGE_CROSSING
+        assert replay(g, build_universe(g), bits) == "CUT KITE_EDGE_CROSSING"
 
     def test_kite_cut_needs_kite_pruning(self, monkeypatch):
         # the KEC cut comes from the kite masks alone
@@ -141,53 +152,48 @@ class TestVerifyNode:
         bits = [0] * 9
         bits[2] = 1
         bits[8] = 1
-        v = replay(g, build_universe(g), bits)
-        assert v.cut_reason is not CutReason.KITE_EDGE_CROSSING
+        assert replay(g, build_universe(g), bits) != "CUT KITE_EDGE_CROSSING"
 
     def test_saturated_nonplanar_cut(self):
         g = complete_graph(5)
         u = build_universe(g)
         # no crossings at all: K5 itself
-        v = replay(g, u, [0] * u.k)
-        assert v.kind is NodeKind.CUT
-        assert v.cut_reason is CutReason.NONPLANAR_INDUCED
+        assert replay(g, u, [0] * u.k) == "CUT NONPLANAR_INDUCED"
 
     def test_full_assignment_solution_by_saturation(self):
         g = complete_graph(5)
         u = build_universe(g)
         bits = [0] * u.k
         bits[2] = 1  # only (0,9)
-        # the path passes through the solution the search finds at depth 3
+        # the path passes through the solution the search finds at depth 3;
+        # every pair is decided, so the node is saturated
         v = classify_prefix(g, u, bits)
-        assert v.kind is NodeKind.SOL
-        assert v.solution_kind is SolutionKind.SATURATION
+        assert isinstance(v, OnePlanarEmbedding)
+        assert saturated_edges(u, bits) == set(range(g.m))
         assert v.crossings == ((0, 9),)
-        assert v.star_rotation is not None
+        assert validate(g, v)
 
     def test_restricted_solution_before_full_depth(self):
         # In the K5 universe restricted to edge 0, one crossing saturates
         # everything after a single decision.
         g = complete_graph(5)
         u = restricted_universe(g, [0])
-        v = replay(g, u, [1], at_level=True)
-        assert v.kind is NodeKind.SOL
-        assert v.solution_kind is SolutionKind.SATURATION
+        assert replay(g, u, [1], at_level=True) == "SOL SATURATION"
 
     def test_root_completion_certifies_planar_graph(self):
         # the root of a planar graph, level 0, completes with all zeros to
         # a drawing without crossings
         g = complete_graph(4)
-        v = replay(g, build_universe(g), [], at_level=True)
-        assert v.kind is NodeKind.SOL
-        assert v.solution_kind is SolutionKind.COMPLETION
-        assert v.crossings == ()
+        state = SearchState(g, build_universe(g))
+        v = state.classify_at_level(SearchStats())
+        assert node_words(state, v) == "SOL COMPLETION"
+        assert v.crossings == () and validate(g, v)
 
     def test_completion_failure_continues(self):
         # K5 with nothing crossed completes to a nonplanar drawing, so the
         # node survives its zero completion
         g = complete_graph(5)
-        v = replay(g, build_universe(g), [])
-        assert v.kind is NodeKind.CNT
+        assert replay(g, build_universe(g), []) == "CNT None"
 
     def test_stats_track_planarity_calls(self):
         g = complete_graph(5)
@@ -209,16 +215,15 @@ class TestVerifyNode:
             depth = rng.randrange(1, u.k)
             bits = [rng.randrange(2) for _ in range(depth)]
             v = replay(g, u, bits)
-            if v.kind is not NodeKind.CUT:
+            if not v.startswith("CUT"):
                 continue
-            if v.cut_reason is CutReason.NONPLANAR_INDUCED:
+            if v == "CUT NONPLANAR_INDUCED":
                 continue  # planarity cuts argue over saturated edges only
             found += 1
             assert prefix_cut(g, u, bits, kite=True) is not None
             for _ in range(4):
                 ext = bits + [rng.randrange(2) for _ in range(u.k - depth)]
-                ve = replay(g, u, ext)
-                assert ve.kind is NodeKind.CUT
+                assert replay(g, u, ext).startswith("CUT")
                 assert prefix_cut(g, u, ext, kite=True) is not None
 
 
@@ -283,7 +288,7 @@ class TestKiteFreeSearchNeverCutsViable:
             depth = rng.randrange(1, u.k + 1)
             bits = [rng.randrange(2) for _ in range(depth)]
             v = classify_prefix(g, u, bits, kite=False)
-            if v.kind is NodeKind.CUT:
+            if isinstance(v, CutReason):
                 checked += 1
                 assert not true_extension_exists(g, u, bits)
 
@@ -375,7 +380,9 @@ class TestBacktrack:
 
     def test_planarity_calls_are_the_queries_run(self, monkeypatch, rng: random.Random):
         # planarity_calls counts one call of is_planar_edges or
-        # rotation_edges per query, and no query answered without one
+        # rotation_edges per query, and no query answered without one, in
+        # backtrack and in test_block, whose whole-block test_planarity,
+        # skew-edge search and skew pass count too
         runs = 0
 
         def counted(fn):
@@ -387,12 +394,15 @@ class TestBacktrack:
 
         monkeypatch.setattr(search_module, "is_planar_edges", counted(is_planar_edges))
         monkeypatch.setattr(search_module, "rotation_edges", counted(rotation_edges))
+        monkeypatch.setattr(search_module, "test_planarity", counted(search_module.test_planarity))
         graphs = [complete_graph(5), complete_graph(6)]
         graphs += [random_connected_graph(8, rng.randrange(12, 19), rng) for _ in range(30)]
         for g in graphs:
             runs, stats = 0, SearchStats()
             backtrack(g, build_universe(g), stats)
             assert stats.planarity_calls == runs
+            runs = 0
+            assert solve_block(g, SearchConfig()).stats.planarity_calls == runs
 
 
 # the first three edges of K6 in lexicographic order whose removal leaves
@@ -471,7 +481,7 @@ class TestSearchState:
             assert snapshot(state) == before
             assert_memo_extends(state, memo)
             assert got == want
-            seen.append(got.kind)
+            seen.append(got)
             if len(seen) >= self.MAX_NODES:
                 raise _Enough
             return got
@@ -486,7 +496,37 @@ class TestSearchState:
             backtrack(g, u, SearchStats())
         except _Enough:
             pass
-        assert NodeKind.CNT in seen
+        assert None in seen
+
+    @pytest.mark.parametrize("g", _state_differential_cases())
+    @pytest.mark.parametrize("kite", [True, False], ids=["kite", "nokite"])
+    def test_level_answers_match_reference(self, monkeypatch, g, kite):
+        # at every node where backtrack asks for a drawing, a drawing
+        # returned is the one `classify_prefix` finds from the prefix
+        # alone, and any other answer is a node where it finds none
+        if not kite:
+            without_kites(monkeypatch)
+        at_level = SearchState.classify_at_level
+        seen = []
+
+        def checking(state, stats):
+            got = at_level(state, stats)
+            want = classify_prefix(g, state.universe, state.bits[: state.cursor], kite)
+            if isinstance(got, OnePlanarEmbedding):
+                assert got == want
+            else:
+                assert not isinstance(want, OnePlanarEmbedding)
+            seen.append(got)
+            if len(seen) >= self.MAX_NODES:
+                raise _Enough
+            return got
+
+        monkeypatch.setattr(SearchState, "classify_at_level", checking)
+        try:
+            backtrack(g, build_universe(g), SearchStats())
+        except _Enough:
+            pass
+        assert seen
 
     def test_pop_undoes_push(self, rng: random.Random):
         # A random walk of pushes and pops, checked after every step.  It
@@ -514,9 +554,8 @@ class TestSearchState:
                         before = (list(state.bits), list(state.crossings), list(state.crossed),
                                   list(state.kites), list(state.cornered))
                         cut = state.push(bit)
-                        assert (cut and cut.cut_reason) is want
+                        assert cut is want
                         if cut is not None:
-                            assert cut.kind is NodeKind.CUT
                             refused[want] += 1
                             assert state.cursor == d
                             assert before == (state.bits, state.crossings, state.crossed,
@@ -579,9 +618,9 @@ class TestPrePushCut:
         def checking_push(state, bit):
             want = prefix_cut(g, state.universe, state.bits[: state.cursor] + [bit], kite)
             v = _push(state, bit)
-            assert (v and v.cut_reason) is want
+            assert v is want
             if v is not None:
-                cuts[v.cut_reason] += 1
+                cuts[v] += 1
             return v
 
         def counting(method):
@@ -698,7 +737,7 @@ def is_capacity_cut(v, state: SearchState, before: int, asked: list[int]) -> boo
     """A nonplanar cut of a node that is not saturated, made without asking
     about its saturated subgraph (`asked` still reads `before`, see
     `saturated_queries`): the capacity cut, and nothing else in classify."""
-    return (v.cut_reason is CutReason.NONPLANAR_INDUCED and asked[0] == before
+    return (v is CutReason.NONPLANAR_INDUCED and asked[0] == before
             and state.saturated() != (1 << state.g.m) - 1)
 
 
@@ -848,12 +887,15 @@ def _from_random12(pins: dict) -> dict:
 # graph: K6 drops the completions the edge count settled, which counted
 # without an LR run, and K4,4 and random12 the root's saturated-subgraph
 # query, now part of its chain's bisection (K6 40, K4,4 4821, random12
-# 215 before)
-PINNED_CALLS = {"K6": 25, "K4,4": 4820, "random12": 214}
+# 215 before); and all three again, with the trees unchanged, when the
+# skew-edge search's queries came to count (K6 25, K4,4 4820, random12 214
+# before)
+PINNED_CALLS = {"K6": 40, "K4,4": 4836, "random12": 228}
 # the same under twin-orbit branching (K4,4 194 before the levels; K6 24
 # and K4,4 370 before the removable-edge rule and the bisection; K6 14
-# and K4,4 200 before only the nodes at a level asked their star graph)
-PRUNED_CALLS = {"K6": 11, "K4,4": 199, "random12": PINNED_CALLS["random12"]}
+# and K4,4 200 before only the nodes at a level asked their star graph;
+# K6 11 and K4,4 199 before the skew-edge search's queries counted)
+PRUNED_CALLS = {"K6": 26, "K4,4": 215, "random12": PINNED_CALLS["random12"]}
 
 
 @pytest.mark.parametrize("graph", sorted(PINNED_CALLS))
@@ -936,21 +978,17 @@ def order_digest(graph, config, monkeypatch, canonical: bool) -> str:
     restores on the next level."""
     digest = hashlib.sha256()
 
-    def line(cursor, v):
-        reason = v.cut_reason or v.solution_kind
-        digest.update(f"{cursor} {v.kind.name} {reason and reason.name}\n".encode())
-
     def recording(method):
         def record(state, *args):
             v = method(state, *args)
-            line(state.cursor, v)
+            digest.update(f"{state.cursor} {node_words(state, v)}\n".encode())
             return v
         return record
 
     def recording_push(state, bit):
         v = _push(state, bit)
         if v is not None:
-            line(state.cursor + 1, v)
+            digest.update(f"{state.cursor + 1} {node_words(state, v)}\n".encode())
         return v
 
     for name in ("classify", "classify_at_level", "reopen"):
@@ -1127,8 +1165,9 @@ class TestBlockDriver:
         assert all(kwargs["stats"] is res.stats for kwargs in calls)
 
     # (kernel runs, nodes, planarity calls); 5, 6 and 6, 7 nodes and calls
-    # before the skew pass became a loop, and 3 kernel runs on K3,3
-    SMALL_BLOCK_PINS = {"K5": (1, 1, 2), "K3,3": (2, 1, 2)}
+    # before the skew pass became a loop, and 3 kernel runs on K3,3; 2
+    # calls each before the skew-edge search's query counted
+    SMALL_BLOCK_PINS = {"K5": (1, 1, 3), "K3,3": (2, 1, 3)}
 
     @pytest.mark.parametrize("graph", sorted(SMALL_BLOCK_PINS))
     def test_small_blocks_run_the_lr_kernel_rarely(self, monkeypatch, graph):
@@ -1407,7 +1446,7 @@ class TestLevels:
 
         def leaving(state, stats):
             v = at_level(state, stats)
-            if v.kind is NodeKind.CNT:
+            if v is None:
                 ones = tuple(d for d in range(state.cursor) if state.bits[d])
                 left[state.cursor, ones] = slots(state)
             return v
@@ -1522,7 +1561,7 @@ class TestRemovableEdges:
                         assert memo is removable(state.g, earlier, e)
                 if runs == ran:
                     settled += 1
-                    assert v.kind is not NodeKind.SOL
+                    assert not isinstance(v, OnePlanarEmbedding)
                     assert rotation_edges(*star_edge_list(state.g, state.crossings)) is None
             return v
 
