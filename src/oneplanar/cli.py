@@ -247,9 +247,11 @@ def run_pipeline(
     """Decide the whole graph block by block and merge the certificates.
 
     A drawing exists iff every block has one, so the first negative block
-    halts the run.  The certificate returned is validated against g by
-    ``merge_blocks``.  Block verdicts left open by the deadline make the
-    overall answer Unknown unless some later block is outright negative.
+    halts the run, and a block equal to one decided before reuses its
+    answer (see `_decide_blocks`).  The certificate returned is validated
+    against g by ``merge_blocks``.  Block verdicts left open by the deadline
+    make the overall answer Unknown unless some later block is outright
+    negative.
     """
     t0 = time.monotonic()
     return _finish(g, name, t0, *_decide_blocks(g, cfg, t0))
@@ -260,14 +262,23 @@ def _decide_blocks(
 ) -> tuple[tuple[Block, ...], Verdict, SearchStats, list[OnePlanarEmbedding]]:
     """The block loop of `run_pipeline`, started at `t0`: the blocks,
     the overall verdict, the merged stats and, while every block so far is
-    positive, the block certificates."""
+    positive, the block certificates.  A block whose graph (n and edges)
+    equals an earlier one's takes its `test_block` result, stats merged
+    again, even past the deadline, as that costs no search; an Unknown,
+    which depends on the deadline, is not kept."""
     deadline = t0 + cfg.time_budget
     blocks = biconnected_components(g)
     stats = SearchStats()
     certificates: list[OnePlanarEmbedding] = []
     verdict = Verdict.ONE_PLANAR
+    decided = {}  # (n, edges) of a block graph -> its BlockResult
     for blk in blocks:
-        res = test_block(blk.graph, cfg, deadline=deadline)
+        key = (blk.graph.n, blk.graph.edges)
+        res = decided.get(key)
+        if res is None:
+            res = test_block(blk.graph, cfg, deadline=deadline)
+            if res.verdict is not Verdict.UNKNOWN:
+                decided[key] = res
         stats.merge(res.stats)
         if res.verdict is Verdict.NOT_ONE_PLANAR:
             verdict = Verdict.NOT_ONE_PLANAR
@@ -607,6 +618,8 @@ def main(argv: list[str] | None = None) -> int:
                 return _write(args.emit_embedding, serialize_embedding(emb))
         return 0
 
+    if args.out and _write(args.out, ""):  # fail before any instance is decided
+        return 2
     result = bench(args.paths, cfg, fmt=args.format,
                    workers=args.workers, skip_planar=args.skip_planar)
     if args.out:

@@ -133,7 +133,9 @@ class SearchStats:
     saturated-subgraph queries of one 0-chain cost the calls of one
     bisection (see the module docstring), charged to the node that asks
     first.  A star graph query settled by its last crossing's edges costs
-    no call, and each removable-edge query it asks costs one.
+    no call, and each removable-edge query it asks costs one, unless the
+    skew-edge search asked it.  A block that `run_pipeline` reuses counts
+    its first decision's counters again.
     """
 
     nodes_visited: int = 0
@@ -441,6 +443,8 @@ def backtrack(
     universe: PairUniverse,
     stats: SearchStats,
     deadline: float | None = None,
+    tested: int = 0,
+    removable: int = 0,
 ) -> tuple[Verdict, OnePlanarEmbedding | None]:
     """Depth-first search over the universe, 0 branches first, visited
     level by level in the number of crossings on the path.
@@ -467,11 +471,15 @@ def backtrack(
     1-sibling to visit and every 1 has none.  A 1-sibling that `push`
     refuses is counted, as a node and a DEC or KEC cut, on the way back
     up; one whose pair's orbit opens before the path's first crossing
-    (before the pair itself on a path without one) is skipped.
+    (before the pair itself on a path without one) is skipped.  `tested`
+    and `removable`, the edges e for which g - e was tested and found
+    planar before (by :func:`test_block`), seed slot 0's removable-edge memo.
     """
     stats.used_backtracking = True
     state = SearchState(g, universe)
+    state.tested[0], state.removable[0] = tested, removable
     bits, crossings, orbit = state.bits, state.crossings, universe.orbit
+    nonplanar, dec = CutReason.NONPLANAR_INDUCED, CutReason.DOUBLE_EDGE_CROSSING
     level = max(state._need, 0)
     # the root, not yet classified, and then the nodes each level leaves open
     subtrees: list[tuple[int, tuple[int, ...] | None]] = [(0, None)]
@@ -481,7 +489,7 @@ def backtrack(
             if deadline is not None and time.monotonic() >= deadline:
                 return Verdict.UNKNOWN, None
             if positions is not None:  # a node the level below left open
-                if state.reopen(floor, positions, stats) is CutReason.NONPLANAR_INDUCED:
+                if state.reopen(floor, positions, stats) is nonplanar:
                     stats.cuts_nonplanar += 1
                     continue
                 state.push(0)
@@ -505,7 +513,7 @@ def backtrack(
                         return Verdict.ONE_PLANAR, v
                     if v is None:
                         deferred.append((state.cursor, tuple(compress(range(state.cursor), bits))))
-                if v is CutReason.NONPLANAR_INDUCED:
+                if v is nonplanar:
                     stats.cuts_nonplanar += 1
                 # a leaf: back up past the 1s and take the 1-sibling of the deepest
                 # 0, unless the orbit rule skips it or push refuses it as a cut leaf
@@ -524,7 +532,7 @@ def backtrack(
                         first = lowest
                         break
                     stats.nodes_visited += 1
-                    if cut is CutReason.DOUBLE_EDGE_CROSSING:
+                    if cut is dec:
                         stats.cuts_dec += 1
                     else:
                         stats.cuts_kec += 1
@@ -560,7 +568,8 @@ def test_block(
     vertices always have a drawing, found by search; otherwise, when
     removing one edge e leaves the block planar (e is a skew edge), each
     crossing of e with one other edge is tried first, and the search
-    settles whatever is left open.  Past the density gate, a deadline
+    settles whatever is left open, starting from the skew-edge search's
+    answers on which g - f is planar.  Past the density gate, a deadline
     that has passed gives Unknown before any planarity query.
 
     The skew pass tries each crossing (e, f) of e with an edge f
@@ -596,7 +605,8 @@ def test_block(
         e = find_skew_set(g, deadline)
     except TimeoutError:
         return BlockResult(Verdict.UNKNOWN, None, stats)
-    stats.planarity_calls += g.m if e is None else e + 1
+    tested = (1 << (g.m if e is None else e + 1)) - 1  # g - f asked, f up to e
+    stats.planarity_calls += tested.bit_length()
     if e is not None:
         stats.used_skew_pass = stats.used_backtracking = True
         for f in reversed(range(g.m)):
@@ -614,7 +624,8 @@ def test_block(
                 return BlockResult(Verdict.ONE_PLANAR, cert, stats)
             stats.cuts_nonplanar += 1
 
-    verdict, cert = backtrack(g, build_universe(g), stats=stats, deadline=deadline)
+    verdict, cert = backtrack(g, build_universe(g), stats=stats, deadline=deadline,
+                              tested=tested, removable=0 if e is None else 1 << e)
     if verdict is Verdict.NOT_ONE_PLANAR and g.n < 7:
         raise RuntimeError("internal error: graphs on fewer than 7 vertices always have a drawing")
     return BlockResult(verdict, cert, stats)

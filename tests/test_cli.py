@@ -11,6 +11,7 @@ import random
 import re
 import subprocess
 import sys
+import time
 from concurrent.futures import Future
 
 import pytest
@@ -44,11 +45,12 @@ from oneplanar.cli import (
 )
 from oneplanar.embedding import (
     count_crossings,
+    merge_blocks,
     parse_embedding,
     serialize_embedding,
     validate,
 )
-from oneplanar.graph import GraphError, build_graph
+from oneplanar.graph import GraphError, biconnected_components, build_graph
 from oneplanar.search import SearchConfig
 from reference import canonical_universe
 
@@ -286,6 +288,81 @@ class TestPipeline:
         g = glue_at_vertex(complete_graph(6), complete_graph(6))
         record, emb = run_pipeline(g, SearchConfig(time_budget=1e-9))
         assert record.verdict == "Unknown" and emb is None
+
+    GLUED_BLOCKS = {
+        "K5/K3,3 chain": lambda: chain_graph([complete_graph(5), complete_bipartite(3, 3)] * 3
+                                             + [complete_graph(5)]),
+        "two K6": lambda: glue_at_vertex(complete_graph(6), complete_graph(6)),
+        "K6+K5": lambda: glue_at_vertex(complete_graph(6), complete_graph(5)),
+    }
+
+    @staticmethod
+    def counting_test_block(monkeypatch, deadline_for=None) -> list:
+        """Record the block graph of every test_block call of the pipeline;
+        `deadline_for(i, deadline)` gives the i-th call's deadline."""
+        seen = []
+        original = cli_module.test_block
+
+        def counting(g, cfg, deadline=None):
+            if deadline_for is not None:
+                deadline = deadline_for(len(seen), deadline)
+            seen.append(g)
+            return original(g, cfg, deadline=deadline)
+
+        monkeypatch.setattr(cli_module, "test_block", counting)
+        return seen
+
+    @pytest.mark.parametrize("name", sorted(GLUED_BLOCKS))
+    def test_identical_blocks_are_decided_once(self, name, monkeypatch):
+        g = self.GLUED_BLOCKS[name]()
+        keys = [(blk.graph.n, blk.graph.edges) for blk in biconnected_components(g)]
+        seen = self.counting_test_block(monkeypatch)
+        record, _ = run_pipeline(g, SearchConfig())
+        assert record.verdict == "OnePlanar" and record.blocks == len(keys)
+        assert [(h.n, h.edges) for h in seen] == list(dict.fromkeys(keys))
+        assert len(seen) == {"K5/K3,3 chain": 2, "two K6": 1, "K6+K5": 2}[name]
+
+    @pytest.mark.parametrize("name", sorted(GLUED_BLOCKS))
+    def test_reused_blocks_match_fresh_decisions(self, name):
+        # every block decided on its own: the pipeline's stats are their
+        # sum, planarity calls included, the record shows them and the
+        # certificate is the one merged from the blocks' certificates
+        g = self.GLUED_BLOCKS[name]()
+        blocks = biconnected_components(g)
+        fresh = [search_module.test_block(blk.graph, SearchConfig()) for blk in blocks]
+        total = search_module.SearchStats()
+        for res in fresh:
+            total.merge(res.stats)
+        assert cli_module._decide_blocks(g, SearchConfig(), time.monotonic())[2] == total
+        record, emb = run_pipeline(g, SearchConfig())
+        assert (record.nodes, record.cuts_dec, record.cuts_kec, record.cuts_nonplanar,
+                record.sol_satur, record.sol_compl, record.backtracked) == (
+            total.nodes_visited, total.cuts_dec, total.cuts_kec, total.cuts_nonplanar,
+            total.sol_satur, total.sol_compl, total.used_backtracking)
+        merged = merge_blocks(g, blocks, [res.certificate for res in fresh])
+        assert serialize_embedding(emb) == serialize_embedding(merged)
+
+    @pytest.mark.parametrize("name,verdict", [("two K6", "OnePlanar"), ("K6+K5", "Unknown")])
+    def test_reused_block_past_the_deadline(self, monkeypatch, name, verdict):
+        # the deadline passes after the first block: its twin still takes
+        # its answer, while a block not seen before is left Unknown
+        def expire_later(i, deadline):
+            return deadline if i == 0 else 0.0
+
+        seen = self.counting_test_block(monkeypatch, expire_later)
+        record, emb = run_pipeline(self.GLUED_BLOCKS[name](), SearchConfig())
+        assert record.verdict == verdict and (emb is not None) is (verdict == "OnePlanar")
+        assert len(seen) == {"two K6": 1, "K6+K5": 2}[name]
+
+    def test_unknown_block_is_decided_again(self, monkeypatch):
+        # an Unknown depends on the deadline, so the twin of a block left
+        # Unknown is searched again
+        def expire_first(i, deadline):
+            return 0.0 if i == 0 else deadline
+
+        seen = self.counting_test_block(monkeypatch, expire_first)
+        record, _ = run_pipeline(self.GLUED_BLOCKS["two K6"](), SearchConfig())
+        assert record.verdict == "Unknown" and len(seen) == 2 and record.nodes > 0
 
     @pytest.mark.parametrize("name", sorted(_METAMORPHIC_BASES))
     def test_verdict_invariant_under_relabelling_reordering_and_pendant(self, name):
@@ -804,6 +881,19 @@ class TestMain:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err.startswith("error: ") and "report.csv" in captured.err
+
+    def test_bench_unwritable_out_decides_nothing(self, tmp_path, capsys, monkeypatch):
+        # the report's path is opened before the run, so no instance is
+        # decided for a report that cannot be written
+        files = write_corpus(tmp_path)
+        called = []
+        for name in ("run_pipeline", "_decide_blocks"):
+            monkeypatch.setattr(cli_module, name,
+                                lambda *args, _name=name, **kwargs: called.append(_name))
+        out = tmp_path / "absent" / "report.csv"
+        assert main(["bench", files["grid.txt"], "--out", str(out)]) == 2
+        assert called == []
+        assert capsys.readouterr().err.startswith("error: ")
 
     def test_bench_stdout_default(self, tmp_path, capsys):
         files = write_corpus(tmp_path)

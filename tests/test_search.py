@@ -889,13 +889,17 @@ def _from_random12(pins: dict) -> dict:
 # query, now part of its chain's bisection (K6 40, K4,4 4821, random12
 # 215 before); and all three again, with the trees unchanged, when the
 # skew-edge search's queries came to count (K6 25, K4,4 4820, random12 214
-# before)
-PINNED_CALLS = {"K6": 40, "K4,4": 4836, "random12": 228}
+# before); and K4,4 and random12 again, with the trees unchanged, when the
+# skew-edge search's answers came to seed the removable-edge memo of slot
+# 0 (K4,4 4836, random12 228 before; K6's level starts at 3 crossings, so
+# it never asks slot 0)
+PINNED_CALLS = {"K6": 40, "K4,4": 4827, "random12": 216}
 # the same under twin-orbit branching (K4,4 194 before the levels; K6 24
 # and K4,4 370 before the removable-edge rule and the bisection; K6 14
 # and K4,4 200 before only the nodes at a level asked their star graph;
-# K6 11 and K4,4 199 before the skew-edge search's queries counted)
-PRUNED_CALLS = {"K6": 26, "K4,4": 215, "random12": PINNED_CALLS["random12"]}
+# K6 11 and K4,4 199 before the skew-edge search's queries counted; K4,4
+# 215 before they seeded slot 0's memo)
+PRUNED_CALLS = {"K6": 26, "K4,4": 214, "random12": PINNED_CALLS["random12"]}
 
 
 @pytest.mark.parametrize("graph", sorted(PINNED_CALLS))
@@ -1571,6 +1575,35 @@ class TestRemovableEdges:
             backtrack(g, build_universe(g), SearchStats())
         if corpus != "oracle":  # its graphs are too small for the rule to fire
             assert settled > 0
+
+    @pytest.mark.parametrize("graph", ["K4,4", "random12"])
+    def test_skew_search_answers_seed_slot_zero(self, monkeypatch, graph):
+        # test_block hands backtrack the skew-edge search's answers on g - e
+        # (every edge on K4,4, which has no skew edge; the edges up to its
+        # skew edge on random12): each matches a fresh query, and the
+        # seeded search visits the unseeded one's tree with fewer queries
+        g = _TREE_GRAPHS[graph]()
+        seeds = []
+        original = search_module.backtrack
+
+        def recording(*args, **kwargs):
+            seeds.append((kwargs["tested"], kwargs["removable"]))
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(search_module, "backtrack", recording)
+        solve_block(g, SearchConfig())
+        [(tested, removable_mask)] = seeds
+        skew = find_skew_set(g)
+        assert tested == (1 << (g.m if skew is None else skew + 1)) - 1
+        for e in range(g.m):
+            if tested >> e & 1:
+                assert bool(removable_mask >> e & 1) is removable(g, [], e)
+        seeded, unseeded = SearchStats(), SearchStats()
+        original(g, build_universe(g), seeded, tested=tested, removable=removable_mask)
+        original(g, build_universe(g), unseeded)
+        assert seeded.planarity_calls < unseeded.planarity_calls
+        assert (dataclasses.replace(seeded, planarity_calls=0)
+                == dataclasses.replace(unseeded, planarity_calls=0))
 
     @pytest.mark.parametrize("graph", ["K4,5", "K3,6"])
     def test_reopen_pushes_only_what_the_path_lacks(self, monkeypatch, graph):
