@@ -602,6 +602,7 @@ def main(argv: list[str] | None = None) -> int:
         print(f"  cuts: dec={record.cuts_dec} kec={record.cuts_kec} "
               f"nonplanar={record.cuts_nonplanar}; solutions: satur={record.sol_satur} "
               f"compl={record.sol_compl}")
+        disagrees = False
         if args.oracle:
             try:
                 expected = oracle_is_one_planar(g)
@@ -609,19 +610,24 @@ def main(argv: list[str] | None = None) -> int:
                 print(f"  oracle: skipped ({exc})")
             else:
                 want = Verdict.ONE_PLANAR.value if expected else Verdict.NOT_ONE_PLANAR.value
-                agree = "agrees" if record.verdict == want else "DISAGREES"
-                print(f"  oracle: {want} ({agree})")
+                unknown = record.verdict == Verdict.UNKNOWN.value
+                disagrees = not unknown and record.verdict != want
+                note = "search Unknown" if unknown else "DISAGREES" if disagrees else "agrees"
+                print(f"  oracle: {want} ({note})")
         if args.emit_embedding:
             if emb is None:
                 print("no certificate to emit (verdict is not positive)", file=sys.stderr)
-            else:
-                return _write(args.emit_embedding, serialize_embedding(emb))
-        return 0
+            elif _write(args.emit_embedding, serialize_embedding(emb)):
+                return 2
+        return 1 if disagrees else 0
 
     if args.out and _write(args.out, ""):  # fail before any instance is decided
         return 2
     result = bench(args.paths, cfg, fmt=args.format,
                    workers=args.workers, skip_planar=args.skip_planar)
+    for r in result.records:
+        if r.error is not None:
+            print(f"error: {r.name}: {r.error}", file=sys.stderr)
     if args.out:
         return _write(args.out, result.csv)
     sys.stdout.write(result.csv)

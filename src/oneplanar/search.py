@@ -64,7 +64,8 @@ contains the star graph of S, so no such edge is removable.
 Exhausting the tree without a solution proves the graph has no such
 drawing.  :func:`backtrack` visits the tree level by level in the
 number of crossings on the path, so the drawing it finds has the fewest
-crossings of any.
+crossings of any: a block with a one-crossing drawing is decided on
+level 1.
 """
 
 from __future__ import annotations
@@ -121,8 +122,7 @@ class SearchConfig:
 class SearchStats:
     """Counters of one search, or of several merged.
 
-    ``planarity_calls`` counts the queries of the whole-block test, the
-    skew-edge search (none if the deadline stops it), the skew pass and
+    ``planarity_calls`` counts the queries of the whole-block test and
     the search.  In the search it is one per call of
     :func:`~oneplanar.planarity.is_planar_edges` or
     :func:`~oneplanar.planarity.rotation_edges`; the first settles every
@@ -133,9 +133,8 @@ class SearchStats:
     saturated-subgraph queries of one 0-chain cost the calls of one
     bisection (see the module docstring), charged to the node that asks
     first.  A star graph query settled by its last crossing's edges costs
-    no call, and each removable-edge query it asks costs one, unless the
-    skew-edge search asked it.  A block that `run_pipeline` reuses counts
-    its first decision's counters again.
+    no call, and each removable-edge query it asks costs one.  A block
+    that `run_pipeline` reuses counts its first decision's counters again.
     """
 
     nodes_visited: int = 0
@@ -146,7 +145,6 @@ class SearchStats:
     sol_compl: int = 0
     planarity_calls: int = 0
     used_backtracking: bool = False
-    used_skew_pass: bool = False
 
     def merge(self, other: "SearchStats") -> None:
         self.nodes_visited += other.nodes_visited
@@ -157,7 +155,6 @@ class SearchStats:
         self.sol_compl += other.sol_compl
         self.planarity_calls += other.planarity_calls
         self.used_backtracking |= other.used_backtracking
-        self.used_skew_pass |= other.used_skew_pass
 
 
 @dataclass
@@ -443,8 +440,6 @@ def backtrack(
     universe: PairUniverse,
     stats: SearchStats,
     deadline: float | None = None,
-    tested: int = 0,
-    removable: int = 0,
 ) -> tuple[Verdict, OnePlanarEmbedding | None]:
     """Depth-first search over the universe, 0 branches first, visited
     level by level in the number of crossings on the path.
@@ -471,13 +466,10 @@ def backtrack(
     1-sibling to visit and every 1 has none.  A 1-sibling that `push`
     refuses is counted, as a node and a DEC or KEC cut, on the way back
     up; one whose pair's orbit opens before the path's first crossing
-    (before the pair itself on a path without one) is skipped.  `tested`
-    and `removable`, the edges e for which g - e was tested and found
-    planar before (by :func:`test_block`), seed slot 0's removable-edge memo.
+    (before the pair itself on a path without one) is skipped.
     """
     stats.used_backtracking = True
     state = SearchState(g, universe)
-    state.tested[0], state.removable[0] = tested, removable
     bits, crossings, orbit = state.bits, state.crossings, universe.orbit
     nonplanar, dec = CutReason.NONPLANAR_INDUCED, CutReason.DOUBLE_EDGE_CROSSING
     level = max(state._need, 0)
@@ -543,18 +535,6 @@ def backtrack(
     return Verdict.NOT_ONE_PLANAR, None
 
 
-def find_skew_set(g: Graph, deadline: float | None = None) -> int | None:
-    """The first edge whose removal leaves the nonplanar graph g planar, or
-    None if there is none.  Raises TimeoutError once `deadline` (a
-    time.monotonic() value) passes."""
-    for e in range(g.m):
-        if deadline is not None and time.monotonic() >= deadline:
-            raise TimeoutError("deadline passed during the skew edge search")
-        if is_planar_edges(g.n, g.edges[:e] + g.edges[e + 1 :]):
-            return e
-    return None
-
-
 def test_block(
     g: Graph,
     cfg: SearchConfig,
@@ -564,22 +544,11 @@ def test_block(
 
     Pipeline: a block on 7 or more vertices with more than 4n - 8 edges
     is too dense for any drawing (and nonplanar, as 4n - 8 >= 3n - 6);
-    planar graphs are certified directly; blocks on fewer than 7
-    vertices always have a drawing, found by search; otherwise, when
-    removing one edge e leaves the block planar (e is a skew edge), each
-    crossing of e with one other edge is tried first, and the search
-    settles whatever is left open, starting from the skew-edge search's
-    answers on which g - f is planar.  Past the density gate, a deadline
-    that has passed gives Unknown before any planarity query.
-
-    The skew pass tries each crossing (e, f) of e with an edge f
-    independent of it, f from the last edge to the first, and returns the
-    first whose star graph is planar.  Each try counts as a node, a
-    planarity call, and a saturation solution or a nonplanar cut.  This
-    order gives the drawing a 0-first search over the pairs holding e
-    finds first: its all-zero path ends where g minus e and the partners
-    still ahead turns nonplanar, and a crossing with one of those partners
-    has no planar star graph either.
+    planar graphs are certified directly, and :func:`backtrack` on the
+    full universe decides every other block (one on fewer than 7 vertices
+    always has a drawing, so a negative there is an internal error).  Past
+    the density gate, a deadline that has passed gives Unknown before any
+    planarity query.
 
     A positive verdict carries a :class:`OnePlanarEmbedding` of g: no
     crossings and the planarity test's rotation for a planar block, else
@@ -601,31 +570,7 @@ def test_block(
     if rotation is not None:
         return BlockResult(Verdict.ONE_PLANAR, OnePlanarEmbedding(g, (), rotation), stats)
 
-    try:
-        e = find_skew_set(g, deadline)
-    except TimeoutError:
-        return BlockResult(Verdict.UNKNOWN, None, stats)
-    tested = (1 << (g.m if e is None else e + 1)) - 1  # g - f asked, f up to e
-    stats.planarity_calls += tested.bit_length()
-    if e is not None:
-        stats.used_skew_pass = stats.used_backtracking = True
-        for f in reversed(range(g.m)):
-            if g.adjacent_edges(e, f):  # e itself included
-                continue
-            if time.monotonic() >= deadline:
-                return BlockResult(Verdict.UNKNOWN, None, stats)
-            pair = (min(e, f), max(e, f))
-            stats.nodes_visited += 1
-            stats.planarity_calls += 1
-            rot = rotation_edges(*star_edge_list(g, [pair]))
-            if rot is not None:
-                stats.sol_satur += 1
-                cert = OnePlanarEmbedding(g, (pair,), RotationSystem.from_lists(rot))
-                return BlockResult(Verdict.ONE_PLANAR, cert, stats)
-            stats.cuts_nonplanar += 1
-
-    verdict, cert = backtrack(g, build_universe(g), stats=stats, deadline=deadline,
-                              tested=tested, removable=0 if e is None else 1 << e)
+    verdict, cert = backtrack(g, build_universe(g), stats=stats, deadline=deadline)
     if verdict is Verdict.NOT_ONE_PLANAR and g.n < 7:
         raise RuntimeError("internal error: graphs on fewer than 7 vertices always have a drawing")
     return BlockResult(verdict, cert, stats)

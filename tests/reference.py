@@ -31,10 +31,10 @@ def canonical_universe(g: Graph) -> PairUniverse:
 
 def restricted_universe(g: Graph, edges) -> PairUniverse:
     """The pairs of g's universe that hold an edge of `edges`, in universe
-    order, each its own orbit.  For one skew edge e, `backtrack` over it
-    finds a drawing exactly when `test_block`'s skew pass does, and the
-    same one.  Most edges lie in no pair here, so rules (b) and (c)
-    saturate them from the root on."""
+    order, each its own orbit: a small tree whose drawings all cross one
+    of `edges`, such as a skew edge, whose removal leaves g planar.  Most
+    edges lie in no pair here, so rules (b) and (c) saturate them from the
+    root on."""
     u = build_universe(g)
     keep = set(edges)
     pairs = tuple(p for p in u.pairs if keep.intersection(p))

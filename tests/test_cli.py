@@ -454,15 +454,19 @@ class TestPipeline:
     # sha256 of its serialized certificate.  The chains' node and cut counts
     # were re-recorded when the skew pass became a loop, which decides each
     # K5 or K3,3 block with one try (100, 120 and 108 nodes and 20 cuts
-    # before); their digests did not move.
+    # before); their digests did not move.  Re-recorded when the skew pass
+    # went and the level search came to decide each block, K5 in 17 nodes
+    # and K3,3 in 20, each with one nonplanar cut and a completion (20
+    # nodes, no cut and 20 saturation solutions before; digests 076b398f,
+    # 309f5dec and f1def3d8).
     CERTIFY_PINS = {
-        "chain-K5.txt": ((81, 200, 20, 20, 20, 0, 20),
-                         "076b398f121173a449a5f41407dd47fb31abdf9eead6015c1cc71cbb54425f9c"),
-        "chain-K33.gml": ((101, 180, 20, 20, 20, 0, 20),
-                          "309f5decfd5ba785207eb6ca48e26df7db31c1b1b3d4ecd21c5aa85911709306"),
-        "chain-mixed.txt": ((89, 192, 20, 20, 20, 0, 20),
-                            "f1def3d8a4735c084fd2bf3b6f4083b004391e6132eda392a9b1ef1fee1aa2a7"),
-        "grid16.gml": ((256, 480, 1, 0, 0, 0, 0),
+        "chain-K5.txt": ((81, 200, 20, 20, 340, 20, 0, 20),
+                         "105a6cc527762ce75068a4efb4c628f5bf315c815f2132d6f90068df632cbbba"),
+        "chain-K33.gml": ((101, 180, 20, 20, 400, 20, 0, 20),
+                          "6a6d53ea3f743ad0b69c443938eb28b758d32ed883c8bd78ad81a5bbeffc3d1b"),
+        "chain-mixed.txt": ((89, 192, 20, 20, 364, 20, 0, 20),
+                            "339a135ad462ff357b3024d2c366c04bf4ee4b33b66134b33d123e771366a87d"),
+        "grid16.gml": ((256, 480, 1, 0, 0, 0, 0, 0),
                        "95e366d22c49508e337eb9e58189378746c4c6cf897fc3bfe4047cf7d5747e00"),
     }
 
@@ -484,11 +488,11 @@ class TestPipeline:
         else:
             path.write_text("".join(f"{u} {v}\n" for u, v in g.edges))
         record, emb = run_pipeline(parse_graph_file(str(path)), SearchConfig(), name=name)
-        (n, m, blocks, crossings, nodes, cuts, satur), digest = self.CERTIFY_PINS[name]
+        (n, m, blocks, crossings, nodes, cuts, satur, compl), digest = self.CERTIFY_PINS[name]
         assert dataclasses.replace(record, time_ms=0.0) == InstanceRecord(
             name, n=n, m=m, density=m / n, blocks=blocks, verdict="OnePlanar",
             crossings=crossings, backtracked=nodes > 0, nodes=nodes,
-            cuts_nonplanar=cuts, sol_satur=satur,
+            cuts_nonplanar=cuts, sol_satur=satur, sol_compl=compl,
         )
         assert hashlib.sha256(serialize_embedding(emb).encode()).hexdigest() == digest
 
@@ -519,19 +523,23 @@ class TestPipeline:
         # Re-recorded with twin-orbit branching, which changes the
         # certificates of K6 and K6+K5 and of no other graph here, and
         # when the search came to visit the tree level by level, which
-        # gives rand11 a drawing with 2 crossings instead of 3.
+        # gives rand11 a drawing with 2 crossings instead of 3, and when
+        # the skew pass went: the blocks it decided (K5, K3,3, the K5 of
+        # K6+K5, chain20's and rand10's) now get level 1's first drawing,
+        # with as many crossings (a9a5e505 before).
         assert self.certificate_digest() == (
-            "a9a5e505f532b2deec03243315d31b6e0e9ce70482e881bd8a219d6a6d8597dd"
+            "a27d9158122c3bb10e734946a126b56627c6e381c1811c50e11a51fb4e1e19f0"
         )
 
     def test_canonical_certificates_match_recorded_digest(self, monkeypatch):
         # Recorded with the canonical search when every block built and
         # checked a certificate of its own before the merge; the single
         # merge gave the same bytes.  Re-recorded when the search came to
-        # visit the tree level by level (rand11 as above).
+        # visit the tree level by level (rand11 as above), and when the
+        # skew pass went (as above; 803a9581 before).
         monkeypatch.setattr(search_module, "build_universe", canonical_universe)
         assert self.certificate_digest() == (
-            "803a9581bf2bd72c9d5c724e8d2dc3b3204bd11c2aa20154aa4c1562f46c5a1c"
+            "69967fee4744fbcecbe0b6b8fb59030e7e18ddfe163fc1ed3f687fba601703d3"
         )
 
 
@@ -867,6 +875,34 @@ class TestMain:
         f.write_text("".join(f"{u} {v}\n" for u, v in complete_graph(7).edges))
         assert main(["check", str(f), "--oracle"]) == 0
         assert "oracle: skipped" in capsys.readouterr().out
+
+    def test_check_oracle_leaves_an_unknown_verdict_uncompared(self, tmp_path, capsys):
+        # a deadline that fires gives Unknown, which is no disagreement
+        f = tmp_path / "k5.txt"
+        f.write_text("".join(f"{u} {v}\n" for u, v in complete_graph(5).edges))
+        assert main(["check", str(f), "--oracle", "--timeout", "0.00001s"]) == 0
+        out = capsys.readouterr().out
+        assert out.startswith("k5.txt: Unknown\n")
+        assert "oracle: OnePlanar (search Unknown)" in out
+
+    def test_check_oracle_disagreement_exits_one(self, tmp_path, capsys, monkeypatch):
+        f = tmp_path / "k5.txt"
+        f.write_text("".join(f"{u} {v}\n" for u, v in complete_graph(5).edges))
+        monkeypatch.setattr(cli_module, "oracle_is_one_planar", lambda g: False)
+        assert main(["check", str(f), "--oracle"]) == 1
+        assert "oracle: NotOnePlanar (DISAGREES)" in capsys.readouterr().out
+
+    def test_bench_prints_the_reason_of_each_error_row(self, tmp_path, capsys):
+        # on stderr; the CSV keeps its rows, the Error row as it was
+        write_corpus(tmp_path)
+        (tmp_path / "bad.txt").write_text("1 x\n")
+        result = bench([str(tmp_path)], SearchConfig())
+        [error] = [r for r in result.records if r.verdict == "Error"]
+        assert main(["bench", str(tmp_path)]) == 0
+        captured = capsys.readouterr()
+        assert len(captured.out.splitlines()) == len(result.csv.splitlines())
+        assert _record_row(error) in captured.out.splitlines()
+        assert captured.err == f"error: bad.txt: {error.error}\n"
 
     def test_bench_writes_csv(self, tmp_path, capsys):
         write_corpus(tmp_path)
